@@ -34,7 +34,7 @@ namespace cfc::bench {
 ///                    min-of-N (the noise-robust estimator on shared CI
 ///                    machines). Default 1.
 ///   --reduction <p>  partial-order-reduction policy for the benches'
-///                    Exhaustive searches: off | sleep-lite | source-dpor
+///                    Exhaustive searches: off | source-dpor
 ///                    (default off — the unreduced tree, comparable with
 ///                    pre-POR baselines)
 ///   --baseline <f>   committed BENCH_<name>.json to compare against
@@ -66,7 +66,7 @@ struct BenchOptions {
       std::fprintf(to,
                    "usage: %s [--seed <base>] [--threads <k>] [--out <dir>] "
                    "[--algo <tag-or-name>] [--repeat <n>] "
-                   "[--reduction off|sleep-lite|source-dpor] "
+                   "[--reduction off|source-dpor] "
                    "[--baseline <json>] [--study-out <json>] "
                    "[--trace-out <json>] [--list]\n",
                    argc > 0 ? argv[0] : "bench");
@@ -123,8 +123,7 @@ struct BenchOptions {
             reduction_policy_from(v);
         if (!policy.has_value()) {
           std::fprintf(stderr,
-                       "invalid --reduction '%s' (off | sleep-lite | "
-                       "source-dpor)\n",
+                       "invalid --reduction '%s' (off | source-dpor)\n",
                        v.c_str());
           usage(stderr, 2);
         }

@@ -1,22 +1,16 @@
-// P4/P6/P7 (perf) — schedule-space explorer scaling after the
-// allocation-free hot-path rebuild, the parallel source-DPOR round, and
-// the stateful (sleep-set-aware visited cache) round: DFS throughput
-// (states/sec, min-of-N wall time), the recycled in-place rewind restore
-// (Sim::rewind_to) vs the legacy fork-by-replay path (kept compilable
-// behind ExploreLimits::restore_by_fork; results must be bit-identical),
-// the adaptive restore-mark fast path (Sim::rewind_to_mark) vs full
-// replay, the restore-cost counters (restores, replayed-steps-per-node,
-// restore_marks, sims_built, visited-table reserved/live bytes),
-// visited-state pruning, the opt-in reduce_independent sleep-set mode,
-// the source-dpor reduction rows (with a stateful-vs-baseline state
-// ceiling), stateful vs stateless source-dpor on the re-convergent
-// peterson-tree cell (the >= 10x sleep_blocked gate),
-// Sim-level restore mechanics (rewind vs fork vs from-scratch),
-// work-stealing thread scaling of the parallel source-DPOR path, and
-// thread-count invariance checked byte-for-byte on the canonical study
-// JSON (also written to --study-out for CI's cross-thread-count cmp
-// gate). Writes BENCH_explorer_scaling.json (schema cfc.bench.v1, git sha
-// in the context); CI runs this in Release as the perf smoke.
+// P4/P6/P7 (perf) — schedule-space explorer scaling: DFS throughput
+// (states/sec, min-of-N wall time) with the restore-cost counters
+// (restores, mark re-feeds per node, restore_marks, sims_built,
+// visited-table reserved/live bytes), visited-state pruning, the
+// source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
+// stateful vs stateless source-dpor on the re-convergent peterson-tree
+// cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
+// (rewind vs fork vs from-scratch), work-stealing thread scaling of the
+// parallel source-DPOR path, and thread-count invariance checked
+// byte-for-byte on the canonical study JSON (also written to --study-out
+// for CI's cross-thread-count cmp gate). Writes BENCH_explorer_scaling.json
+// (schema cfc.bench.v1, git sha in the context); CI runs this in Release as
+// the perf smoke.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -48,18 +42,14 @@ StudySpec peterson_exhaustive(int depth) {
 /// The MutexWcTask objective (clean-entry + exit window maxima), stated
 /// directly so this bench can drive the Explorer itself and read the
 /// restore-cost counters that StudyResult does not carry.
-Explorer::Config peterson_config(int depth, bool restore_by_fork,
-                                 bool reduce_independent = false,
-                                 ReductionPolicy reduction =
-                                     ReductionPolicy::Off) {
+Explorer::Config peterson_config(
+    int depth, ReductionPolicy reduction = ReductionPolicy::Off) {
   const MutexFactory make =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   Explorer::Config cfg;
   cfg.nprocs = 2;
   cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
-  cfg.limits.restore_by_fork = restore_by_fork;
-  cfg.limits.reduce_independent = reduce_independent;
   cfg.limits.reduction = reduction;
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, make, 2, 1);
@@ -226,18 +216,18 @@ int main(int argc, char** argv) {
                 opts.baseline.c_str());
   }
 
-  // --- 1. Exhaustive DFS throughput over depth (recycled-rewind restore,
-  // the default), with the restore cost model's counters: every DFS node
-  // with k > 1 branches pays k-1 restores, each replaying the node's
-  // schedule prefix in place — replayed-steps-per-node is the knob that
-  // perf work on the restore path moves.
+  // --- 1. Exhaustive DFS throughput over depth, with the restore cost
+  // model's counters: every DFS node with k > 1 branches pays k-1
+  // restores, each rewinding the live Sim to the node's mark and
+  // value-replaying only the processes that acted below it — re-feeds per
+  // node is the knob that perf work on the restore path moves.
   std::printf(
       "Exhaustive exploration throughput (Peterson, n=2, reduction=%s, "
       "min of %d):\n\n",
       name(opts.reduction), opts.repeat);
   json.context("reduction", std::string(name(opts.reduction)));
   TextTable thr({"depth", "states", "leaves", "ms", "states/sec",
-                 "restores", "replayed/node", "value/node", "marks",
+                 "restores", "value/node", "marks",
                  "visited KiB (live)", "entry steps"});
   // Section 3b reuses these as its "unreduced" side when the throughput
   // section already ran unreduced (the default --reduction=off), so the
@@ -246,19 +236,13 @@ int main(int argc, char** argv) {
   for (const int depth : {12, 16, 20}) {
     Explorer::Result res;
     const double ms = cfc::bench::min_ms_of(opts.repeat, [&] {
-      const Explorer explorer(
-          peterson_config(depth, false, false, opts.reduction));
+      const Explorer explorer(peterson_config(depth, opts.reduction));
       res = explorer.run(runner.get());
     });
     throughput_runs.emplace_back(res, ms);
     const double rate =
         ms > 0 ? 1000.0 * static_cast<double>(res.stats.states_visited) / ms
                : 0.0;
-    const double replayed_per_node =
-        res.stats.states_visited
-            ? static_cast<double>(res.stats.replayed_steps) /
-                  static_cast<double>(res.stats.states_visited)
-            : 0.0;
     const double value_replayed_per_node =
         res.stats.states_visited
             ? static_cast<double>(res.stats.value_replayed_steps) /
@@ -271,7 +255,6 @@ int main(int argc, char** argv) {
          std::to_string(leaves), std::to_string(static_cast<long long>(ms)),
          std::to_string(static_cast<long long>(rate)),
          std::to_string(res.stats.restores),
-         std::to_string(replayed_per_node).substr(0, 5),
          std::to_string(value_replayed_per_node).substr(0, 5),
          std::to_string(res.stats.restore_marks),
          std::to_string(res.stats.visited_bytes / 1024) + " (" +
@@ -283,8 +266,6 @@ int main(int argc, char** argv) {
               {"ms_min", cfc::bench::jv(ms)},
               {"states_per_sec", cfc::bench::jv(rate)},
               {"restores", cfc::bench::jv(res.stats.restores)},
-              {"replayed_steps", cfc::bench::jv(res.stats.replayed_steps)},
-              {"replayed_per_node", cfc::bench::jv(replayed_per_node)},
               {"value_replayed_steps",
                cfc::bench::jv(res.stats.value_replayed_steps)},
               {"value_replayed_per_node",
@@ -295,36 +276,21 @@ int main(int argc, char** argv) {
               {"visited_live_bytes",
                cfc::bench::jv(res.stats.visited_live_bytes)}});
     verify.check(res.stats.restores > 0 &&
-                     res.stats.replayed_steps +
-                             res.stats.value_replayed_steps >
-                         0,
+                     res.stats.value_replayed_steps > 0,
                  "restore counters populated at depth " +
                      std::to_string(depth));
     verify.check(res.stats.visited_live_bytes <= res.stats.visited_bytes,
                  "visited live bytes never exceed reserved at depth " +
                      std::to_string(depth));
     if (opts.reduction != ReductionPolicy::SourceDpor) {
-      // The zero-allocation invariant of the recycled restore: Sim
+      // The zero-allocation invariant of the mark restore: Sim
       // constructions equal the frontier cell count, however many
       // restores. (The parallel source-dpor path instead builds one Sim
       // per worker plus the planner's — checked in the scaling section.)
-      const std::size_t cells = Explorer::frontier_cells(
-          2, peterson_config(depth, false).limits);
+      const std::size_t cells =
+          Explorer::frontier_cells(2, peterson_config(depth).limits);
       verify.check(res.stats.sims_built == cells,
-                   "rewind restores build no Sims at depth " +
-                       std::to_string(depth));
-    }
-    // Restore-mark regression guard vs the committed baseline: the marks
-    // must keep replayed-steps-per-node from creeping back up (pre-mark
-    // baselines recorded ~4.6-6.6 here; the adaptive marks cut that).
-    const double base_rpn =
-        baseline_json.empty()
-            ? -1.0
-            : baseline_throughput_double(baseline_json, depth,
-                                         "replayed_per_node");
-    if (base_rpn > 0.0) {
-      verify.check(replayed_per_node <= base_rpn * 1.10,
-                   "replayed/node no worse than baseline at depth " +
+                   "mark restores build no Sims at depth " +
                        std::to_string(depth));
     }
     // Throughput regression guard vs the committed baseline. Wall time is
@@ -347,163 +313,34 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", thr.render().c_str());
 
-  // --- 2. Recycled rewind vs legacy fork-by-replay: same traversal, same
-  // results (bit-identical reports and stats), different restore
-  // mechanics. The speedup is the PR's headline number; the legacy path is
-  // the pre-PR restore algorithm kept behind the config flag.
-  {
-    const int depth = 20;
-    Explorer::Result rw;
-    Explorer::Result fk;
-    // Marks off: this differential asserts replayed_steps equality, which
-    // only holds when both paths replay the full schedule prefix.
-    Explorer::Config rw_cfg = peterson_config(depth, false);
-    rw_cfg.limits.restore_marks = false;
-    const double ms_rewind = cfc::bench::min_ms_of(opts.repeat, [&] {
-      rw = Explorer(rw_cfg).run(runner.get());
-    });
-    const double ms_fork = cfc::bench::min_ms_of(opts.repeat, [&] {
-      fk = Explorer(peterson_config(depth, true)).run(runner.get());
-    });
-    const double speedup = ms_rewind > 0 ? ms_fork / ms_rewind : 0.0;
-    std::printf(
-        "Restore paths at depth %d: rewind %.1f ms vs fork-by-replay %.1f "
-        "ms -> %.2fx; %llu restores replayed %llu steps on both paths\n\n",
-        depth, ms_rewind, ms_fork, speedup,
-        static_cast<unsigned long long>(rw.stats.restores),
-        static_cast<unsigned long long>(rw.stats.replayed_steps));
-    const bool identical =
-        same_best(rw.best, fk.best) &&
-        rw.stats.states_visited == fk.stats.states_visited &&
-        rw.stats.runs_completed == fk.stats.runs_completed &&
-        rw.stats.runs_truncated == fk.stats.runs_truncated &&
-        rw.stats.pruned_visited == fk.stats.pruned_visited &&
-        rw.stats.violations == fk.stats.violations &&
-        rw.stats.restores == fk.stats.restores &&
-        rw.stats.replayed_steps == fk.stats.replayed_steps;
-    json.row({{"section", std::string("restore_paths")},
-              {"depth", cfc::bench::jv(depth)},
-              {"rewind_ms_min", cfc::bench::jv(ms_rewind)},
-              {"fork_ms_min", cfc::bench::jv(ms_fork)},
-              {"speedup_vs_fork_restore", cfc::bench::jv(speedup)},
-              {"identical", cfc::bench::jv(identical ? 1 : 0)},
-              {"rewind_sims_built", cfc::bench::jv(rw.stats.sims_built)},
-              {"fork_sims_built", cfc::bench::jv(fk.stats.sims_built)}});
-    verify.check(identical,
-                 "rewind and fork-by-replay results are bit-identical");
-    verify.check(fk.stats.sims_built == fk.stats.restores + rw.stats.sims_built,
-                 "legacy path builds one Sim per restore");
-    // Regression guard, not the headline: on a loaded CI box even
-    // min-of-N wobbles, so only catch the rewind path LOSING to the
-    // legacy restore. The tracked JSON carries the real ratio.
-    if (!oversubscribed) {
-      verify.check(speedup > 0.9,
-                   "recycled rewind not slower than fork-by-replay");
-    } else {
-      std::printf("  [note] pool of %d on %u hardware threads: rewind-vs-"
-                  "fork timing advisory (%.2fx)\n",
-                  opts.threads, hw_threads, speedup);
-    }
-  }
-
-  // --- 2b. Adaptive restore marks vs full-replay rewind: marks captured
-  // at branching nodes let the restore value-replay only the suffix past
-  // the mark, cutting replayed-steps-per-node. Same traversal, identical
-  // certified values and states; only the restore mechanics differ.
-  {
-    const int depth = 20;
-    Explorer::Config marked_cfg = peterson_config(depth, false);
-    Explorer::Config plain_cfg = marked_cfg;
-    plain_cfg.limits.restore_marks = false;
-    Explorer::Result marked;
-    Explorer::Result plain;
-    const double ms_marked = cfc::bench::min_ms_of(opts.repeat, [&] {
-      marked = Explorer(marked_cfg).run(runner.get());
-    });
-    const double ms_plain = cfc::bench::min_ms_of(opts.repeat, [&] {
-      plain = Explorer(plain_cfg).run(runner.get());
-    });
-    const auto per_node = [](const Explorer::Result& r, std::uint64_t v) {
-      return r.stats.states_visited
-                 ? static_cast<double>(v) /
-                       static_cast<double>(r.stats.states_visited)
-                 : 0.0;
-    };
-    const double rpn_marked = per_node(marked, marked.stats.replayed_steps);
-    const double vpn_marked =
-        per_node(marked, marked.stats.value_replayed_steps);
-    const double rpn_plain = per_node(plain, plain.stats.replayed_steps);
-    std::printf(
-        "Restore marks at depth %d: %.2f live replayed steps/node + %.2f "
-        "value-log re-feeds/node (marks, %llu captured) vs %.2f live "
-        "replayed/node (full replay); %.1f ms vs %.1f ms\n\n",
-        depth, rpn_marked, vpn_marked,
-        static_cast<unsigned long long>(marked.stats.restore_marks),
-        rpn_plain, ms_marked, ms_plain);
-    json.row({{"section", std::string("restore_marks")},
-              {"depth", cfc::bench::jv(depth)},
-              {"replayed_per_node_marked", cfc::bench::jv(rpn_marked)},
-              {"value_replayed_per_node_marked", cfc::bench::jv(vpn_marked)},
-              {"replayed_per_node_plain", cfc::bench::jv(rpn_plain)},
-              {"restore_marks", cfc::bench::jv(marked.stats.restore_marks)},
-              {"ms_marked", cfc::bench::jv(ms_marked)},
-              {"ms_plain", cfc::bench::jv(ms_plain)}});
-    verify.check(same_best(marked.best, plain.best) &&
-                     marked.stats.states_visited ==
-                         plain.stats.states_visited &&
-                     marked.stats.restores == plain.stats.restores &&
-                     marked.stats.violations == plain.stats.violations,
-                 "restore marks keep the traversal bit-identical");
-    verify.check(marked.stats.restore_marks > 0,
-                 "restore marks captured at branching nodes");
-    verify.check(rpn_marked <= rpn_plain * 0.75,
-                 "restore marks cut live replayed steps/node by >= 25%");
-    verify.check(vpn_marked <= rpn_plain,
-                 "mark re-feeds touch no more units than full replay");
-  }
-
-  // --- 3. Visited-state pruning and the opt-in independence reduction.
+  // --- 3. Visited-state pruning.
   {
     Explorer::Result pruned;
     Explorer::Result unpruned;
     const double ms_pruned = cfc::bench::min_ms_of(opts.repeat, [&] {
-      pruned = Explorer(peterson_config(16, false)).run(runner.get());
+      pruned = Explorer(peterson_config(16)).run(runner.get());
     });
-    Explorer::Config no_prune = peterson_config(16, false);
+    Explorer::Config no_prune = peterson_config(16);
     no_prune.limits.prune_visited = false;
     const double ms_unpruned = cfc::bench::min_ms_of(opts.repeat, [&] {
       unpruned = Explorer(no_prune).run(runner.get());
     });
-    Explorer::Result reduced;
-    const double ms_reduced = cfc::bench::min_ms_of(opts.repeat, [&] {
-      reduced = Explorer(peterson_config(16, false, true)).run(runner.get());
-    });
     std::printf(
-        "Depth 16: %llu states pruned (%.1fx fewer than %llu unpruned); "
-        "reduce_independent explores %llu (%llu sibling orderings "
-        "skipped)\n\n",
+        "Depth 16: %llu states pruned (%.1fx fewer than %llu unpruned)\n\n",
         static_cast<unsigned long long>(pruned.stats.states_visited),
         pruned.stats.states_visited
             ? static_cast<double>(unpruned.stats.states_visited) /
                   static_cast<double>(pruned.stats.states_visited)
             : 0.0,
-        static_cast<unsigned long long>(unpruned.stats.states_visited),
-        static_cast<unsigned long long>(reduced.stats.states_visited),
-        static_cast<unsigned long long>(reduced.stats.pruned_independent));
+        static_cast<unsigned long long>(unpruned.stats.states_visited));
     json.row({{"section", std::string("pruning")},
               {"states_pruned_on", cfc::bench::jv(pruned.stats.states_visited)},
               {"states_pruned_off",
                cfc::bench::jv(unpruned.stats.states_visited)},
-              {"states_reduced", cfc::bench::jv(reduced.stats.states_visited)},
-              {"pruned_independent",
-               cfc::bench::jv(reduced.stats.pruned_independent)},
               {"ms_pruned_on", cfc::bench::jv(ms_pruned)},
-              {"ms_pruned_off", cfc::bench::jv(ms_unpruned)},
-              {"ms_reduced", cfc::bench::jv(ms_reduced)}});
+              {"ms_pruned_off", cfc::bench::jv(ms_unpruned)}});
     verify.check(same_best(pruned.best, unpruned.best),
                  "pruning preserves the certified maxima");
-    verify.check(same_best(pruned.best, reduced.best),
-                 "reduce_independent preserves the certified maxima");
     verify.check(pruned.stats.states_visited <=
                      unpruned.stats.states_visited,
                  "pruning never visits more states");
@@ -530,7 +367,7 @@ int main(int argc, char** argv) {
         ms_off = throughput_runs[di].second;
       } else {
         ms_off = cfc::bench::min_ms_of(opts.repeat, [&] {
-          off = Explorer(peterson_config(depth, false)).run(runner.get());
+          off = Explorer(peterson_config(depth)).run(runner.get());
         });
       }
       Explorer::Result dpor;
@@ -540,8 +377,7 @@ int main(int argc, char** argv) {
         ms_dpor = throughput_runs[di].second;
       } else {
         ms_dpor = cfc::bench::min_ms_of(opts.repeat, [&] {
-          dpor = Explorer(peterson_config(depth, false, false,
-                                          ReductionPolicy::SourceDpor))
+          dpor = Explorer(peterson_config(depth, ReductionPolicy::SourceDpor))
                      .run(runner.get());
         });
       }
@@ -687,89 +523,6 @@ int main(int argc, char** argv) {
               std::to_string(depth));
     }
     std::printf("%s\n", tree.render().c_str());
-  }
-
-  // --- 3d. Static dependence refinement (src/sa/): the footprint pass's
-  // may-conflict table refines the worst-case pending-side dependence
-  // checks (unstarted first units, armed crash units, section-quiet plain
-  // writes). Hard gates: the refined search certifies bit-identical values
-  // and never explores more states / detects more races / inserts more
-  // backtrack points than the unrefined source-dpor search — and at least
-  // one of those counters measurably DECREASES, so the refinement is
-  // demonstrably load-bearing, not just sound.
-  {
-    std::printf(
-        "Static dependence refinement under source-DPOR "
-        "(peterson-tree, n=4):\n\n");
-    TextTable sa({"depth", "states", "refined states", "races",
-                  "refined races", "backtracks", "refined backtracks",
-                  "refined pairs"});
-    const int sa_depths[] = {12, 14};
-    for (const int depth : sa_depths) {
-      Explorer::Result plain;
-      const double ms_plain = cfc::bench::min_ms_of(opts.repeat, [&] {
-        plain = Explorer(tree_dpor_config(depth)).run(runner.get());
-      });
-      Explorer::Config sa_cfg = tree_dpor_config(depth);
-      sa_cfg.limits.static_refine = true;
-      Explorer::Result refined;
-      const double ms_refined = cfc::bench::min_ms_of(opts.repeat, [&] {
-        refined = Explorer(sa_cfg).run(runner.get());
-      });
-      sa.add_row({std::to_string(depth),
-                  std::to_string(plain.stats.states_visited),
-                  std::to_string(refined.stats.states_visited),
-                  std::to_string(plain.stats.races_detected),
-                  std::to_string(refined.stats.races_detected),
-                  std::to_string(plain.stats.backtrack_points),
-                  std::to_string(refined.stats.backtrack_points),
-                  std::to_string(refined.stats.static_refined_pairs)});
-      json.row({{"section", std::string("static_refine")},
-                {"depth", cfc::bench::jv(depth)},
-                {"states_unrefined",
-                 cfc::bench::jv(plain.stats.states_visited)},
-                {"states_refined",
-                 cfc::bench::jv(refined.stats.states_visited)},
-                {"races_unrefined",
-                 cfc::bench::jv(plain.stats.races_detected)},
-                {"races_refined",
-                 cfc::bench::jv(refined.stats.races_detected)},
-                {"backtracks_unrefined",
-                 cfc::bench::jv(plain.stats.backtrack_points)},
-                {"backtracks_refined",
-                 cfc::bench::jv(refined.stats.backtrack_points)},
-                {"static_refined_pairs",
-                 cfc::bench::jv(refined.stats.static_refined_pairs)},
-                {"ms_unrefined", cfc::bench::jv(ms_plain)},
-                {"ms_refined", cfc::bench::jv(ms_refined)}});
-      verify.check(same_best(plain.best, refined.best) &&
-                       plain.stats.violations == refined.stats.violations,
-                   "static refinement certifies the unrefined values at "
-                   "depth " +
-                       std::to_string(depth));
-      verify.check(refined.stats.states_visited <=
-                           plain.stats.states_visited &&
-                       refined.stats.races_detected <=
-                           plain.stats.races_detected &&
-                       refined.stats.backtrack_points <=
-                           plain.stats.backtrack_points,
-                   "static refinement never grows the reduced search at "
-                   "depth " +
-                       std::to_string(depth));
-      verify.check(refined.stats.static_refined_pairs > 0,
-                   "static refinement flips dependence pairs at depth " +
-                       std::to_string(depth));
-      verify.check(refined.stats.states_visited <
-                           plain.stats.states_visited ||
-                       refined.stats.races_detected <
-                           plain.stats.races_detected ||
-                       refined.stats.backtrack_points <
-                           plain.stats.backtrack_points,
-                   "static refinement measurably shrinks the search at "
-                   "depth " +
-                       std::to_string(depth));
-    }
-    std::printf("%s\n", sa.render().c_str());
   }
 
   // --- 4. Sim-level restore mechanics: reposition a measured run K times

@@ -35,12 +35,8 @@ const char* name(ReductionPolicy p) {
   switch (p) {
     case ReductionPolicy::Off:
       return "off";
-    case ReductionPolicy::SleepLite:
-      return "sleep-lite";
     case ReductionPolicy::SourceDpor:
       return "source-dpor";
-    case ReductionPolicy::Hybrid:
-      return "hybrid";
   }
   return "unknown";
 }
@@ -49,22 +45,10 @@ std::optional<ReductionPolicy> reduction_policy_from(std::string_view s) {
   if (s == "off") {
     return ReductionPolicy::Off;
   }
-  if (s == "sleep-lite") {
-    return ReductionPolicy::SleepLite;
-  }
   if (s == "source-dpor") {
     return ReductionPolicy::SourceDpor;
   }
-  if (s == "hybrid") {
-    return ReductionPolicy::Hybrid;
-  }
   return std::nullopt;
-}
-
-ReductionPolicy effective_reduction(const ExploreLimits& l) {
-  return l.reduction == ReductionPolicy::Off && l.reduce_independent
-             ? ReductionPolicy::SleepLite
-             : l.reduction;
 }
 
 std::span<const ExploreStatsField> explore_stats_fields() {
@@ -131,26 +115,21 @@ struct WorkItem {
 /// per-cell visited table, the recycled scratch pools (branch stack,
 /// per-depth accumulator snapshots and rewind marks), and — under
 /// ReductionPolicy::SourceDpor — the per-path race detector and the
-/// per-depth backtrack masks. Descends by stepping the live sim; backtracks
-/// via per-depth RewindMarks (Sim::rewind_to_mark, the default), the plain
-/// full-replay rewind (Sim::rewind_to), or the legacy fork-by-replay when
-/// ExploreLimits::restore_by_fork is set.
+/// per-depth backtrack masks. Descends by stepping the live sim and
+/// backtracks to per-depth RewindMarks (Sim::rewind_to_mark).
 ///
-/// Three entry points: run() walks one grid cell (policies Off/SleepLite),
-/// plan() is the parallel source-DPOR planner, run_item() executes one
-/// planner work item. A worker reuses one CellExplorer — and its Sim —
-/// across every item it claims.
+/// Three entry points: run() walks one grid cell (policy Off), plan() is
+/// the parallel source-DPOR planner, run_item() executes one planner work
+/// item. A worker reuses one CellExplorer — and its Sim — across every
+/// item it claims.
 class CellExplorer {
  public:
   explicit CellExplorer(const Explorer::Config& cfg)
       : cfg_(cfg),
         acc_(cfg.nprocs),
-        policy_(cfg.limits.reduction),
-        use_marks_(cfg.limits.restore_marks && !cfg.limits.restore_by_fork &&
-                   !cfg.limits.verify_restore_snapshot),
         use_scache_(cfg.limits.reduction == ReductionPolicy::SourceDpor &&
                     cfg.limits.prune_visited) {
-    if (policy_ == ReductionPolicy::SourceDpor) {
+    if (cfg.limits.reduction == ReductionPolicy::SourceDpor) {
       dpor_.emplace(cfg.nprocs);
       backtrack_.assign(
           static_cast<std::size_t>(cfg.limits.max_depth) + 1,
@@ -158,8 +137,8 @@ class CellExplorer {
     }
   }
 
-  /// Grid-cell DFS (policies Off and SleepLite; the source-DPOR policy
-  /// goes through plan()/run_item() instead).
+  /// Grid-cell DFS (policy Off; the source-DPOR policy goes through
+  /// plan()/run_item() instead).
   void run(const std::vector<Pid>& prefix, CellResult& out) {
     out_ = &out;
     begin_metrics();
@@ -208,21 +187,25 @@ class CellExplorer {
   /// realizable and violation-free). Prefix units join the race detector's
   /// trace with foreign-node masks, exactly like the pre-parallel grid
   /// path. Repositioning is part of claiming the item, not a sibling
-  /// backtrack, so it counts into neither restores nor replayed_steps.
+  /// backtrack, so it counts into neither restores nor
+  /// value_replayed_steps.
   void run_item(const WorkItem& item, CellResult& out) {
     out_ = &out;
     begin_metrics();
-    if (!sim_ || cfg_.limits.restore_by_fork) {
+    if (!sim_) {
       reset_sim();
     } else {
       sim_->rewind_to(0);
       acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
     }
     dpor_->clear();
-    // A fresh sleep cache per item (capacity kept): cache hits must depend
-    // only on the item's own subtree, never on which items this worker ran
-    // before — that per-item scoping is what keeps every counter derived
-    // from the pruning identical at every thread count.
+    // A fresh sleep cache per item (capacity kept). The scope carries two
+    // guarantees. Cache hits depend only on the item's own subtree, never
+    // on which items this worker ran before, so every counter derived from
+    // the pruning is identical at every thread count. And the certified
+    // values stay equal to the unreduced oracle's: the cut-point
+    // insertions at cache hits do NOT make one cache over a whole search
+    // sound (see ExploreLimits::prune_visited for the measured failure).
     scache_.clear();
     std::fill(backtrack_.begin(), backtrack_.end(),
               SourceDpor::kForeignNode);
@@ -245,7 +228,6 @@ class CellExplorer {
     // index order, keeping the totals thread-count invariant.
     out.stats.races_detected += dpor_->stats().races_detected;
     out.stats.backtrack_points += dpor_->stats().backtrack_points;
-    out.stats.static_refined_pairs += dpor_->stats().static_refined_pairs;
     flush_metrics();
   }
 
@@ -296,7 +278,7 @@ class CellExplorer {
       }
       last = p;
     }
-    dfs(static_cast<int>(prefix.size()), preempt, last, /*sleep=*/0);
+    dfs(static_cast<int>(prefix.size()), preempt, last);
   }
 
   [[nodiscard]] static bool all_zero_from(const std::vector<Pid>& prefix,
@@ -324,42 +306,29 @@ class CellExplorer {
     sim_ = std::make_unique<Sim>();
     owner_ = cfg_.setup(*sim_);
     sim_->set_trace_recording(false);
-    if (!cfg_.limits.restore_by_fork) {
-      sim_->mark_rewind_base();
-    }
+    sim_->mark_rewind_base();
     ++out_->stats.sims_built;
     acc_ = MeasureAccumulator(cfg_.nprocs);
     sim_->add_sink(acc_);
   }
 
   /// Captures the node checkpoint the siblings restore to: the accumulator
-  /// snapshot, the RewindMark (default restore path), and the debug memory
-  /// snapshot — all held in per-depth pools, so steady state this
-  /// allocates nothing.
+  /// snapshot and the RewindMark, both held in per-depth pools, so steady
+  /// state this allocates nothing.
   void capture_node(int depth) {
     ensure_pools(depth);
     const auto d = static_cast<std::size_t>(depth);
     acc_pool_[d] = acc_;
-    if (use_marks_) {
-      sim_->capture_mark(mark_pool_[d]);
-      ++out_->stats.restore_marks;
-    }
-    if (cfg_.limits.verify_restore_snapshot) {
-      mem_pool_[d] = sim_->memory().snapshot();
-    }
+    sim_->capture_mark(mark_pool_[d]);
+    ++out_->stats.restore_marks;
   }
 
   /// Repositions the engine at the node checkpointed by capture_node at
-  /// `depth`, restoring the node's accumulator snapshot. Default: the
-  /// mark-based partial restore (Sim::rewind_to_mark) — only processes
-  /// that acted below the node are value-replayed, counted in
-  /// value_replayed_steps (replayed_steps stays 0: nothing re-executes
-  /// live on this path). Fallbacks: the full
-  /// in-place rewind (under verify_restore_snapshot or restore_marks
-  /// off), and the legacy fork-by-replay (restore_by_fork) against a
-  /// freshly built simulation; both re-execute the whole prefix.
-  void restore(int depth, std::size_t sched_len, std::uint64_t mem_fp,
-               Seq seq) {
+  /// `depth`: the mark-based partial restore (Sim::rewind_to_mark) —
+  /// only processes that acted below the node are value-replayed,
+  /// counted in value_replayed_steps — plus the node's accumulator
+  /// snapshot.
+  void restore(int depth) {
     // Rewinds are far too frequent to record individually; sample 1/256
     // so traces show representative restore costs without drowning.
     ++rewind_tick_;
@@ -367,38 +336,11 @@ class CellExplorer {
         (rewind_tick_ & 0xffu) == 0u ? "explorer.rewind" : nullptr);
     ++out_->stats.restores;
     const auto d = static_cast<std::size_t>(depth);
-    if (cfg_.limits.restore_by_fork) {
-      out_->stats.replayed_steps += sched_len;
-      const auto& log = sim_->schedule_log();
-      std::shared_ptr<void> owner;
-      const SimBuilder rebuild = [&](Sim& s) {
-        owner = cfg_.setup(s);
-        s.set_trace_recording(false);
-      };
-      // The old sim_ stays alive (and its log unmodified) until the fork's
-      // replay of the borrowed span completes.
-      std::unique_ptr<Sim> fresh =
-          Sim::fork(std::span(log.data(), sched_len), mem_fp, seq, rebuild,
-                    cfg_.limits.verify_restore_snapshot ? &mem_pool_[d]
-                                                        : nullptr);
-      ++out_->stats.sims_built;
-      sim_ = std::move(fresh);
-      owner_ = std::move(owner);
-      acc_ = acc_pool_[d];
-      sim_->add_sink(acc_);
-    } else if (use_marks_) {
-      out_->stats.value_replayed_steps += sim_->rewind_to_mark(mark_pool_[d]);
-      acc_ = acc_pool_[d];  // the sink stays attached; plain-data restore
-    } else {
-      out_->stats.replayed_steps += sched_len;
-      sim_->rewind_to(sched_len, mem_fp, seq,
-                      cfg_.limits.verify_restore_snapshot ? &mem_pool_[d]
-                                                          : nullptr);
-      acc_ = acc_pool_[d];
-    }
+    out_->stats.value_replayed_steps += sim_->rewind_to_mark(mark_pool_[d]);
+    acc_ = acc_pool_[d];  // the sink stays attached; plain-data restore
   }
 
-  [[nodiscard]] std::uint64_t state_key(Pid last, std::uint32_t sleep) const {
+  [[nodiscard]] std::uint64_t state_key(Pid last) const {
     std::uint64_t h = state_fingerprint(*sim_);
     if (cfg_.objective.eval) {
       h = fingerprint_combine(h, cfg_.objective.digest
@@ -410,13 +352,6 @@ class CellExplorer {
       // state: futures continuing it are free while switches cost budget,
       // so merging across different `last` would prune feasible subtrees.
       h = fingerprint_combine(h, static_cast<std::uint64_t>(last) + 1);
-    }
-    if (policy_ != ReductionPolicy::Off) {
-      // A sleeping process shrinks the subtree explored from here, so a
-      // visit with one sleep set must not stand in for a visit with
-      // another (classic sleep-set/state-cache interaction).
-      h = fingerprint_combine(h, static_cast<std::uint64_t>(sleep) |
-                                     0x100000000ULL);
     }
     return h;
   }
@@ -463,13 +398,8 @@ class CellExplorer {
     while (acc_pool_.size() < need) {
       acc_pool_.emplace_back(cfg_.nprocs);
     }
-    if (use_marks_ && mark_pool_.size() < need) {
+    if (mark_pool_.size() < need) {
       mark_pool_.resize(need);
-    }
-    if (cfg_.limits.verify_restore_snapshot) {
-      while (mem_pool_.size() < need) {
-        mem_pool_.emplace_back();
-      }
     }
   }
 
@@ -487,7 +417,7 @@ class CellExplorer {
     }
     NextStep* out = pend_pool_.data() + base;
     for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      out[static_cast<std::size_t>(p)] = next_step_of(*sim_, p, cfg_.statics.get());
+      out[static_cast<std::size_t>(p)] = next_step_of(*sim_, p);
     }
   }
 
@@ -548,16 +478,15 @@ class CellExplorer {
     return NodeEntry::Interior;
   }
 
-  /// The unreduced / sleep-lite DFS (policies Off and SleepLite).
-  void dfs(int depth, int preempt, Pid last, std::uint32_t sleep) {
+  /// The unreduced DFS (policy Off): the reference oracle, and the walk
+  /// of the preemption-bounded strategy.
+  void dfs(int depth, int preempt, Pid last) {
     if (classify_node(depth) != NodeEntry::Interior) {
       return;
     }
-    const bool reduce = policy_ == ReductionPolicy::SleepLite;
     const int eff_preempt = cfg_.limits.max_preemptions < 0 ? 0 : preempt;
     if (cfg_.limits.prune_visited &&
-        visited_.check_and_insert(state_key(last, sleep), depth,
-                                  eff_preempt)) {
+        visited_.check_and_insert(state_key(last), depth, eff_preempt)) {
       ++out_->stats.pruned_visited;
       return;
     }
@@ -567,7 +496,6 @@ class CellExplorer {
     // live sim with no restore at all, so leading with the running process
     // makes that free descent the preemption-free spine.
     const std::size_t base = branch_buf_.size();
-    bool skipped_sleeping = false;
     const auto admit = [&](Pid p) {
       if (!sim_->runnable(p)) {
         return;
@@ -575,14 +503,6 @@ class CellExplorer {
       const int switch_cost = (last != -1 && p != last) ? 1 : 0;
       if (cfg_.limits.max_preemptions >= 0 &&
           preempt + switch_cost > cfg_.limits.max_preemptions) {
-        return;
-      }
-      if (reduce && ((sleep >> p) & 1u) != 0) {
-        // Asleep: every schedule starting here is a reordering of one
-        // already explored through an earlier sibling.
-        skipped_sleeping = true;
-        ++out_->stats.pruned_independent;
-        ++out_->stats.sleep_blocked;
         return;
       }
       branch_buf_.push_back(p);
@@ -598,37 +518,25 @@ class CellExplorer {
 
     const std::size_t nb = branch_buf_.size() - base;
     if (nb == 0) {
-      if (!skipped_sleeping) {
-        // Runnable processes exist but every switch is over the preemption
-        // budget: the bounded space ends here.
-        leaf_truncated();
-      }
-      // All-asleep nodes are covered elsewhere: not a leaf of the reduced
-      // tree, nothing to do.
+      // Runnable processes exist but every switch is over the preemption
+      // budget: the bounded space ends here.
+      leaf_truncated();
       return;
     }
 
     // Node checkpoint for sibling restores (skipped for single branches:
     // the parent restores for us).
-    const std::size_t sched_len = sim_->schedule_log().size();
-    const std::uint64_t mem_fp = sim_->memory().fingerprint();
-    const Seq seq = sim_->next_seq();
     if (nb > 1) {
       capture_node(depth);
     }
 
-    if (reduce) {
-      capture_pendings(depth);  // single-branch nodes still inherit sleepers
-    }
-
-    std::uint32_t explored = 0;
     for (std::size_t b = 0; b < nb; ++b) {
       if (stop_) {
         break;
       }
       const Pid p = branch_buf_[base + b];
       if (b > 0) {
-        restore(depth, sched_len, mem_fp, seq);
+        restore(depth);
       }
       try {
         sim_->step(p);
@@ -636,22 +544,8 @@ class CellExplorer {
         ++out_->stats.violations;
         continue;  // sim is poisoned; the next iteration restores it
       }
-      std::uint32_t child_sleep = 0;
-      if (reduce) {
-        // The child keeps asleep every earlier-explored or inherited
-        // process whose next access is independent of the step just
-        // taken (PR 4's register-only lite relation, preserved verbatim).
-        const SleepSet candidates(
-            (sleep | explored) & ~(1u << static_cast<unsigned>(p)));
-        const std::span<const NextStep> pends = pend_at(depth);
-        child_sleep =
-            transfer_sleep_lite(candidates, pends[static_cast<std::size_t>(p)],
-                                pends, &out_->stats.static_refined_pairs)
-                .mask();
-      }
       const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      dfs(depth + 1, preempt + switch_cost, p, child_sleep);
-      explored |= 1u << static_cast<unsigned>(p);
+      dfs(depth + 1, preempt + switch_cost, p);
     }
     branch_buf_.resize(base);
   }
@@ -694,7 +588,9 @@ class CellExplorer {
     // contributed the same objective values. The one thing the skipped
     // subtree still owes the *current* path is its race-driven backtrack
     // insertions (they are path-dependent); the bounded-horizon cut-point
-    // insertions conservatively re-place them, exactly as at a DepthCut.
+    // insertions re-place them conservatively, exactly as at a DepthCut —
+    // enough within one work item's cache, not across a whole search (see
+    // run_item).
     if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
       ++out_->stats.pruned_visited;
       cut_point_insertions(depth, sleep);
@@ -706,13 +602,8 @@ class CellExplorer {
         enabled |= 1u << static_cast<unsigned>(p);
       }
     }
-    const std::uint32_t asleep = enabled & sleep;
-    if (asleep != 0) {
-      const auto blocked =
-          static_cast<std::uint64_t>(std::popcount(asleep));
-      out_->stats.sleep_blocked += blocked;
-      out_->stats.pruned_independent += blocked;
-    }
+    out_->stats.sleep_blocked +=
+        static_cast<std::uint64_t>(std::popcount(enabled & sleep));
     const std::uint32_t avail = enabled & ~sleep;
     if (avail == 0) {
       // Every enabled branch is asleep: each is a reordering of an
@@ -732,9 +623,6 @@ class CellExplorer {
 
     // Node checkpoint: unlike the full-branching DFS, the branch count is
     // not known up front (insertions arrive later), so capture always.
-    const std::size_t sched_len = sim_->schedule_log().size();
-    const std::uint64_t mem_fp = sim_->memory().fingerprint();
-    const Seq seq = sim_->next_seq();
     capture_node(depth);
     capture_pendings(depth);
 
@@ -749,7 +637,7 @@ class CellExplorer {
                         ? last
                         : static_cast<Pid>(std::countr_zero(todo));
       if (!first) {
-        restore(depth, sched_len, mem_fp, seq);
+        restore(depth);
       }
       first = false;
       const std::size_t trace_len = dpor_->size();
@@ -769,7 +657,7 @@ class CellExplorer {
             sleep & ~(1u << static_cast<unsigned>(p));
         const std::uint32_t child_sleep =
             transfer_sleep(SleepSet(candidates), sim_->last_step_summary(),
-                           pend_at(depth), &out_->stats.static_refined_pairs)
+                           pend_at(depth))
                 .mask();
         dfs_source(depth + 1, p, child_sleep);
       }
@@ -834,13 +722,8 @@ class CellExplorer {
         enabled |= 1u << static_cast<unsigned>(p);
       }
     }
-    const std::uint32_t asleep = enabled & sleep;
-    if (asleep != 0) {
-      const auto blocked =
-          static_cast<std::uint64_t>(std::popcount(asleep));
-      out_->stats.sleep_blocked += blocked;
-      out_->stats.pruned_independent += blocked;
-    }
+    out_->stats.sleep_blocked +=
+        static_cast<std::uint64_t>(std::popcount(enabled & sleep));
     const std::uint32_t avail = enabled & ~sleep;
     if (avail == 0) {
       return;  // every enabled branch asleep: covered by reorderings
@@ -859,9 +742,6 @@ class CellExplorer {
     }
     const std::size_t nb = branch_buf_.size() - base;
 
-    const std::size_t sched_len = sim_->schedule_log().size();
-    const std::uint64_t mem_fp = sim_->memory().fingerprint();
-    const Seq seq = sim_->next_seq();
     if (nb > 1) {
       capture_node(depth);
     }
@@ -873,7 +753,7 @@ class CellExplorer {
       }
       const Pid p = branch_buf_[base + b];
       if (b > 0) {
-        restore(depth, sched_len, mem_fp, seq);
+        restore(depth);
       }
       bool violated = false;
       try {
@@ -887,7 +767,7 @@ class CellExplorer {
             sleep & ~(1u << static_cast<unsigned>(p));
         const std::uint32_t child_sleep =
             transfer_sleep(SleepSet(candidates), sim_->last_step_summary(),
-                           pend_at(depth), &out_->stats.static_refined_pairs)
+                           pend_at(depth))
                 .mask();
         path_.push_back(p);
         plan_dfs(depth + 1, p, child_sleep, horizon, arena, items);
@@ -948,13 +828,10 @@ class CellExplorer {
   std::vector<NextStep> pend_pool_;
   std::vector<MeasureAccumulator> acc_pool_;  ///< per-depth node snapshots
   std::vector<Sim::RewindMark> mark_pool_;    ///< per-depth rewind marks
-  std::vector<MemorySnapshot> mem_pool_;  ///< per-depth debug snapshots
   std::uint64_t nodes_ = 0;
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
   ExploreStats flushed_;  ///< metric-flush cursor (see flush_metrics)
   bool stop_ = false;
-  ReductionPolicy policy_ = ReductionPolicy::Off;
-  bool use_marks_ = false;
   bool use_scache_ = false;
   /// SourceDpor only: the race detector over the current path and the
   /// per-depth node backtrack masks it inserts into (prefix depths hold
@@ -985,11 +862,6 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument(
         "Explorer: Bounded strategy requires limits.max_preemptions >= 0");
   }
-  // Normalize the legacy sleep-set-lite flag into the policy field (and
-  // back, so introspection through either agrees).
-  cfg_.limits.reduction = effective_reduction(cfg_.limits);
-  cfg_.limits.reduce_independent =
-      cfg_.limits.reduction == ReductionPolicy::SleepLite;
   if (cfg_.limits.reduction != ReductionPolicy::Off) {
     if (cfg_.strategy != SearchStrategy::Exhaustive) {
       // Under a preemption budget a sleeping branch's covering reordering
@@ -1004,16 +876,6 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
           "Explorer: partial-order reduction supports at most 32 processes");
     }
   }
-  // Static refinement (src/sa/): build the footprint/conflict model once,
-  // here — run() is const and every walk (grid cells, planner, workers,
-  // hybrid probes via Config copies) must share one deterministic model.
-  // Random search never consults pending-side dependence, so the flag is
-  // inert there and the analysis cost is skipped.
-  if (cfg_.limits.static_refine &&
-      cfg_.strategy != SearchStrategy::Random && !cfg_.statics) {
-    cfg_.statics = std::make_shared<const StaticModel>(
-        StaticModel::analyze(cfg_.setup, cfg_.nprocs));
-  }
 }
 
 namespace {
@@ -1022,7 +884,7 @@ namespace {
 constexpr std::size_t kFrontierCellCap = 4096;
 
 /// Frontier split depth f: prefixes of f picks form the cell grid of
-/// n^f cells (grid policies) or the planner horizon (source-DPOR), capped
+/// n^f cells (policy Off) or the planner horizon (source-DPOR), capped
 /// so wide process counts cannot explode — or overflow — the cell count.
 /// Depends only on (n, frontier_depth): thread-count invariant. A clamp
 /// below the requested depth logs a one-shot warning AND reports through
@@ -1074,9 +936,6 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   if (cfg_.strategy == SearchStrategy::Random) {
     return run_random_strategy(runner);
   }
-  if (cfg_.limits.reduction == ReductionPolicy::Hybrid) {
-    return run_hybrid(runner);
-  }
   if (cfg_.limits.reduction == ReductionPolicy::SourceDpor) {
     return run_source_dpor(runner);
   }
@@ -1101,7 +960,6 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   });
 
   Result res;
-  res.reduction_used = cfg_.limits.reduction;
   res.stats.frontier_clamped = clamped;
   for (const CellResult& slot : slots) {  // index order: deterministic
     res.stats.merge(slot.stats);
@@ -1213,7 +1071,6 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
   }
 
   Result res;
-  res.reduction_used = ReductionPolicy::SourceDpor;
   res.stats.frontier_clamped = clamped;
   {
     const obs::TraceSpan merge_span("explorer.merge");
@@ -1232,48 +1089,6 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
     }
   }
   return res;
-}
-
-Explorer::Result Explorer::run_hybrid(ExperimentRunner* runner) const {
-  // Probe budget per engine run (per cell / per work item, like
-  // ExploreLimits::max_states): small enough that a losing probe is cheap
-  // next to the real search, large enough that registry-scale spaces
-  // complete inside it and the probe IS the final run.
-  constexpr std::uint64_t kProbeBudget = 32768;
-
-  Config probe = cfg_;
-  probe.limits.prune_visited = true;
-  probe.limits.max_states =
-      cfg_.limits.max_states == 0
-          ? kProbeBudget
-          : std::min<std::uint64_t>(kProbeBudget, cfg_.limits.max_states);
-
-  probe.limits.reduction = ReductionPolicy::Off;
-  probe.limits.reduce_independent = false;
-  const Result off_probe = Explorer(probe).run(runner);
-
-  probe.limits.reduction = ReductionPolicy::SourceDpor;
-  const Result dpor_probe = Explorer(probe).run(runner);
-
-  const bool off_done = !off_probe.stats.state_budget_hit;
-  const bool dpor_done = !dpor_probe.stats.state_budget_hit;
-  if (off_done || dpor_done) {
-    // A probe that finished under the budget IS the complete search (the
-    // budget only ever cuts, never reorders): keep the cheaper complete
-    // one, preferring source-DPOR on a tie. The loser's cost is discarded
-    // with its stats — the result describes the winning run only.
-    const bool pick_off =
-        off_done && (!dpor_done || off_probe.stats.states_visited <
-                                       dpor_probe.stats.states_visited);
-    return pick_off ? off_probe : dpor_probe;
-  }
-
-  // Both probes exhausted the budget: fall back to a full source-DPOR run
-  // under the caller's own limits — the policy certified searches default
-  // to. Probe stats are discarded here too.
-  Config full = cfg_;
-  full.limits.reduction = ReductionPolicy::SourceDpor;
-  return Explorer(full).run(runner);
 }
 
 Explorer::Result Explorer::run_random_strategy(

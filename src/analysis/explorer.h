@@ -11,7 +11,6 @@
 
 #include "analysis/experiment_runner.h"
 #include "core/streaming_measures.h"
-#include "sa/static_summary.h"
 #include "sched/sched.h"
 #include "sched/sim.h"
 
@@ -32,20 +31,15 @@ enum class SearchStrategy : std::uint8_t {
 
 [[nodiscard]] const char* name(SearchStrategy s);
 
-/// How an Exhaustive DFS reduces the schedule tree (src/por/). Every
-/// policy certifies the same objective maxima — the reductions only skip
+/// How an Exhaustive DFS reduces the schedule tree (src/por/). Both
+/// policies certify the same objective maxima — the reduction only skips
 /// schedules whose values are provably duplicated by an explored one —
 /// which the POR differential suite asserts for every registry algorithm.
 enum class ReductionPolicy : std::uint8_t {
-  /// No reduction: every interleaving within the bounds (the pre-POR
-  /// explorer).
+  /// No reduction: every interleaving within the bounds. The reference
+  /// oracle the reduced search is differentially tested against, and the
+  /// only policy the Bounded strategy accepts.
   Off,
-  /// PR 4's sleep-set-lite (register-only independence, local yields
-  /// independent of everything). NOT measurement-aware: sound for totals
-  /// and safety, validated-but-not-proven for the paper's window
-  /// objectives, so certified window searches do not default to it.
-  /// Selected by the legacy ExploreLimits::reduce_independent flag.
-  SleepLite,
   /// Source-DPOR (por/source_dpor.h): full sleep sets under the
   /// measurement-aware dependence relation (por/dependence.h — register
   /// conflicts + section-change adjacency, which makes the cf-session /
@@ -55,31 +49,14 @@ enum class ReductionPolicy : std::uint8_t {
   /// through StudySpec. Composes with the sleep-set-aware visited cache
   /// (stateful DPOR) when ExploreLimits::prune_visited is on.
   SourceDpor,
-  /// Per-search hybrid: probes the configuration under both the cached
-  /// unreduced tree (Off + prune_visited) and SourceDpor with a small
-  /// per-engine state budget and keeps the winner — the cheaper complete
-  /// probe, or a full SourceDpor run when both probes hit the budget.
-  /// The policy actually used is reported in Explorer::Result /
-  /// StudyResult::wc_reduction, so the choice is auditable. Exhaustive
-  /// only, like every reduction.
-  Hybrid,
 };
 
 [[nodiscard]] const char* name(ReductionPolicy p);
 
-/// Parses "off" | "sleep-lite" | "source-dpor" | "hybrid" (the bench
-/// --reduction flag's vocabulary); nullopt on anything else.
+/// Parses "off" | "source-dpor" (the bench --reduction flag's
+/// vocabulary); nullopt on anything else.
 [[nodiscard]] std::optional<ReductionPolicy> reduction_policy_from(
     std::string_view s);
-
-struct ExploreLimits;
-
-/// The single definition of the legacy-flag normalization: the policy a
-/// limits struct effectively selects — `reduction`, except that the PR 4
-/// compatibility flag `reduce_independent` maps Off to SleepLite. Used by
-/// the Explorer constructor, the Study result filling, and the campaign
-/// dedup key, so they can never disagree.
-[[nodiscard]] ReductionPolicy effective_reduction(const ExploreLimits& l);
 
 /// Budgets for a DFS exploration.
 struct ExploreLimits {
@@ -97,65 +74,23 @@ struct ExploreLimits {
   /// configuration (never derived from the thread count), so results are
   /// bit-identical for every thread count.
   int frontier_depth = 4;
-  /// Visited-state pruning (on by default). The cache is per frontier
-  /// cell; keys combine core/state_fingerprint with the objective digest.
-  /// Under SourceDpor this selects the sleep-set-aware cache instead
-  /// (stateful DPOR — see ReductionPolicy::SourceDpor and SleepCache).
+  /// Visited-state pruning (on by default). Under Off: a dominance cache
+  /// per frontier cell, keyed on core/state_fingerprint x the objective
+  /// digest. Under SourceDpor: the sleep-set-aware cache (stateful DPOR)
+  /// — a revisit is skipped only when a stored visit's sleep set is a
+  /// subset of the current one, and every skip runs the bounded-horizon
+  /// cut-point insertions (SourceDpor::note_cut) at the pruned node.
+  /// Those insertions do NOT make one cache over a whole search sound: the
+  /// planner keeps one cache for its walk, but every work item starts from
+  /// an empty one, and that per-item scope is load-bearing for the values,
+  /// not only for thread-count invariance. With frontier_depth = 0 (one
+  /// work item, one cache) kessels-2p n=2 d20 certifies entry [4,4]
+  /// against the Off oracle's [17,4]; with pruning off it matches.
   bool prune_visited = true;
-  /// Restore mechanics for sibling backtracks. Off (default): the recycled
-  /// in-place rewind (Sim::rewind_to — zero Sim construction, pooled
-  /// coroutine frames, the schedule log borrowed in place). On: the legacy
-  /// fork-by-replay (a fresh Sim built and replayed per sibling), kept for
-  /// the differential tests. The traversal is identical either way, so
-  /// results — reports, fingerprints, every stat except sims_built — are
-  /// bit-identical between the two paths.
-  bool restore_by_fork = false;
-  /// Mark-based partial restore (on by default): every branching node
-  /// captures a Sim::RewindMark (memory + digests, O(registers +
-  /// processes)) into a per-depth pool, and sibling restores value-replay
-  /// ONLY the processes that acted below the node instead of rebuilding
-  /// every process from the run's start (Sim::rewind_to_mark). No
-  /// schedule unit is re-executed live — replayed_steps stays 0 on this
-  /// path and the cheap log re-feed is counted in value_replayed_steps
-  /// instead. The traversal — and with it every stat except those two —
-  /// is bit-identical to the plain rewind. Ignored under restore_by_fork
-  /// and under verify_restore_snapshot (both debug/differential paths
-  /// keep the full-replay restore they verify).
-  bool restore_marks = true;
-  /// Debug: verify every restore against a full MemorySnapshot value
-  /// compare in addition to the fingerprint/event-counter check. Costs a
-  /// snapshot copy per branching node and a compare per restore.
-  bool verify_restore_snapshot = false;
   /// The partial-order reduction applied to Exhaustive searches (src/por/;
   /// see ReductionPolicy). Off by default at this layer; the Study layer
-  /// defaults its certified Exhaustive searches to SourceDpor. Visited
-  /// pruning interplay: under SleepLite the sleep mask is folded into the
-  /// visited-state key and dominance pruning composes; under SourceDpor
-  /// prune_visited selects the *sleep-set-aware* cache (stateful DPOR): a
-  /// revisit is skipped only when a stored visit's sleep set is a subset
-  /// of the current one, and every skip still runs the bounded-horizon
-  /// cut-point insertions (SourceDpor::note_cut) at the pruned node, so
-  /// the path-dependent backtrack insertions the skipped subtree owes the
-  /// current path are conservatively re-placed.
+  /// defaults its certified Exhaustive searches to SourceDpor.
   ReductionPolicy reduction = ReductionPolicy::Off;
-  /// Compatibility alias (pre-POR flag, PR 4): setting it selects the
-  /// `sleep-lite` policy — skip sibling orderings whose next accesses
-  /// touch disjoint registers, with local yields independent of
-  /// everything. Kept so existing bench flags and JSON stay meaningful;
-  /// the Explorer constructor normalizes it into `reduction` (and sets it
-  /// back whenever reduction == SleepLite, so introspection through
-  /// either field agrees). Exhaustive strategy only, like every policy.
-  bool reduce_independent = false;
-  /// Static dependence refinement (src/sa/): the Explorer dry-runs the
-  /// configuration's footprint pass once up front (StaticModel::analyze)
-  /// and the DFS strategies consult the resulting may-conflict table to
-  /// refine the worst-case pending-side dependence checks — unstarted
-  /// first units, armed crash units, and statically section-quiet plain
-  /// writes (see por/dependence.h for the refinement and its soundness
-  /// split). Value-preserving by construction/gating: the sa differential
-  /// suite pins refined results bit-identical to unrefined ones. Off by
-  /// default (opt-in per search); ignored by the Random strategy.
-  bool static_refine = false;
 };
 
 /// Every u64 counter of ExploreStats, one row each — the single
@@ -170,14 +105,11 @@ struct ExploreLimits {
   X(runs_completed)                   \
   X(runs_truncated)                   \
   X(pruned_visited)                   \
-  X(pruned_independent)               \
   X(violations)                       \
   X(races_detected)                   \
   X(backtrack_points)                 \
   X(sleep_blocked)                    \
-  X(static_refined_pairs)             \
   X(restores)                         \
-  X(replayed_steps)                   \
   X(value_replayed_steps)             \
   X(restore_marks)                    \
   X(work_items)                       \
@@ -191,32 +123,15 @@ struct ExploreStats {
   std::uint64_t runs_completed = 0;  ///< leaves with no runnable process
   std::uint64_t runs_truncated = 0;  ///< leaves cut by depth/preemption/state budget
   std::uint64_t pruned_visited = 0;  ///< subtrees skipped by the state cache
-  std::uint64_t pruned_independent = 0;  ///< branches skipped by sleep sets
   std::uint64_t violations = 0;      ///< MutualExclusionViolations found
   /// --- Reduction counters (zero when reduction == Off). ---
   std::uint64_t races_detected = 0;   ///< SourceDpor: races found in traces
   std::uint64_t backtrack_points = 0; ///< SourceDpor: source-set insertions
   std::uint64_t sleep_blocked = 0;    ///< enabled branches skipped asleep
-                                      ///< (== pruned_independent, new name)
-  /// Pending-side dependence pairs the static refinement
-  /// (ExploreLimits::static_refine, src/sa/) flipped from worst-case
-  /// dependent to independent — each one a sleep transfer kept, a
-  /// cut-point bucket not placed, or an initial-set membership granted
-  /// that the unrefined relation would have denied. Zero when the
-  /// refinement is off. Thread-count invariant, like every counter here
-  /// except steals/sims_built.
-  std::uint64_t static_refined_pairs = 0;
   std::uint64_t restores = 0;        ///< sibling backtracks performed
-  /// Schedule units re-executed *live* by restores — the full simulation
-  /// replay of the plain rewind and fork-by-replay paths. Mark-based
-  /// restores re-execute nothing live, so this stays 0 under the default
-  /// restore_marks; their cost lives in value_replayed_steps.
-  std::uint64_t replayed_steps = 0;
-  /// Units re-fed from the recorded value log by mark restores
-  /// (Sim::rewind_to_mark): coroutine resumption with recorded values,
-  /// no register traffic, no measurement events — the cheap counterpart
-  /// of replayed_steps, counted separately so the two restore cost models
-  /// stay comparable.
+  /// Units re-fed from the recorded value log by restores
+  /// (Sim::rewind_to_mark): coroutine resumption with recorded values, no
+  /// register traffic, no measurement events. No unit re-executes live.
   std::uint64_t value_replayed_steps = 0;
   std::uint64_t restore_marks = 0;   ///< RewindMarks captured at branching nodes
   /// --- Parallel source-DPOR counters. ---
@@ -282,25 +197,25 @@ struct ExploreObjective {
   std::function<std::uint64_t(const MeasureAccumulator&)> digest;
 };
 
-/// A DFS over scheduler choices with configurable budgets, recycled-rewind
-/// backtracking, and visited-state pruning — the schedule-space exploration
-/// engine behind the certified worst-case searches.
+/// A DFS over scheduler choices with configurable budgets, mark-based
+/// backtracking, and visited-state pruning — the schedule-space
+/// exploration engine behind the certified worst-case searches.
 ///
-/// Mechanics: the explorer keeps ONE live simulation per frontier cell and
-/// descends by stepping it, ordering branches continue-last-pid-first so
-/// the restore-free first descent walks the preemption-free spine.
-/// Coroutine frames cannot be copied, so backtracking re-executes the
-/// node's schedule prefix — but in place (Sim::rewind_to): the live Sim is
-/// reset to its post-setup baseline (registers restored from a
-/// once-per-cell snapshot, coroutine frames recycled through the per-Sim
-/// arena, the schedule log borrowed where it sits) and quietly replayed,
-/// with the node's MeasureAccumulator snapshot (plain data, held in a
-/// per-depth scratch pool) restored by assignment. Steady state, a restore
-/// performs zero Sim heap allocation; restores are verified by memory
-/// fingerprint and event counter (full snapshot compare behind
-/// ExploreLimits::verify_restore_snapshot). The legacy fork-by-replay
-/// restore is retained behind ExploreLimits::restore_by_fork and is
-/// bit-identical in results.
+/// One reduction, one oracle: an Exhaustive search runs either SourceDpor
+/// (a sequential planner fanning work items over a work-stealing pool,
+/// each item a stateful source-DPOR walk) or Off (the unreduced reference
+/// oracle, a grid of frontier cells — also the Bounded strategy's walk).
+///
+/// Mechanics: each engine keeps ONE live simulation and descends by
+/// stepping it, ordering branches continue-last-pid-first so the
+/// restore-free first descent walks the preemption-free spine. Coroutine
+/// frames cannot be copied, so every branching node captures a
+/// Sim::RewindMark (memory + digests, O(registers + processes)) and its
+/// MeasureAccumulator snapshot (plain data) into per-depth pools; a
+/// sibling restore rewinds the live Sim to the mark in place
+/// (Sim::rewind_to_mark — only the processes that acted below the node
+/// are value-replayed) and restores the accumulator by assignment. Steady
+/// state, a restore performs zero Sim heap allocation.
 ///
 /// Parallelism: prefixes of frontier_depth picks partition the tree into
 /// independent subtrees, fanned over an ExperimentRunner; per-cell results
@@ -310,7 +225,7 @@ class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle
   /// for objects that must outlive it (the algorithm instance holding the
-  /// register layout). Must be deterministic — it runs once per fork.
+  /// register layout). Must be deterministic — it runs once per engine.
   using SetupFn = std::function<std::shared_ptr<void>(Sim&)>;
 
   struct Config {
@@ -321,11 +236,6 @@ class Explorer {
     std::vector<std::uint64_t> seeds;  ///< Random: one run per seed
     std::uint64_t random_budget = 200'000;  ///< Random: steps per run
     ExploreObjective objective;
-    /// The static may-conflict table (limits.static_refine): built once
-    /// by the Explorer constructor from `setup`, shared read-only across
-    /// every cell/worker (and inherited by Hybrid's probe Explorers, so
-    /// the pass runs once per search). Null when refinement is off.
-    std::shared_ptr<const StaticModel> statics;
   };
 
   struct Result {
@@ -334,23 +244,17 @@ class Explorer {
     /// vector; empty when no leaf was evaluated or eval is null. Reports
     /// carry truncated=true when any contributing run was cut off.
     std::vector<ComplexityReport> best;
-    /// The reduction policy that actually produced `best`. Equal to the
-    /// configured effective policy except under Hybrid, where it reports
-    /// the probe winner (Off or SourceDpor) — the auditable choice
-    /// surfaced through StudyResult::wc_reduction.
-    ReductionPolicy reduction_used = ReductionPolicy::Off;
   };
 
   explicit Explorer(Config cfg);
 
   /// Number of frontier cells a DFS run partitions into: n^f with f the
   /// (clamped, cap-limited, overflow-guarded) frontier depth. The single
-  /// definition behind run()'s cell grid for the Off/SleepLite policies —
-  /// with the rewind restore those build exactly this many Sims
-  /// (ExploreStats::sims_built). Under SourceDpor the same f is the
-  /// planner horizon instead: work items number at most n^f (sleep
-  /// pruning drops covered prefix orderings) and sims_built is one
-  /// planner Sim plus one per pool worker.
+  /// definition behind run()'s cell grid for the Off policy, which builds
+  /// exactly this many Sims (ExploreStats::sims_built). Under SourceDpor
+  /// the same f is the planner horizon instead: work items number at most
+  /// n^f (sleep pruning drops covered prefix orderings) and sims_built is
+  /// one planner Sim plus one per pool worker.
   [[nodiscard]] static std::size_t frontier_cells(int nprocs,
                                                   const ExploreLimits& limits);
 
@@ -359,12 +263,6 @@ class Explorer {
 
  private:
   [[nodiscard]] Result run_random_strategy(ExperimentRunner* runner) const;
-  /// The Hybrid dispatch: probes the configuration under Off+cache and
-  /// SourceDpor with a small shared state budget, keeps the cheaper
-  /// complete probe, and falls back to a full SourceDpor run when both
-  /// probes exhaust the budget. Probe stats are discarded — the returned
-  /// stats describe only the winning (or fallback) run.
-  [[nodiscard]] Result run_hybrid(ExperimentRunner* runner) const;
   /// The parallel source-DPOR path: a sequential planner fans the top f
   /// levels into self-contained work items, executed by a work-stealing
   /// worker pool; results merge in item index order, so everything except

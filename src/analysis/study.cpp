@@ -103,11 +103,6 @@ StudySpec& StudySpec::reduction(ReductionPolicy policy) {
   return *this;
 }
 
-StudySpec& StudySpec::static_refine(bool on) {
-  search.limits.static_refine = on;
-  return *this;
-}
-
 StudySpec& StudySpec::detector_battery() {
   search.detector_round_robin = true;
   return *this;
@@ -145,17 +140,13 @@ StudySpec& StudySpec::limits(const ExploreLimits& l) {
   // policy a prior worst_case(Exhaustive) defaulted (the builder stays
   // order-independent): a struct that names no policy keeps the current
   // one. An explicit choice — reduction() before/after, or a struct
-  // carrying a policy / the legacy sleep-lite flag — always wins; to
-  // force the unreduced tree, call reduction(ReductionPolicy::Off).
+  // carrying a policy — always wins; to force the unreduced tree, call
+  // reduction(ReductionPolicy::Off).
   const ReductionPolicy keep = search.limits.reduction;
-  // static_refine() is sticky the same way: a struct that leaves the flag
-  // at its (false) default keeps an earlier opt-in.
-  const bool keep_sa = search.limits.static_refine;
   search.limits = l;
-  if (effective_reduction(l) == ReductionPolicy::Off) {
+  if (l.reduction == ReductionPolicy::Off) {
     search.limits.reduction = keep;
   }
-  search.limits.static_refine = search.limits.static_refine || keep_sa;
   return *this;
 }
 
@@ -212,16 +203,10 @@ class MeasureTask {
 void fill_search_stats(StudyResult& out, const Explorer::Result& r,
                        const WorstCaseSearchOptions& options) {
   out.wc_strategy = options.strategy;
-  // Random runs no DFS and hence no reduction; otherwise the requested
-  // field reports the effective configured policy and wc_reduction the one
-  // the run actually used (they differ only under Hybrid, where the
-  // Explorer reports the probe winner).
-  out.wc_reduction_requested = options.strategy == SearchStrategy::Random
-                                   ? ReductionPolicy::Off
-                                   : effective_reduction(options.limits);
+  // Random runs no DFS and hence no reduction.
   out.wc_reduction = options.strategy == SearchStrategy::Random
                          ? ReductionPolicy::Off
-                         : r.reduction_used;
+                         : options.limits.reduction;
 #define CFC_COPY_COUNTER(field, json_key, stats_member, required) \
   out.field = r.stats.stats_member;
   CFC_STUDY_REDUCTION_COUNTERS(CFC_COPY_COUNTER)
@@ -708,10 +693,6 @@ std::string seeds_key(const std::vector<std::uint64_t>& seeds) {
 }
 
 std::string search_key(const WorstCaseSearchOptions& o) {
-  // The reduction key uses the *effective* policy, so a spec selecting
-  // sleep-lite through the legacy reduce_independent flag dedups with one
-  // naming it directly.
-  const ReductionPolicy effective = effective_reduction(o.limits);
   return std::string(name(o.strategy)) + "|seeds=" + seeds_key(o.seeds) +
          "|budget=" + std::to_string(o.budget_per_run) +
          "|depth=" + std::to_string(o.limits.max_depth) +
@@ -719,8 +700,7 @@ std::string search_key(const WorstCaseSearchOptions& o) {
          "|states=" + std::to_string(o.limits.max_states) +
          "|frontier=" + std::to_string(o.limits.frontier_depth) +
          "|prune=" + std::to_string(o.limits.prune_visited ? 1 : 0) +
-         "|reduction=" + name(effective) +
-         "|sa=" + std::to_string(o.limits.static_refine ? 1 : 0) +
+         "|reduction=" + name(o.limits.reduction) +
          "|rr=" + std::to_string(o.detector_round_robin ? 1 : 0) +
          "|crash=" + seeds_key(o.crash_after);
 }
@@ -1061,8 +1041,6 @@ std::string to_json(const StudyResult& r, const StudyJsonOptions& opts) {
     out += name(r.wc_strategy);
     out += "\",\n    \"reduction\": {\"policy\": \"";
     out += name(r.wc_reduction);
-    out += "\", \"requested\": \"";
-    out += name(r.wc_reduction_requested);
     out += "\"";
     // The counter list (and its emission order) comes from the one table
     // in study.h, so serializer/parser/engine can never disagree.
@@ -1214,12 +1192,9 @@ StudyResult study_from_json(const std::string& payload) {
 #define CFC_PARSE_COUNTER(field, json_key, stats_member, required)       if (required) {                                                          r.field = json::to_u64(json::member(*red, json_key));                } else if (const json::Node* node = red->find(json_key)) {               r.field = json::to_u64(*node);                                       }
       CFC_STUDY_REDUCTION_COUNTERS(CFC_PARSE_COUNTER)
 #undef CFC_PARSE_COUNTER
-      // "requested" defaults to the used policy (pre-hybrid payloads
-      // never had the two diverge).
-      const json::Node* req = red->find("requested");
-      r.wc_reduction_requested =
-          req == nullptr ? r.wc_reduction
-                         : reduction_from(json::to_string_field(*req));
+      // Members this reader does not know are ignored, so older payloads
+      // that still carry a retired policy field or counter parse
+      // unchanged.
     }
     r.wc = report_from(json::member(wc, "total"));
     r.wc_entry = report_from(json::member(wc, "entry"));

@@ -123,10 +123,6 @@ struct StudySpec {
   StudySpec& worst_case(const WorstCaseSearchOptions& options);
   /// The partial-order-reduction policy of the DFS strategies.
   StudySpec& reduction(ReductionPolicy policy);
-  /// Opts the DFS strategies into the static footprint/conflict refinement
-  /// of the dependence relation (src/sa/, ExploreLimits::static_refine).
-  /// Sticky across a later limits() call, like the reduction policy.
-  StudySpec& static_refine(bool on = true);
   /// Detector + Random only: include the round-robin schedule in the
   /// battery (the legacy detector worst-case battery shape).
   StudySpec& detector_battery();
@@ -159,7 +155,7 @@ struct StudySpec {
 /// The reduction counters of a worst-case search, as one table: X(field,
 /// "json_key", stats_member, required). The StudyResult fields, the
 /// canonical JSON emission order inside the "reduction" object (after
-/// policy/requested), the parser (non-required keys are optional, so
+/// the policy), the parser (non-required keys are optional, so
 /// payloads written before a counter existed keep parsing as zero), and
 /// the ExploreStats copy in the study engine are all generated from this
 /// list — adding a counter is one line here plus its ExploreStats source.
@@ -169,9 +165,7 @@ struct StudySpec {
   X(sleep_blocked, "sleep_blocked", sleep_blocked, true)                  \
   X(cache_hits, "cache_hits", pruned_visited, false)                      \
   X(work_items, "work_items", work_items, false)                          \
-  X(restore_marks, "restore_marks", restore_marks, false)                 \
-  X(static_refined_pairs, "static_refined_pairs", static_refined_pairs,   \
-    false)
+  X(restore_marks, "restore_marks", restore_marks, false)
 
 /// The uniform result of one study. Absent measurements are flagged off and
 /// zero-valued. Semantics per kind:
@@ -198,17 +192,13 @@ struct StudyResult {
 
   bool has_wc = false;
   SearchStrategy wc_strategy = SearchStrategy::Random;
-  /// The partial-order-reduction policy the search actually ran under
-  /// (DFS strategies; Random reports Off). Under ReductionPolicy::Hybrid
-  /// this is the probe winner — Off or SourceDpor — so the per-cell
-  /// choice is auditable; wc_reduction_requested keeps the configured
-  /// policy. Counters: races the source-DPOR race detector found over
-  /// executed traces, backtrack points it inserted (source-set +
-  /// cut-point placements), enabled branches the sleep sets skipped, and
-  /// subtrees the visited caches pruned (under SourceDpor: the
-  /// sleep-set-aware SleepCache hits of stateful DPOR).
+  /// The partial-order-reduction policy the search ran under (DFS
+  /// strategies; Random reports Off). Counters: races the source-DPOR
+  /// race detector found over executed traces, backtrack points it
+  /// inserted (source-set + cut-point placements), enabled branches the
+  /// sleep sets skipped, and subtrees the visited caches pruned (under
+  /// SourceDpor: the sleep-set-aware SleepCache hits of stateful DPOR).
   ReductionPolicy wc_reduction = ReductionPolicy::Off;
-  ReductionPolicy wc_reduction_requested = ReductionPolicy::Off;
   std::uint64_t races_detected = 0;
   std::uint64_t backtrack_points = 0;
   std::uint64_t sleep_blocked = 0;
@@ -220,11 +210,6 @@ struct StudyResult {
   /// the canonical JSON stays byte-identical at every thread count).
   std::uint64_t work_items = 0;
   std::uint64_t restore_marks = 0;
-  /// Static model analysis (src/sa/): pending-side dependence pairs the
-  /// footprint/conflict refinement flipped from worst-case dependent to
-  /// independent during the search. Zero unless the spec opted in via
-  /// static_refine() (ExploreLimits::static_refine).
-  std::uint64_t static_refined_pairs = 0;
   ComplexityReport wc;
   ComplexityReport wc_entry;
   ComplexityReport wc_exit;

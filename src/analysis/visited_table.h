@@ -106,9 +106,11 @@ class VisitedTable {
 /// power-of-two slot array, two inline masks per key, longer antichains
 /// spilled into arena-backed nodes recycled through a free list. clear()
 /// keeps every reservation (slot array, slabs) so a worker can reuse one
-/// cache across work items with zero steady-state allocation — and the
-/// per-item clearing is what keeps the pruning (and every counter derived
-/// from it) thread-count invariant under the work-stealing executor.
+/// cache across work items with zero steady-state allocation. The
+/// per-item clearing keeps the pruning (and every counter derived from
+/// it) thread-count invariant under the work-stealing executor, and it
+/// keeps the certified values sound: one cache over a whole search is not
+/// (ExploreLimits::prune_visited).
 class SleepCache {
  public:
   SleepCache() = default;

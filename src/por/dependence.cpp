@@ -1,6 +1,5 @@
 #include "por/dependence.h"
 
-#include "sa/static_summary.h"
 #include "sched/sim.h"
 
 namespace cfc {
@@ -27,69 +26,6 @@ NextStep next_step_of(const Sim& sim, Pid pid) {
   return info;
 }
 
-NextStep next_step_of(const Sim& sim, Pid pid, const StaticModel* statics) {
-  NextStep info = next_step_of(sim, pid);
-  if (statics == nullptr) {
-    return info;
-  }
-  if (info.known) {
-    // R3: a pending plain Write on a register whose collected write units
-    // all ran section-quiet cannot change sections. Reads and bit ops are
-    // never refined — their continuations branch on the returned value,
-    // which the pass cannot enumerate (see the header's soundness note).
-    if (!info.yield) {
-      const std::optional<PendingAccess> pa = sim.pending(pid);
-      if (pa.has_value() && pa->kind == AccessKind::Write &&
-          !statics->write_may_change_section(info.reg)) {
-        info.may_change_section = false;
-      }
-    }
-    return info;
-  }
-  if (sim.status(pid) == ProcStatus::Runnable && sim.crash_pending(pid)) {
-    // R2: the armed crash unit emits only the Crash terminal event — no
-    // access, no section change; it commutes with every other unit.
-    info.known = true;
-    info.yield = true;
-    info.may_change_section = false;
-    info.statically_known = true;
-    return info;
-  }
-  if (sim.status(pid) == ProcStatus::NotStarted) {
-    const FirstUnit& fu = statics->first_unit(pid);
-    if (!fu.known || !fu.prologue_quiet) {
-      // R1 requires a section-quiet prologue. A prologue that changes
-      // sections (the mutex session driver entering Entry) is
-      // observationally dependent with every concurrently measured step —
-      // its section change flips that step's window cleanliness when the
-      // two swap — and the register+section relation cannot express that
-      // on the pending side. Keep the unit unknown (dependent with
-      // everything), exactly like the dynamic capture.
-      return info;
-    }
-    if (sim.crash_pending(pid)) {
-      // crash_after = 0: the unit is the (provably section-quiet)
-      // prologue followed by the immediate crash — no shared access, no
-      // section change.
-      info.known = true;
-      info.yield = true;
-      info.may_change_section = false;
-      info.statically_known = true;
-      return info;
-    }
-    // R1: quiet prologue + statically recorded first access. The access's
-    // continuation may still change sections, so may_change_section stays
-    // conservative — the refined pend carries exactly the information
-    // quality of a dynamic Runnable capture.
-    info.known = true;
-    info.yield = fu.yield;
-    info.reg = fu.reg;
-    info.wrote = fu.wrote;
-    info.statically_known = true;
-  }
-  return info;
-}
-
 bool dependent(const StepSummary& a, const StepSummary& b) {
   if (a.pid == b.pid) {
     return true;  // program order
@@ -104,52 +40,16 @@ bool dependent(const StepSummary& a, const StepSummary& b) {
 }
 
 bool dependent(const StepSummary& taken, const NextStep& pend) {
-  return dependent(taken, pend, nullptr);
-}
-
-bool dependent(const StepSummary& taken, const NextStep& pend,
-               std::uint64_t* refined_pairs) {
   if (!pend.known) {
     return true;
   }
-  if (taken.section_changed && pend.may_change_section) {
+  if (taken.section_changed) {
     // The pending unit might change sections too once it runs; assume the
     // worst and keep the pair ordered.
     return true;
   }
-  if (taken.accessed && !pend.yield && taken.reg == pend.reg &&
-      (taken.wrote || pend.wrote)) {
-    return true;
-  }
-  // Independent. The unrefined relation would have answered dependent when
-  // the pend was synthesized statically (it would be unknown), or when the
-  // executed unit changed sections (only a static section-quiet fact lets
-  // the pair through in that case) — those are the refined pairs.
-  if (refined_pairs != nullptr &&
-      (pend.statically_known || taken.section_changed)) {
-    ++*refined_pairs;
-  }
-  return false;
-}
-
-bool lite_independent(const NextStep& a, const NextStep& b) {
-  return lite_independent(a, b, nullptr);
-}
-
-bool lite_independent(const NextStep& a, const NextStep& b,
-                      std::uint64_t* refined_pairs) {
-  if (!a.known || !b.known) {
-    return false;
-  }
-  const bool independent = a.yield || b.yield || a.reg != b.reg;
-  // The register-only relation refines exactly when a statically
-  // synthesized pend stands in for what the dynamic capture reports as
-  // unknown (and hence never-independent).
-  if (independent && refined_pairs != nullptr &&
-      (a.statically_known || b.statically_known)) {
-    ++*refined_pairs;
-  }
-  return independent;
+  return taken.accessed && !pend.yield && taken.reg == pend.reg &&
+         (taken.wrote || pend.wrote);
 }
 
 }  // namespace cfc

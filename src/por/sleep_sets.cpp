@@ -3,27 +3,11 @@
 namespace cfc {
 
 SleepSet transfer_sleep(SleepSet candidates, const StepSummary& taken,
-                        std::span<const NextStep> pends,
-                        std::uint64_t* refined_pairs) {
+                        std::span<const NextStep> pends) {
   SleepSet child;
   for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
     if (candidates.contains(q) &&
-        !dependent(taken, pends[static_cast<std::size_t>(q)],
-                   refined_pairs)) {
-      child.insert(q);
-    }
-  }
-  return child;
-}
-
-SleepSet transfer_sleep_lite(SleepSet candidates, const NextStep& taken,
-                             std::span<const NextStep> pends,
-                             std::uint64_t* refined_pairs) {
-  SleepSet child;
-  for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
-    if (candidates.contains(q) &&
-        lite_independent(pends[static_cast<std::size_t>(q)], taken,
-                         refined_pairs)) {
+        !dependent(taken, pends[static_cast<std::size_t>(q)])) {
       child.insert(q);
     }
   }

@@ -15,8 +15,8 @@ inline constexpr int kMaxPorProcs = 32;
 /// A sleep set: the processes whose next unit, taken from the current
 /// state, starts only schedules that are reorderings of schedules already
 /// explored through an earlier sibling (Godefroid's sleep sets). The
-/// explorer folds the raw mask into its visited-state key, so the
-/// representation stays a transparent 32-bit mask with set-algebra helpers.
+/// sleep-set-aware visited cache stores raw masks, so the representation
+/// stays a transparent 32-bit mask with set-algebra helpers.
 class SleepSet {
  public:
   constexpr SleepSet() = default;
@@ -45,20 +45,9 @@ class SleepSet {
 /// wakes the sleeper. `pends` holds every process's NextStep captured at
 /// the parent node, indexed by pid; the executing process itself must not
 /// be in `candidates`.
-/// `refined_pairs`, when non-null, accumulates the statically refined
-/// pairs the transfer kept asleep (por/dependence.h counter overloads).
 [[nodiscard]] SleepSet transfer_sleep(SleepSet candidates,
                                       const StepSummary& taken,
-                                      std::span<const NextStep> pends,
-                                      std::uint64_t* refined_pairs = nullptr);
-
-/// PR 4's sleep-set-lite transfer, kept verbatim for the `sleep-lite`
-/// compatibility policy: both sides are the *pending* captures from the
-/// parent node, compared under the register-only lite_independent
-/// relation.
-[[nodiscard]] SleepSet transfer_sleep_lite(
-    SleepSet candidates, const NextStep& taken,
-    std::span<const NextStep> pends, std::uint64_t* refined_pairs = nullptr);
+                                      std::span<const NextStep> pends);
 
 }  // namespace cfc
 

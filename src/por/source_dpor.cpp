@@ -50,8 +50,7 @@ void SourceDpor::push_step(int node_depth, const StepSummary& step,
   // first (the walk's order; any fixed order is sound and this one is
   // deterministic). Each resolution sees the previous insertions.
   for (const std::size_t d_index : races_scratch_) {
-    apply_race(d_index, step.pid, /*virtual_pend=*/nullptr,
-               backtrack_by_depth);
+    apply_race(d_index, step.pid, backtrack_by_depth);
   }
 }
 
@@ -92,8 +91,7 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
       if (d.step.pid == q) {
         break;
       }
-      if (i + 1 == trace_.size() ||
-          dependent(d.step, pend, &stats_.static_refined_pairs)) {
+      if (i + 1 == trace_.size() || dependent(d.step, pend)) {
         insert(d.node_depth, q);
       }
     }
@@ -137,8 +135,7 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
       if (q != u.step.pid &&
           ((enabled_mask >> static_cast<unsigned>(q)) & 1u) != 0 &&
           (!u.step.accessed ||
-           dependent(u.step, pends[static_cast<std::size_t>(q)],
-                     &stats_.static_refined_pairs))) {
+           dependent(u.step, pends[static_cast<std::size_t>(q)]))) {
         insert(u.node_depth, q);
       }
     }
@@ -157,12 +154,11 @@ void SourceDpor::merge_clock(Clock& into, const Event& d) const {
 }
 
 void SourceDpor::apply_race(std::size_t d_index, Pid q,
-                            const NextStep* virtual_pend,
                             std::span<std::uint32_t> backtrack_by_depth) {
   const int target = trace_[d_index].node_depth;
   const std::uint32_t mask =
       backtrack_by_depth[static_cast<std::size_t>(target)];
-  const Pid chosen = choose_initial(d_index, q, virtual_pend, mask);
+  const Pid chosen = choose_initial(d_index, q, mask);
   if (chosen >= 0) {
     backtrack_by_depth[static_cast<std::size_t>(target)] |=
         1u << static_cast<unsigned>(chosen);
@@ -171,14 +167,10 @@ void SourceDpor::apply_race(std::size_t d_index, Pid q,
 }
 
 Pid SourceDpor::choose_initial(std::size_t d_index, Pid q,
-                               const NextStep* virtual_pend,
                                std::uint32_t backtrack_mask) {
   const Event& d = trace_[d_index];
-  // For a real race, e = trace_.back() stands as v's final element; for a
-  // virtual (cut-point) race the final element is q's pending unit, which
-  // is not in the trace.
-  const std::size_t v_end =
-      virtual_pend == nullptr ? trace_.size() - 1 : trace_.size();
+  // e = trace_.back(), q's racing unit, stands as v's final element.
+  const std::size_t v_end = trace_.size() - 1;
 
   // v = notdep(d, E).q: the units after d that do NOT happen-after d, in
   // trace order, then the racing process q's unit itself (which is by
@@ -217,19 +209,12 @@ Pid SourceDpor::choose_initial(std::size_t d_index, Pid q,
       }
     }
   }
-  // The final element: q's unit (real or virtual). Initial iff no unit of
-  // v precedes it dependently. (q has no earlier unit in v: its prior
-  // units happen-after d only when... they never are in v for a real race
-  // — see the race definition — and a virtual q contributes no units.)
+  // The final element: q's unit e. Initial iff no unit of v precedes it
+  // dependently. (q has no earlier unit in v — see the race definition.)
   if (((initials >> static_cast<unsigned>(q)) & 1u) == 0) {
     bool initial = true;
     for (const std::size_t j : v_scratch_) {
-      const bool dep =
-          virtual_pend == nullptr
-              ? dependent(trace_[j].step, trace_[v_end].step)
-              : dependent(trace_[j].step, *virtual_pend,
-                          &stats_.static_refined_pairs);
-      if (dep) {
+      if (dependent(trace_[j].step, trace_[v_end].step)) {
         initial = false;
         break;
       }

@@ -52,10 +52,6 @@ class SourceDpor {
   struct Stats {
     std::uint64_t races_detected = 0;
     std::uint64_t backtrack_points = 0;  ///< insertions applied
-    /// Pending-side pairs the static refinement (src/sa/) flipped from
-    /// worst-case dependent to independent inside this engine's cut-point
-    /// and initial-set decisions (por/dependence.h counter overloads).
-    std::uint64_t static_refined_pairs = 0;
   };
 
   explicit SourceDpor(int nprocs);
@@ -116,16 +112,14 @@ class SourceDpor {
   /// Folds event d (and d itself) into a happens-before clock.
   void merge_clock(Clock& into, const Event& d) const;
 
-  /// Resolves one race of process q's unit (trace_.back() for a real
-  /// race, the virtual pending unit when `virtual_pend` is set) against
+  /// Resolves one race of process q's unit (trace_.back()) against
   /// trace_[d_index], inserting the chosen source-set process at d's node.
-  void apply_race(std::size_t d_index, Pid q, const NextStep* virtual_pend,
+  void apply_race(std::size_t d_index, Pid q,
                   std::span<std::uint32_t> backtrack_by_depth);
 
   /// Computes I(v) for the race and returns the pid to insert, or -1 when
   /// `backtrack_mask` (the mask of d's node) already intersects I(v).
   [[nodiscard]] Pid choose_initial(std::size_t d_index, Pid q,
-                                   const NextStep* virtual_pend,
                                    std::uint32_t backtrack_mask);
 
   int nprocs_;

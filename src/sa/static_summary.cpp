@@ -1,7 +1,6 @@
 #include "sa/static_summary.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "sched/event_sink.h"
 #include "sched/sim.h"
@@ -25,8 +24,9 @@ constexpr std::uint64_t kPerturbedUnitBudget = 1024;
 constexpr std::uint64_t kMaxPrefixLen = 256;
 
 /// The instrumented recording sink: remembers the most recent counted
-/// access so the collector can pair Sim::last_step_summary() (section
-/// adjacency) with the access's written-bit mask and width.
+/// access so the collector can pair Sim::last_step_summary() (which
+/// register the unit accessed) with the access's written-bit mask and
+/// field window.
 class FootprintRecorder final : public EventSink {
  public:
   void on_event(const TraceEvent& ev) override {
@@ -68,17 +68,6 @@ void note_window(RegisterFacts& f, const Access& a) {
 
 }  // namespace
 
-bool StaticModel::write_may_change_section(RegId reg) const {
-  if (reg < 0 || reg >= register_count()) {
-    return true;
-  }
-  const RegisterFacts& f = facts(reg);
-  if (f.writer_pids == 0) {
-    return true;  // no collected write: no fact to refine on
-  }
-  return f.write_section_adjacent;
-}
-
 bool StaticModel::may_conflict(RegId reg, Pid a, Pid b) const {
   if (reg < 0 || reg >= register_count() || a < 0 || b < 0 || a >= 32 ||
       b >= 32) {
@@ -97,7 +86,6 @@ bool StaticModel::may_conflict(RegId reg, Pid a, Pid b) const {
 StaticModel StaticModel::analyze(const SetupFn& setup, int nprocs) {
   StaticModel model;
   model.nprocs_ = nprocs;
-  model.first_units_.resize(static_cast<std::size_t>(nprocs));
   model.solo_.resize(static_cast<std::size_t>(nprocs));
 
   // Size the fact table from a probe instantiation (the register layout is
@@ -110,9 +98,8 @@ StaticModel StaticModel::analyze(const SetupFn& setup, int nprocs) {
     }
   }
 
-  // Records the unit the collector just stepped on pid: its access facts
-  // (from the sink) merged with the unit's section adjacency (from the
-  // step summary).
+  // Records the unit the collector just stepped on pid: the access facts
+  // from the sink, filed under the register the step summary names.
   const auto collect_unit = [&model](CollectSim& cs, Pid pid) {
     model.units_collected_ += 1;
     const StepSummary& s = cs.sim.last_step_summary();
@@ -127,12 +114,10 @@ StaticModel StaticModel::analyze(const SetupFn& setup, int nprocs) {
       f.writer_pids |= bit;
       f.written_fields_by_pid[static_cast<std::size_t>(pid)] |=
           a.written_mask();
-      f.write_section_adjacent = f.write_section_adjacent || s.section_changed;
       note_window(f, a);
     }
     if (!a.is_write() || a.is_read()) {
       f.reader_pids |= bit;
-      f.read_section_adjacent = f.read_section_adjacent || s.section_changed;
     }
   };
 
@@ -170,27 +155,6 @@ StaticModel StaticModel::analyze(const SetupFn& setup, int nprocs) {
     return cs.sim.status(pid) != ProcStatus::NotStarted &&
            cs.sim.status(pid) != ProcStatus::Runnable;
   };
-
-  // --- First units: prologue + first posted access, on fresh sims. ---
-  for (Pid p = 0; p < nprocs; ++p) {
-    CollectSim cs(setup);
-    cs.sim.ensure_started(p);
-    FirstUnit& fu = model.first_units_[static_cast<std::size_t>(p)];
-    fu.known = true;
-    // ensure_started() resets the step summary and the prologue's section
-    // changes land in it, so this reads exactly "the deterministic
-    // prologue is section-quiet".
-    fu.prologue_quiet = !cs.sim.last_step_summary().section_changed;
-    const std::optional<PendingAccess> pa = cs.sim.pending(p);
-    if (cs.sim.status(p) != ProcStatus::Runnable || !pa.has_value() ||
-        pa->local_yield) {
-      fu.yield = true;  // completes (or yields) without a shared access
-    } else {
-      fu.reg = pa->reg;
-      fu.wrote = !(pa->kind == AccessKind::Read ||
-                   (pa->kind == AccessKind::Bit && pa->bit_op == BitOp::Read));
-    }
-  }
 
   // --- Solo runs: each pid to completion on a fresh sim. ---
   std::vector<std::uint64_t> solo_units(static_cast<std::size_t>(nprocs));

@@ -17,60 +17,29 @@ class Sim;
 /// --- Static model analysis (the sa/ footprint pass). ---
 ///
 /// The paper's contention-free structure makes the configured models highly
-/// analyzable before the schedule-space search starts: each process's solo
+/// analyzable without a schedule-space search: each process's solo
 /// execution enumerates its contention-free program points exactly, and a
 /// small battery of prefix-perturbed two-process runs surfaces the
 /// contended branches (spin loops, fast-path fallbacks) those solo runs
-/// never reach. The pass dry-runs the exact configuration the Explorer
-/// will search (same setup function, crash injection included) under an
-/// instrumented recording sink and distills the observed scheduler units
-/// into:
+/// never reach. The pass dry-runs one configuration (its setup function,
+/// crash injection included) under an instrumented recording sink and
+/// distills the observed scheduler units into:
 ///
 ///  * per-register facts (RegisterFacts): which pids were seen reading /
-///    writing, the union of written-bit masks per pid, and whether any
-///    collected read/write unit on the register carried a section change;
+///    writing, the union of written-bit masks per pid, and the observed
+///    sub-word field windows;
 ///
-///  * per-process first units (FirstUnit): the deterministic prologue of a
-///    NotStarted process performs no shared access (it ends exactly at the
-///    first access request), so its statically recorded first access is
-///    exact — the refinement the POR layer uses for unstarted processes;
+///  * per-process solo outcomes (SoloOutcome): protocol bookkeeping.
 ///
-///  * per-process solo outcomes (SoloOutcome): protocol bookkeeping the
-///    registry linter (sa/lint.h) reports on.
-///
-/// The merged table is the *static may-conflict table* consumed by
-/// por/dependence.h's refined next_step_of: see the soundness discussion
-/// there for which facts are provable (first units, crash units) and which
-/// are empirically gated (section-quiet plain writes).
-
-/// Statically recorded first scheduler unit of one process: prologue plus
-/// first posted access (or prologue-only completion).
-struct FirstUnit {
-  bool known = false;
-  /// The body completed (or posted a local yield) during its prologue:
-  /// the first unit performs no shared-memory access.
-  bool yield = false;
-  /// The deterministic prologue emitted no section change. Load-bearing
-  /// for soundness: a prologue that changes sections (e.g. the mutex
-  /// session driver entering Entry) is observationally dependent with any
-  /// concurrently *measured* step — the peer's section change flips the
-  /// step's window cleanliness — which the register+section relation
-  /// cannot see on the pending side. R1 therefore refines only
-  /// quiet-prologue first units (see por/dependence.h).
-  bool prologue_quiet = false;
-  RegId reg = -1;      ///< valid iff known && !yield
-  bool wrote = false;  ///< the first access can modify the register
-};
+/// The registry linter (sa/lint.h) reports on both. The over-approximation
+/// suite in tests/sa_test.cpp pins the may-conflict relation below to every
+/// dynamically observed register conflict.
 
 /// Facts about one register, merged over every collected unit.
 struct RegisterFacts {
   bool observed = false;          ///< some collected unit accessed it
   std::uint32_t reader_pids = 0;  ///< pids observed reading (bitmask)
   std::uint32_t writer_pids = 0;  ///< pids observed writing (bitmask)
-  /// Some collected read / write unit on this register emitted a section
-  /// change during its local run.
-  bool read_section_adjacent = false;
-  bool write_section_adjacent = false;
   /// Per-pid union of written-bit masks (Access::written_mask); sized
   /// nprocs. Sub-word stores contribute their field window only.
   std::vector<Value> written_fields_by_pid;
@@ -90,9 +59,8 @@ struct SoloOutcome {
   int max_width_accessed = 0;   ///< widest register touched (atomicity)
 };
 
-/// The static may-conflict table for one Explorer configuration. Built
-/// once per search (deterministically — same setup, same table); shared
-/// read-only across worker threads.
+/// The static footprint of one configuration. Built deterministically —
+/// same setup, same table.
 class StaticModel {
  public:
   using SetupFn = std::function<std::shared_ptr<void>(Sim&)>;
@@ -112,18 +80,9 @@ class StaticModel {
   [[nodiscard]] const RegisterFacts& facts(RegId reg) const {
     return facts_[static_cast<std::size_t>(reg)];
   }
-  [[nodiscard]] const FirstUnit& first_unit(Pid pid) const {
-    return first_units_[static_cast<std::size_t>(pid)];
-  }
   [[nodiscard]] const SoloOutcome& solo_outcome(Pid pid) const {
     return solo_[static_cast<std::size_t>(pid)];
   }
-
-  /// R3 query (por/dependence.h): true unless every collected write unit
-  /// on `reg` ran section-quiet. A register with no collected write at
-  /// all answers true — absence of facts is a coverage hole, never a
-  /// license to refine.
-  [[nodiscard]] bool write_may_change_section(RegId reg) const;
 
   /// The static may-conflict relation: units of pids `a` and `b` were
   /// observed accessing `reg` with a write on either side. Computed
@@ -143,7 +102,6 @@ class StaticModel {
 
   int nprocs_ = 0;
   std::vector<RegisterFacts> facts_;
-  std::vector<FirstUnit> first_units_;
   std::vector<SoloOutcome> solo_;
   std::uint64_t units_collected_ = 0;
 };

@@ -344,8 +344,7 @@ class Sim {
   /// std::logic_error. Attach sinks to the returned simulation afterwards —
   /// they see only post-fork events.
   ///
-  /// `cp.memory_fingerprint == 0 && cp.memory.empty()` skips verification
-  /// (used by the explorer, which tracks fingerprints per node itself).
+  /// `cp.memory_fingerprint == 0 && cp.memory.empty()` skips verification.
   [[nodiscard]] static std::unique_ptr<Sim> fork(const SimCheckpoint& cp,
                                                  const SimBuilder& rebuild);
 

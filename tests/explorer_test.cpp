@@ -273,69 +273,9 @@ TEST(Explorer, ExhaustiveIgnoresLeftoverPreemptionLimit) {
   EXPECT_EQ(a.states_visited, b.states_visited);
 }
 
-// reduce_independent (sleep-set-lite) must preserve the certified values
-// while skipping redundant sibling orderings. Differentially validated
-// against the plain exhaustive explorer for every registry algorithm at
-// n = 2..3 (the acceptance gate for enabling it on a given workload).
-TEST(Explorer, ReduceIndependentPreservesMutexValues) {
-  for (const int n : {2, 3}) {
-    for (const MutexAlgorithmEntry* e :
-         AlgorithmRegistry::instance().mutex_for_n(n)) {
-      SCOPED_TRACE(e->info.name + " n=" + std::to_string(n));
-      WorstCaseSearchOptions plain = exhaustive_opts(n == 2 ? 12 : 8);
-      WorstCaseSearchOptions reduced = plain;
-      reduced.limits.reduce_independent = true;
-      const MutexWcSearchResult a =
-          search_mutex_worst_case(e->factory, n, 1, plain);
-      const MutexWcSearchResult b =
-          search_mutex_worst_case(e->factory, n, 1, reduced);
-      EXPECT_EQ(a.entry.steps, b.entry.steps);
-      EXPECT_EQ(a.entry.registers, b.entry.registers);
-      EXPECT_EQ(a.exit.steps, b.exit.steps);
-      EXPECT_EQ(a.exit.registers, b.exit.registers);
-      EXPECT_EQ(a.certified, b.certified);
-      EXPECT_LE(b.states_visited, a.states_visited);
-    }
-  }
-}
-
-TEST(Explorer, ReduceIndependentPreservesDetectorValues) {
-  for (const int n : {2, 3}) {
-    for (const DetectorAlgorithmEntry* e :
-         AlgorithmRegistry::instance().detector_algorithms()) {
-      SCOPED_TRACE(e->info.name + " n=" + std::to_string(n));
-      WorstCaseSearchOptions plain = exhaustive_opts(n == 2 ? 14 : 10);
-      WorstCaseSearchOptions reduced = plain;
-      reduced.limits.reduce_independent = true;
-      const DetectorWcSearchResult a =
-          search_detector_worst_case(e->factory, n, plain);
-      const DetectorWcSearchResult b =
-          search_detector_worst_case(e->factory, n, reduced);
-      EXPECT_EQ(a.best.steps, b.best.steps);
-      EXPECT_EQ(a.best.registers, b.best.registers);
-      EXPECT_EQ(a.best.read_steps, b.best.read_steps);
-      EXPECT_EQ(a.best.write_steps, b.best.write_steps);
-      EXPECT_EQ(a.certified, b.certified);
-      EXPECT_LE(b.states_visited, a.states_visited);
-    }
-  }
-}
-
-TEST(Explorer, ReduceIndependentRequiresExhaustive) {
-  Explorer::Config cfg;
-  cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Bounded;
-  cfg.limits.max_preemptions = 1;
-  cfg.limits.reduce_independent = true;
-  cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
-    return setup_mutex(sim, Peterson::factory(), 2, 1);
-  };
-  EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
-}
-
 TEST(Explorer, NewCountersAreThreadInvariant) {
-  // restores / replayed_steps / sims_built / visited_bytes are per-cell
-  // deterministic sums, so they must not depend on the pool size.
+  // restores / value_replayed_steps / sims_built / visited_bytes are
+  // per-cell deterministic sums, so they must not depend on the pool size.
   ExperimentRunner seq(1);
   ExperimentRunner par(4);
   Explorer::Config cfg;
@@ -349,7 +289,7 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
   const Explorer::Result a = explorer.run(&seq);
   const Explorer::Result b = explorer.run(&par);
   EXPECT_EQ(a.stats.restores, b.stats.restores);
-  EXPECT_EQ(a.stats.replayed_steps, b.stats.replayed_steps);
+  EXPECT_EQ(a.stats.value_replayed_steps, b.stats.value_replayed_steps);
   EXPECT_EQ(a.stats.sims_built, b.stats.sims_built);
   EXPECT_EQ(a.stats.visited_bytes, b.stats.visited_bytes);
   EXPECT_GT(a.stats.visited_bytes, 0u);

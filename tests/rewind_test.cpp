@@ -1,10 +1,9 @@
-// Recycled-rewind fidelity: Sim::rewind_to must reposition the LIVE
-// simulation at any prefix of its own schedule log indistinguishably from
-// Sim::fork of a checkpoint taken there — across every registry algorithm,
-// including crash injection — and the Explorer's rewind restore path must
-// produce bit-identical search results to the retained legacy
-// fork-by-replay path, with zero Sim constructions per restore and frame
-// recreation served entirely from the arena pool after warm-up.
+// Recycled-rewind fidelity: Sim::rewind_to and Sim::rewind_to_mark must
+// reposition the LIVE simulation at any prefix of its own schedule log
+// indistinguishably from Sim::fork of a checkpoint taken there — across
+// every registry algorithm, including crash injection — with frame
+// recreation served entirely from the arena pool after warm-up, and the
+// Explorer's mark restores must build zero Sims per restore.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -194,140 +193,26 @@ TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
   EXPECT_GT(live.frame_arena_stats().reused, 0u);
 }
 
-/// The Explorer-level differential: identical traversal, reports, and
-/// stats (except Sim constructions) between the recycled rewind and the
-/// legacy fork-by-replay restore paths.
-WorstCaseSearchOptions exhaustive_opts(int depth, bool by_fork,
-                                       bool verify_snapshot = false) {
-  WorstCaseSearchOptions o;
-  o.strategy = SearchStrategy::Exhaustive;
-  o.limits.max_depth = depth;
-  o.limits.restore_by_fork = by_fork;
-  o.limits.verify_restore_snapshot = verify_snapshot;
-  // These are full-replay differentials: disable the mark-based partial
-  // restore so replayed_steps stays comparable between the paths (the
-  // mark path is differential-tested separately below).
-  o.limits.restore_marks = false;
-  return o;
-}
-
-void expect_same_report(const ComplexityReport& a, const ComplexityReport& b) {
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.registers, b.registers);
-  EXPECT_EQ(a.read_steps, b.read_steps);
-  EXPECT_EQ(a.write_steps, b.write_steps);
-  EXPECT_EQ(a.read_registers, b.read_registers);
-  EXPECT_EQ(a.write_registers, b.write_registers);
-  EXPECT_EQ(a.atomicity, b.atomicity);
-  EXPECT_EQ(a.truncated, b.truncated);
-}
-
-TEST(Rewind, ExplorerPathsBitIdenticalAcrossAllRegistryMutexAlgorithms) {
-  for (const MutexAlgorithmEntry* e :
-       AlgorithmRegistry::instance().mutex_for_n(2)) {
-    SCOPED_TRACE(e->info.name);
-    const MutexWcSearchResult rewind = search_mutex_worst_case(
-        e->factory, 2, 1, exhaustive_opts(10, /*by_fork=*/false));
-    const MutexWcSearchResult fork = search_mutex_worst_case(
-        e->factory, 2, 1, exhaustive_opts(10, /*by_fork=*/true));
-    expect_same_report(rewind.entry, fork.entry);
-    expect_same_report(rewind.exit, fork.exit);
-    EXPECT_EQ(rewind.schedules_tried, fork.schedules_tried);
-    EXPECT_EQ(rewind.states_visited, fork.states_visited);
-    EXPECT_EQ(rewind.violations, fork.violations);
-    EXPECT_EQ(rewind.truncated, fork.truncated);
-    EXPECT_EQ(rewind.certified, fork.certified);
-  }
-}
-
-TEST(Rewind, ExplorerPathsBitIdenticalForDetectors) {
-  for (const DetectorAlgorithmEntry* e :
-       AlgorithmRegistry::instance().detector_algorithms()) {
-    SCOPED_TRACE(e->info.name);
-    const DetectorWcSearchResult rewind = search_detector_worst_case(
-        e->factory, 2, exhaustive_opts(14, /*by_fork=*/false));
-    const DetectorWcSearchResult fork = search_detector_worst_case(
-        e->factory, 2, exhaustive_opts(14, /*by_fork=*/true));
-    expect_same_report(rewind.best, fork.best);
-    EXPECT_EQ(rewind.schedules_tried, fork.schedules_tried);
-    EXPECT_EQ(rewind.states_visited, fork.states_visited);
-    EXPECT_EQ(rewind.certified, fork.certified);
-  }
-}
-
-TEST(Rewind, ExplorerPathsBitIdenticalUnderCrashInjection) {
-  // Crash plans set at setup are part of the rewind baseline; both restore
-  // paths must reproduce crashes identically mid-search.
-  const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex("lamport-fast").factory;
-  auto run = [&](bool by_fork) {
-    Explorer::Config cfg;
-    cfg.nprocs = 2;
-    cfg.strategy = SearchStrategy::Exhaustive;
-    cfg.limits.max_depth = 12;
-    cfg.limits.restore_by_fork = by_fork;
-    cfg.limits.restore_marks = false;  // full-replay differential
-    cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
-      auto alg = setup_mutex(sim, factory, 2, 1);
-      sim.crash_after(1, 2);
-      return std::shared_ptr<void>(std::move(alg));
-    };
-    return Explorer(cfg).run();
-  };
-  const Explorer::Result rewind = run(false);
-  const Explorer::Result fork = run(true);
-  EXPECT_EQ(rewind.stats.states_visited, fork.stats.states_visited);
-  EXPECT_EQ(rewind.stats.runs_completed, fork.stats.runs_completed);
-  EXPECT_EQ(rewind.stats.runs_truncated, fork.stats.runs_truncated);
-  EXPECT_EQ(rewind.stats.pruned_visited, fork.stats.pruned_visited);
-  EXPECT_EQ(rewind.stats.violations, fork.stats.violations);
-  EXPECT_EQ(rewind.stats.restores, fork.stats.restores);
-  EXPECT_EQ(rewind.stats.replayed_steps, fork.stats.replayed_steps);
-}
-
-TEST(Rewind, DebugSnapshotVerificationPasses) {
-  // verify_restore_snapshot compares full register values on every
-  // restore; on a deterministic setup it must change nothing.
-  const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const MutexWcSearchResult plain = search_mutex_worst_case(
-      factory, 2, 1, exhaustive_opts(10, /*by_fork=*/false));
-  const MutexWcSearchResult checked = search_mutex_worst_case(
-      factory, 2, 1,
-      exhaustive_opts(10, /*by_fork=*/false, /*verify_snapshot=*/true));
-  expect_same_report(plain.entry, checked.entry);
-  EXPECT_EQ(plain.states_visited, checked.states_visited);
-}
-
 TEST(Rewind, RestoresPerformZeroSimConstructions) {
-  // The acceptance assertion: with the recycled rewind, Sim construction
-  // count equals the frontier cell count no matter how many restores ran;
-  // the legacy path builds one extra Sim per restore.
-  WorstCaseSearchOptions rewind_opts = exhaustive_opts(14, false);
-  WorstCaseSearchOptions fork_opts = exhaustive_opts(14, true);
+  // The acceptance assertion of the in-place restore: Sim construction
+  // count equals the frontier cell count however many restores ran, and
+  // every restore value-replays from a mark instead of re-executing the
+  // prefix live.
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   Explorer::Config cfg;
   cfg.nprocs = 2;
   cfg.strategy = SearchStrategy::Exhaustive;
-  cfg.limits = rewind_opts.limits;
+  cfg.limits.max_depth = 14;
   cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, factory, 2, 1);
   };
-  const Explorer::Result rewind = Explorer(cfg).run();
-  cfg.limits = fork_opts.limits;
-  const Explorer::Result fork = Explorer(cfg).run();
-
-  ASSERT_GT(rewind.stats.restores, 0u);
-  EXPECT_EQ(rewind.stats.restores, fork.stats.restores);
-  // One Sim per frontier cell — and not one more, however many restores
-  // happened; the legacy path builds one extra per restore.
-  const std::size_t cells =
-      Explorer::frontier_cells(cfg.nprocs, rewind_opts.limits);
-  EXPECT_EQ(rewind.stats.sims_built, cells);
-  EXPECT_EQ(fork.stats.sims_built, cells + fork.stats.restores);
-  EXPECT_GT(rewind.stats.replayed_steps, 0u);
-  EXPECT_EQ(rewind.stats.replayed_steps, fork.stats.replayed_steps);
+  const Explorer::Result r = Explorer(cfg).run();
+  ASSERT_GT(r.stats.restores, 0u);
+  EXPECT_EQ(r.stats.sims_built,
+            Explorer::frontier_cells(cfg.nprocs, cfg.limits));
+  EXPECT_GT(r.stats.restore_marks, 0u);
+  EXPECT_GT(r.stats.value_replayed_steps, 0u);
 }
 
 /// Mark-based partial restore, sim level: capture a RewindMark mid-run,
@@ -382,47 +267,6 @@ TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
        AlgorithmRegistry::instance().mutex_for_n(4)) {
     SCOPED_TRACE(e->info.name);
     mark_rewind_and_compare(e->factory, 4, {{0, 3}, {2, 1}}, 5);
-  }
-}
-
-TEST(Rewind, MarkRestoreKeepsExplorerBitIdentical) {
-  // The explorer with restore_marks on must traverse the identical tree —
-  // every stat equal except the restore cost counters: mark restores
-  // re-execute nothing live (replayed_steps 0, the log re-feed counted
-  // in value_replayed_steps) where the full-replay rewind re-executes
-  // the whole prefix per sibling.
-  for (const MutexAlgorithmEntry* e :
-       AlgorithmRegistry::instance().mutex_for_n(2)) {
-    SCOPED_TRACE(e->info.name);
-    const MutexFactory factory = e->factory;
-    Explorer::Config cfg;
-    cfg.nprocs = 2;
-    cfg.strategy = SearchStrategy::Exhaustive;
-    cfg.limits.max_depth = 12;
-    cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
-      return setup_mutex(sim, factory, 2, 1);
-    };
-    cfg.limits.restore_marks = true;
-    const Explorer::Result marked = Explorer(cfg).run();
-    cfg.limits.restore_marks = false;
-    const Explorer::Result plain = Explorer(cfg).run();
-
-    EXPECT_EQ(marked.stats.states_visited, plain.stats.states_visited);
-    EXPECT_EQ(marked.stats.runs_completed, plain.stats.runs_completed);
-    EXPECT_EQ(marked.stats.runs_truncated, plain.stats.runs_truncated);
-    EXPECT_EQ(marked.stats.pruned_visited, plain.stats.pruned_visited);
-    EXPECT_EQ(marked.stats.violations, plain.stats.violations);
-    EXPECT_EQ(marked.stats.restores, plain.stats.restores);
-    EXPECT_EQ(marked.stats.sims_built, plain.stats.sims_built);
-    ASSERT_GT(marked.stats.restore_marks, 0u);
-    EXPECT_EQ(plain.stats.restore_marks, 0u);
-    ASSERT_GT(plain.stats.replayed_steps, 0u);
-    EXPECT_EQ(plain.stats.value_replayed_steps, 0u);
-    EXPECT_EQ(marked.stats.replayed_steps, 0u);
-    ASSERT_GT(marked.stats.value_replayed_steps, 0u);
-    // The partial restore's whole point: the cheap re-feed touches no
-    // more units than the full replay re-executed, usually far fewer.
-    EXPECT_LE(marked.stats.value_replayed_steps, plain.stats.replayed_steps);
   }
 }
 

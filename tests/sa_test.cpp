@@ -1,13 +1,5 @@
-// Static model analysis (src/sa/): soundness of the footprint/conflict
-// refinement of the POR dependence relation, plus the registry linter.
+// Static model analysis (src/sa/): the footprint pass behind cfc_lint.
 //
-//  * The differential suite is the acceptance gate of the refinement: the
-//    statically refined source-DPOR search must certify *bit-identical*
-//    report values — whole-run totals, every window maximum, and the
-//    violation verdict — to the unrefined source-DPOR search, for every
-//    registry mutex and detector at n = 2..3, crash injection included,
-//    on the sequential engine and a thread pool, while never visiting
-//    more states.
 //  * The over-approximation suite pins every dynamically observed
 //    register conflict (solo + randomized schedules, every registry
 //    algorithm including naming) to the static may-conflict table — a
@@ -21,15 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment_runner.h"
-#include "analysis/explorer.h"
-#include "analysis/study.h"
 #include "core/algorithm_registry.h"
 #include "core/bounds.h"
 #include "core/contention_detection.h"
 #include "mutex/mutex_algorithm.h"
 #include "naming/naming_algorithm.h"
-#include "por/dependence.h"
 #include "sa/lint.h"
 #include "sa/static_summary.h"
 #include "sched/sched.h"
@@ -38,55 +26,8 @@
 namespace cfc {
 namespace {
 
-void expect_reports_equal(const ComplexityReport& a,
-                          const ComplexityReport& b,
-                          const std::string& what) {
-  EXPECT_EQ(a.steps, b.steps) << what;
-  EXPECT_EQ(a.registers, b.registers) << what;
-  EXPECT_EQ(a.read_steps, b.read_steps) << what;
-  EXPECT_EQ(a.write_steps, b.write_steps) << what;
-  EXPECT_EQ(a.read_registers, b.read_registers) << what;
-  EXPECT_EQ(a.write_registers, b.write_registers) << what;
-  EXPECT_EQ(a.atomicity, b.atomicity) << what;
-  EXPECT_EQ(a.truncated, b.truncated) << what;
-}
-
-/// Same full-measurement objective as the POR differential: every field
-/// the paper's measures define, so value preservation is proven for all
-/// of them at once.
-ExploreObjective all_measures_objective(int n) {
-  ExploreObjective obj;
-  obj.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-    ComplexityReport entry;
-    ComplexityReport exit;
-    ComplexityReport session;
-    ComplexityReport total;
-    for (Pid pid = 0; pid < n; ++pid) {
-      entry = entry.max_with(acc.clean_entry_max(pid));
-      exit = exit.max_with(acc.exit_max(pid));
-      session = session.max_with(acc.contention_free_session_max(pid));
-      total = total.max_with(acc.total(pid));
-    }
-    return std::vector<ComplexityReport>{entry, exit, session, total};
-  };
-  return obj;
-}
-
-Explorer::Config explorer_config(const Explorer::SetupFn& setup, int n,
-                                 int depth, bool static_refine) {
-  Explorer::Config cfg;
-  cfg.nprocs = n;
-  cfg.strategy = SearchStrategy::Exhaustive;
-  cfg.limits.max_depth = depth;
-  cfg.limits.reduction = ReductionPolicy::SourceDpor;
-  cfg.limits.static_refine = static_refine;
-  cfg.setup = setup;
-  cfg.objective = all_measures_objective(n);
-  return cfg;
-}
-
-Explorer::SetupFn mutex_setup(const MutexFactory& make, int n,
-                              std::vector<std::uint64_t> crash_after = {}) {
+StaticModel::SetupFn mutex_setup(const MutexFactory& make, int n,
+                                 std::vector<std::uint64_t> crash_after = {}) {
   return [make, n, crash_after](Sim& sim) -> std::shared_ptr<void> {
     auto alg = setup_mutex(sim, make, n, /*sessions=*/1);
     for (std::size_t p = 0; p < crash_after.size(); ++p) {
@@ -96,141 +37,10 @@ Explorer::SetupFn mutex_setup(const MutexFactory& make, int n,
   };
 }
 
-Explorer::SetupFn detector_setup(const DetectorFactory& make, int n,
-                                 std::vector<std::uint64_t> crash_after = {}) {
-  return [make, n, crash_after](Sim& sim) -> std::shared_ptr<void> {
-    auto det = setup_detection(sim, make, n);
-    for (std::size_t p = 0; p < crash_after.size(); ++p) {
-      sim.crash_after(static_cast<Pid>(p), crash_after[p]);
-    }
-    return det;
+StaticModel::SetupFn detector_setup(const DetectorFactory& make, int n) {
+  return [make, n](Sim& sim) -> std::shared_ptr<void> {
+    return setup_detection(sim, make, n);
   };
-}
-
-/// The differential: the refined search must certify bit-identical values,
-/// violations, and truncation outcomes. Exploration-size counters are NOT
-/// compared: sleep-set DPOR tree size is not monotone in the dependence
-/// relation (a weaker relation can reorder backtrack insertion and grow the
-/// tree — lamport-packed does at n=2), so the states-never-increase gate
-/// lives in bench/explorer_scaling section 3d on its fixed bench configs.
-void expect_refined_matches_unrefined(const Explorer::SetupFn& setup, int n,
-                                      int depth, ExperimentRunner* runner,
-                                      const std::string& what) {
-  const Explorer::Result base =
-      Explorer(explorer_config(setup, n, depth, /*static_refine=*/false))
-          .run(runner);
-  const Explorer::Result refined =
-      Explorer(explorer_config(setup, n, depth, /*static_refine=*/true))
-          .run(runner);
-  ASSERT_EQ(base.best.size(), refined.best.size()) << what;
-  const char* field[] = {"clean-entry", "exit", "cf-session", "totals"};
-  for (std::size_t i = 0; i < base.best.size(); ++i) {
-    expect_reports_equal(base.best[i], refined.best[i],
-                         what + " / " + field[i]);
-  }
-  EXPECT_EQ(base.stats.violations, refined.stats.violations) << what;
-  EXPECT_EQ(base.stats.truncated, refined.stats.truncated) << what;
-  EXPECT_EQ(base.stats.state_budget_hit, refined.stats.state_budget_hit)
-      << what;
-  // The unrefined run never refines anything.
-  EXPECT_EQ(base.stats.static_refined_pairs, 0u) << what;
-}
-
-TEST(SaDifferential, MutexRegistryAtN2And3) {
-  ExperimentRunner seq(1);
-  ExperimentRunner pool(4);
-  for (const int n : {2, 3}) {
-    const int depth = n == 2 ? 12 : 8;
-    for (const MutexAlgorithmEntry* e :
-         AlgorithmRegistry::instance().mutex_for_n(n)) {
-      for (ExperimentRunner* runner : {&seq, &pool}) {
-        const std::string what = e->info.name + " n=" + std::to_string(n) +
-                                 " threads=" +
-                                 std::to_string(runner->thread_count());
-        SCOPED_TRACE(what);
-        expect_refined_matches_unrefined(mutex_setup(e->factory, n), n,
-                                         depth, runner, what);
-      }
-    }
-  }
-}
-
-TEST(SaDifferential, DetectorRegistryAtN2And3) {
-  ExperimentRunner seq(1);
-  ExperimentRunner pool(4);
-  for (const int n : {2, 3}) {
-    const int depth = n == 2 ? 14 : 10;
-    for (const DetectorAlgorithmEntry* e :
-         AlgorithmRegistry::instance().detector_algorithms()) {
-      for (ExperimentRunner* runner : {&seq, &pool}) {
-        const std::string what = e->info.name + " n=" + std::to_string(n) +
-                                 " threads=" +
-                                 std::to_string(runner->thread_count());
-        SCOPED_TRACE(what);
-        expect_refined_matches_unrefined(detector_setup(e->factory, n), n,
-                                         depth, runner, what);
-      }
-    }
-  }
-}
-
-TEST(SaDifferential, MutexWithCrashInjection) {
-  // Crash-armed pending units are exactly what R1/R2 refine, so the crash
-  // differential is the suite's sharpest probe.
-  ExperimentRunner seq(1);
-  ExperimentRunner pool(4);
-  for (const int n : {2, 3}) {
-    const int depth = n == 2 ? 12 : 8;
-    for (const MutexAlgorithmEntry* e :
-         AlgorithmRegistry::instance().mutex_for_n(n)) {
-      for (ExperimentRunner* runner : {&seq, &pool}) {
-        const std::string what = e->info.name + " crash n=" +
-                                 std::to_string(n) + " threads=" +
-                                 std::to_string(runner->thread_count());
-        SCOPED_TRACE(what);
-        expect_refined_matches_unrefined(mutex_setup(e->factory, n, {2}), n,
-                                         depth, runner, what);
-      }
-    }
-  }
-}
-
-TEST(SaDifferential, DetectorWithCrashInjection) {
-  ExperimentRunner seq(1);
-  ExperimentRunner pool(4);
-  for (const int n : {2, 3}) {
-    const int depth = n == 2 ? 14 : 10;
-    for (const DetectorAlgorithmEntry* e :
-         AlgorithmRegistry::instance().detector_algorithms()) {
-      for (ExperimentRunner* runner : {&seq, &pool}) {
-        const std::string what = e->info.name + " crash n=" +
-                                 std::to_string(n) + " threads=" +
-                                 std::to_string(runner->thread_count());
-        SCOPED_TRACE(what);
-        expect_refined_matches_unrefined(detector_setup(e->factory, n, {1}),
-                                         n, depth, runner, what);
-      }
-    }
-  }
-}
-
-TEST(SaDifferential, RefinementCounterPopulatedAndThreadInvariant) {
-  const MutexFactory peterson =
-      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  ExperimentRunner seq(1);
-  ExperimentRunner pool(4);
-  const auto cfg = explorer_config(mutex_setup(peterson, 2), 2, 14,
-                                   /*static_refine=*/true);
-  const Explorer::Result a = Explorer(cfg).run(&seq);
-  const Explorer::Result b = Explorer(cfg).run(&pool);
-  // At the root both processes are NotStarted: R1 synthesizes their first
-  // units (distinct flag registers), so refined pairs must fire.
-  EXPECT_GT(a.stats.static_refined_pairs, 0u);
-  EXPECT_EQ(a.stats.static_refined_pairs, b.stats.static_refined_pairs);
-  EXPECT_EQ(a.stats.states_visited, b.stats.states_visited);
-  EXPECT_EQ(a.stats.races_detected, b.stats.races_detected);
-  EXPECT_EQ(a.stats.backtrack_points, b.stats.backtrack_points);
-  EXPECT_EQ(a.stats.sleep_blocked, b.stats.sleep_blocked);
 }
 
 // --- The over-approximation suite: every dynamically observed conflict is
@@ -374,15 +184,6 @@ TEST(SaStaticModel, PetersonFootprint) {
   EXPECT_GT(model.register_count(), 0);
   EXPECT_GT(model.units_collected(), 0u);
   for (Pid p = 0; p < 2; ++p) {
-    // Peterson's first unit is the flag write: known, a real access, a
-    // write.
-    const FirstUnit& fu = model.first_unit(p);
-    EXPECT_TRUE(fu.known);
-    EXPECT_FALSE(fu.yield);
-    EXPECT_TRUE(fu.wrote);
-    EXPECT_GE(fu.reg, 0);
-    // The session driver enters Entry before the flag write posts.
-    EXPECT_FALSE(fu.prologue_quiet);
     const SoloOutcome& solo = model.solo_outcome(p);
     EXPECT_TRUE(solo.completed);
     EXPECT_TRUE(solo.entered_entry);
@@ -390,189 +191,9 @@ TEST(SaStaticModel, PetersonFootprint) {
     EXPECT_GT(solo.units, 0u);
     EXPECT_GE(solo.max_width_accessed, 1);
   }
-  // The two first units hit distinct per-process flags.
-  EXPECT_NE(model.first_unit(0).reg, model.first_unit(1).reg);
   // Out-of-range queries answer conservatively.
-  EXPECT_TRUE(model.write_may_change_section(
-      static_cast<RegId>(model.register_count())));
   EXPECT_TRUE(model.may_conflict(static_cast<RegId>(model.register_count()),
                                  0, 1));
-}
-
-TEST(SaDependence, StaticModelRefinesUnstartedAndCrashUnits) {
-  const MutexFactory peterson =
-      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const auto setup = mutex_setup(peterson, 2);
-  const StaticModel model = StaticModel::analyze(setup, 2);
-
-  // R1 gate: the mutex session driver enters Entry during the prologue, so
-  // a registry mutex's unstarted pend stays unknown even with the model —
-  // a section-changing prologue is observationally dependent with every
-  // concurrently measured step, which the pending-side relation cannot
-  // express (see por/dependence.h).
-  {
-    Sim sim;
-    const std::shared_ptr<void> owner = setup(sim);
-    EXPECT_TRUE(model.first_unit(0).known);
-    EXPECT_FALSE(model.first_unit(0).prologue_quiet);
-    const NextStep plain = next_step_of(sim, 0);
-    EXPECT_FALSE(plain.known);
-    const NextStep refined = next_step_of(sim, 0, &model);
-    EXPECT_FALSE(refined.known);
-  }
-
-  // A raw section-quiet model: the body's first action IS the posted
-  // write, nothing changes sections before it. R1 applies here.
-  const StaticModel::SetupFn quiet_setup =
-      [](Sim& sim) -> std::shared_ptr<void> {
-    const RegId r = sim.memory().add_register("quiet.r", 8);
-    for (int p = 0; p < 2; ++p) {
-      sim.spawn("q" + std::to_string(p),
-                [r](ProcessContext& ctx) -> Task<void> {
-                  co_await ctx.write(r, 1);
-                  (void)co_await ctx.read(r);
-                });
-    }
-    return nullptr;
-  };
-  const StaticModel quiet_model = StaticModel::analyze(quiet_setup, 2);
-
-  // R1: a NotStarted quiet-prologue process is unknown dynamically, known
-  // statically; the first access's continuation may still change sections.
-  {
-    Sim sim;
-    const std::shared_ptr<void> owner = quiet_setup(sim);
-    ASSERT_TRUE(quiet_model.first_unit(0).known);
-    ASSERT_TRUE(quiet_model.first_unit(0).prologue_quiet);
-    const NextStep plain = next_step_of(sim, 0);
-    EXPECT_FALSE(plain.known);
-    const NextStep refined = next_step_of(sim, 0, &quiet_model);
-    EXPECT_TRUE(refined.known);
-    EXPECT_TRUE(refined.statically_known);
-    EXPECT_FALSE(refined.yield);
-    EXPECT_TRUE(refined.wrote);
-    EXPECT_EQ(refined.reg, quiet_model.first_unit(0).reg);
-    EXPECT_TRUE(refined.may_change_section);
-  }
-
-  // R1 + armed crash before the first unit: the quiet prologue followed by
-  // the immediate crash provably emits nothing — section-quiet yield.
-  {
-    Sim sim;
-    const std::shared_ptr<void> owner = quiet_setup(sim);
-    sim.crash_after(0, 0);
-    const NextStep refined = next_step_of(sim, 0, &quiet_model);
-    EXPECT_TRUE(refined.known);
-    EXPECT_TRUE(refined.statically_known);
-    EXPECT_TRUE(refined.yield);
-    EXPECT_FALSE(refined.may_change_section);
-  }
-
-  // The same crash arming stays unknown under the section-changing
-  // prologue: the Entry change the prologue emits is real.
-  {
-    Sim sim;
-    const std::shared_ptr<void> owner = setup(sim);
-    sim.crash_after(0, 0);
-    const NextStep refined = next_step_of(sim, 0, &model);
-    EXPECT_FALSE(refined.known);
-  }
-
-  // R2: a Runnable process with an armed crash emits only the Crash
-  // terminal event — known, yield, section-quiet.
-  {
-    Sim sim;
-    const std::shared_ptr<void> owner = setup(sim);
-    sim.crash_after(0, 1);
-    sim.step(0);  // first access executes; the crash is now pending
-    ASSERT_TRUE(sim.crash_pending(0));
-    const NextStep plain = next_step_of(sim, 0);
-    EXPECT_FALSE(plain.known);
-    const NextStep refined = next_step_of(sim, 0, &model);
-    EXPECT_TRUE(refined.known);
-    EXPECT_TRUE(refined.statically_known);
-    EXPECT_TRUE(refined.yield);
-    EXPECT_FALSE(refined.may_change_section);
-  }
-}
-
-TEST(SaDependence, RefinedPairCounterCountsOnlyStaticWins) {
-  StepSummary quiet_write;  // section-quiet write of register 3 by pid 0
-  quiet_write.pid = 0;
-  quiet_write.accessed = true;
-  quiet_write.reg = 3;
-  quiet_write.wrote = true;
-
-  NextStep dynamic_pend;  // dynamically captured pend on another register
-  dynamic_pend.known = true;
-  dynamic_pend.reg = 5;
-  NextStep static_pend = dynamic_pend;  // same shape, statically synthesized
-  static_pend.statically_known = true;
-
-  std::uint64_t count = 0;
-  // Independent either way, but only the static synthesis is a refinement:
-  // the dynamic capture would have answered independent unrefined too.
-  EXPECT_FALSE(dependent(quiet_write, dynamic_pend, &count));
-  EXPECT_EQ(count, 0u);
-  EXPECT_FALSE(dependent(quiet_write, static_pend, &count));
-  EXPECT_EQ(count, 1u);
-
-  // A section-changing executed unit against a section-quiet pend: only a
-  // static section-quiet fact (may_change_section=false) lets the pair
-  // through, so that independence is counted as refined as well.
-  StepSummary section_step;
-  section_step.pid = 0;
-  section_step.section_changed = true;
-  NextStep quiet_pend;
-  quiet_pend.known = true;
-  quiet_pend.reg = 5;
-  quiet_pend.may_change_section = false;
-  count = 0;
-  EXPECT_FALSE(dependent(section_step, quiet_pend, &count));
-  EXPECT_EQ(count, 1u);
-
-  // Dependent pairs never count.
-  NextStep same_reg = static_pend;
-  same_reg.reg = 3;
-  count = 0;
-  EXPECT_TRUE(dependent(quiet_write, same_reg, &count));
-  EXPECT_EQ(count, 0u);
-}
-
-// --- Study plumbing: the spec flag, the JSON counter. ---
-
-TEST(SaStudy, StaticRefineFlagFlowsIntoStudyJson) {
-  StudySpec base = StudySpec::of("peterson-2p")
-                       .kind(StudyKind::Mutex)
-                       .n(2)
-                       .worst_case(SearchStrategy::Exhaustive)
-                       .depth(12);
-  StudySpec refined = base;
-  refined.static_refine();
-  // The fluent flag survives a later limits() call (like the reduction
-  // policy), so builder order does not matter.
-  ExploreLimits relimit;
-  relimit.max_depth = 12;
-  refined.limits(relimit);
-  EXPECT_TRUE(refined.search.limits.static_refine);
-  EXPECT_EQ(effective_reduction(refined.search.limits),
-            ReductionPolicy::SourceDpor);
-
-  const StudyResult a = run_study(base);
-  const StudyResult b = run_study(refined);
-  EXPECT_EQ(a.static_refined_pairs, 0u);
-  EXPECT_GT(b.static_refined_pairs, 0u);
-  // Value preservation end-to-end through the study pipeline.
-  expect_reports_equal(a.wc, b.wc, "wc totals");
-  expect_reports_equal(a.wc_entry, b.wc_entry, "wc entry");
-  expect_reports_equal(a.wc_exit, b.wc_exit, "wc exit");
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_LE(b.states_visited, a.states_visited);
-
-  const std::string json = to_json(b);
-  EXPECT_NE(json.find("\"static_refined_pairs\": "), std::string::npos);
-  EXPECT_EQ(study_from_json(json).static_refined_pairs,
-            b.static_refined_pairs);
 }
 
 // --- The lint fixtures: one deliberately broken algorithm per rule. ---

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "../bench/bench_util.h"
 #include "analysis/study.h"
 
 namespace cfc {
@@ -45,17 +46,13 @@ StudyResult golden_fixture() {
   r.measured_atomicity = 1;
   r.has_wc = true;
   r.wc_strategy = SearchStrategy::Exhaustive;
-  // requested != used: the hybrid probe picked source-dpor — exercises
-  // the auditable-choice pair of the stateful/hybrid schema extension.
   r.wc_reduction = ReductionPolicy::SourceDpor;
-  r.wc_reduction_requested = ReductionPolicy::Hybrid;
   r.races_detected = 21;
   r.backtrack_points = 9;
   r.sleep_blocked = 4;
   r.cache_hits = 17;
   r.work_items = 6;
   r.restore_marks = 33;
-  r.static_refined_pairs = 5;
   r.wc = report(14, 4, 6, 8, 3, 4, 1, true);
   r.wc_entry = report(12, 3, 6, 6, 3, 3, 1, true);
   r.wc_exit = report(2, 1, 0, 2, 0, 1, 1);
@@ -121,14 +118,12 @@ TEST(StudyJson, RoundTripsByteIdentically) {
   EXPECT_EQ(parsed.has_wc, original.has_wc);
   EXPECT_EQ(parsed.wc_strategy, original.wc_strategy);
   EXPECT_EQ(parsed.wc_reduction, original.wc_reduction);
-  EXPECT_EQ(parsed.wc_reduction_requested, original.wc_reduction_requested);
   EXPECT_EQ(parsed.races_detected, original.races_detected);
   EXPECT_EQ(parsed.backtrack_points, original.backtrack_points);
   EXPECT_EQ(parsed.sleep_blocked, original.sleep_blocked);
   EXPECT_EQ(parsed.cache_hits, original.cache_hits);
   EXPECT_EQ(parsed.work_items, original.work_items);
   EXPECT_EQ(parsed.restore_marks, original.restore_marks);
-  EXPECT_EQ(parsed.static_refined_pairs, original.static_refined_pairs);
   expect_reports_equal(parsed.wc, original.wc, "wc");
   expect_reports_equal(parsed.wc_entry, original.wc_entry, "wc_entry");
   expect_reports_equal(parsed.wc_exit, original.wc_exit, "wc_exit");
@@ -238,15 +233,10 @@ TEST(StudyJson, ParallelCountersOptionalForPreParallelPayloads) {
 }
 
 TEST(StudyJson, StatefulCountersOptionalForPreStatefulPayloads) {
-  // Payloads written before stateful/hybrid DPOR carry a reduction object
-  // without requested/cache_hits and a wc object without frontier_clamped;
-  // they parse with requested defaulting to the used policy (the two never
-  // diverged before hybrid), zero cache hits, and an unclamped frontier.
+  // Payloads written before stateful DPOR carry a reduction object without
+  // cache_hits and a wc object without frontier_clamped; they parse with
+  // zero cache hits and an unclamped frontier.
   std::string json = to_json(golden_fixture());
-  const std::string req = ", \"requested\": \"hybrid\"";
-  const std::size_t rat = json.find(req);
-  ASSERT_NE(rat, std::string::npos);
-  json.erase(rat, req.size());
   const std::string ch = ", \"cache_hits\": 17";
   const std::size_t cat = json.find(ch);
   ASSERT_NE(cat, std::string::npos);
@@ -257,25 +247,30 @@ TEST(StudyJson, StatefulCountersOptionalForPreStatefulPayloads) {
   json.erase(fat, fc.size());
   const StudyResult parsed = study_from_json(json);
   EXPECT_EQ(parsed.wc_reduction, ReductionPolicy::SourceDpor);
-  EXPECT_EQ(parsed.wc_reduction_requested, ReductionPolicy::SourceDpor);
   EXPECT_EQ(parsed.cache_hits, 0u);
   EXPECT_FALSE(parsed.frontier_clamped);
   EXPECT_EQ(parsed.races_detected, 21u);
 }
 
-TEST(StudyJson, StaticRefineCounterOptionalForPreSaPayloads) {
-  // Payloads written before the static model analysis (src/sa/) carry a
-  // reduction object without static_refined_pairs; they parse with zero
-  // while every other counter survives untouched.
+TEST(StudyJson, PayloadWithRetiredReductionKeysStillParses) {
+  // The previous cfc.study.v1 writer also emitted the configured policy
+  // ("requested", here a since-retired one) and a "static_refined_pairs"
+  // counter. Both keys were optional and the parser ignores members it
+  // does not know, so such a payload parses to the same result and
+  // re-serializes to today's form.
   std::string json = to_json(golden_fixture());
-  const std::string added = ", \"static_refined_pairs\": 5";
-  const std::size_t at = json.find(added);
-  ASSERT_NE(at, std::string::npos);
-  json.erase(at, added.size());
+  const std::string policy = "\"policy\": \"source-dpor\"";
+  const std::size_t pat = json.find(policy);
+  ASSERT_NE(pat, std::string::npos);
+  json.insert(pat + policy.size(), ", \"requested\": \"hybrid\"");
+  const std::string marks = "\"restore_marks\": 33";
+  const std::size_t mat = json.find(marks);
+  ASSERT_NE(mat, std::string::npos);
+  json.insert(mat + marks.size(), ", \"static_refined_pairs\": 5");
   const StudyResult parsed = study_from_json(json);
-  EXPECT_EQ(parsed.static_refined_pairs, 0u);
-  EXPECT_EQ(parsed.races_detected, 21u);
+  EXPECT_EQ(parsed.wc_reduction, ReductionPolicy::SourceDpor);
   EXPECT_EQ(parsed.restore_marks, 33u);
+  EXPECT_EQ(to_json(parsed), to_json(golden_fixture()));
 }
 
 TEST(StudyJson, EscapesSubjectStrings) {
@@ -323,6 +318,24 @@ TEST(StudyJson, RejectsMalformedInput) {
   std::string mistyped = to_json(golden_fixture());
   mistyped.replace(mistyped.find("\"n\": 2"), 6, "\"n\": \"two\"");
   EXPECT_THROW((void)study_from_json(mistyped), std::invalid_argument);
+  // Retired reduction policies are unknown policies.
+  for (const char* retired : {"hybrid", "sleep-lite"}) {
+    std::string old_policy = to_json(golden_fixture());
+    old_policy.replace(old_policy.find("source-dpor"), 11, retired);
+    EXPECT_THROW((void)study_from_json(old_policy), std::invalid_argument)
+        << retired;
+  }
+}
+
+TEST(StudyJsonDeathTest, BenchReductionFlagRejectsRetiredPolicies) {
+  for (const char* retired : {"hybrid", "sleep-lite"}) {
+    std::string prog = "bench";
+    std::string flag = std::string("--reduction=") + retired;
+    char* argv[] = {prog.data(), flag.data()};
+    EXPECT_EXIT((void)bench::BenchOptions::parse(2, argv),
+                ::testing::ExitedWithCode(2), "invalid --reduction")
+        << retired;
+  }
 }
 
 }  // namespace

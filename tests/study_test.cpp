@@ -356,11 +356,11 @@ TEST(StudyReduction, ExhaustiveDefaultsToSourceDporAndSurfacesCounters) {
   reordered.limits(budgets);
   EXPECT_EQ(reordered.search.limits.reduction, ReductionPolicy::SourceDpor);
   EXPECT_EQ(reordered.search.limits.max_depth, 14);
-  ExploreLimits lite;
-  lite.reduce_independent = true;
-  reordered.limits(lite);
-  EXPECT_EQ(effective_reduction(reordered.search.limits),
-            ReductionPolicy::SleepLite);
+  reordered.reduction(ReductionPolicy::Off);
+  ExploreLimits named;
+  named.reduction = ReductionPolicy::SourceDpor;
+  reordered.limits(named);
+  EXPECT_EQ(reordered.search.limits.reduction, ReductionPolicy::SourceDpor);
 }
 
 // --- The detector round-robin battery, folded into the StudySpec
