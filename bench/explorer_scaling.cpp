@@ -1,7 +1,7 @@
 // P4/P6/P7 (perf) — schedule-space explorer scaling: DFS throughput
 // (states/sec, min-of-N wall time) with the restore-cost counters
 // (restores, mark re-feeds per node, restore_marks, sims_built,
-// visited-table reserved/live bytes), visited-state pruning, the
+// visited-cache reserved/live bytes), visited-state pruning, the
 // source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
 // stateful vs stateless source-dpor on the re-convergent peterson-tree
 // cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -98,34 +99,14 @@ Explorer::Config tree_dpor_config(int depth) {
   return cfg;
 }
 
-/// Reads the committed baseline's unreduced throughput states per depth
-/// (the `{"section": "throughput", "depth": D, "states": N, ...}` rows of
-/// a BENCH_explorer_scaling.json this bench itself wrote). A targeted text
-/// scan, not a JSON parser: the row shape is owned by this file.
-long long baseline_states_at_depth(const std::string& json, int depth) {
-  const std::string sect = "\"section\": \"throughput\"";
-  const std::string want_depth = "\"depth\": " + std::to_string(depth);
-  for (std::size_t at = json.find(sect); at != std::string::npos;
-       at = json.find(sect, at + 1)) {
-    const std::size_t row_end = json.find('}', at);
-    const std::size_t d = json.find(want_depth, at);
-    if (d == std::string::npos || d > row_end) {
-      continue;
-    }
-    const std::size_t s = json.find("\"states\": ", at);
-    if (s == std::string::npos || s > row_end) {
-      continue;
-    }
-    return std::strtoll(json.c_str() + s + 10, nullptr, 10);
-  }
-  return -1;
-}
-
-/// Reads a numeric field of the committed baseline's row at a depth in a
-/// given section (same targeted scan as baseline_states_at_depth);
-/// negative when the baseline predates the field or section.
-double baseline_row_double(const std::string& json, const char* section,
-                           int depth, const char* field) {
+/// Locates a field of the committed baseline's row at a depth in a given
+/// section (the `{"section": S, "depth": D, ...}` rows of a
+/// BENCH_explorer_scaling.json this bench itself wrote): a pointer to the
+/// field's value text, or nullptr when the baseline predates the field or
+/// section. A targeted text scan, not a JSON parser: the row shape is owned
+/// by this file.
+const char* baseline_row_value(const std::string& json, const char* section,
+                               int depth, const char* field) {
   const std::string sect =
       "\"section\": \"" + std::string(section) + "\"";
   const std::string want_depth = "\"depth\": " + std::to_string(depth);
@@ -141,14 +122,27 @@ double baseline_row_double(const std::string& json, const char* section,
     if (s == std::string::npos || s > row_end) {
       continue;
     }
-    return std::strtod(json.c_str() + s + key.size(), nullptr);
+    return json.c_str() + s + key.size();
   }
-  return -1.0;
+  return nullptr;
 }
 
-double baseline_throughput_double(const std::string& json, int depth,
-                                  const char* field) {
-  return baseline_row_double(json, "throughput", depth, field);
+/// A numeric baseline field; negative when absent.
+double baseline_row_double(const std::string& json, const char* section,
+                           int depth, const char* field) {
+  const char* v = baseline_row_value(json, section, depth, field);
+  return v != nullptr ? std::strtod(v, nullptr) : -1.0;
+}
+
+/// A string baseline field (its quotes stripped); empty when absent.
+std::string baseline_row_string(const std::string& json, const char* section,
+                                int depth, const char* field) {
+  const char* v = baseline_row_value(json, section, depth, field);
+  if (v == nullptr || *v != '"') {
+    return {};
+  }
+  const char* end = std::strchr(v + 1, '"');
+  return end != nullptr ? std::string(v + 1, end) : std::string();
 }
 
 std::string read_file(const std::string& path) {
@@ -262,6 +256,7 @@ int main(int argc, char** argv) {
          std::to_string(res.best.empty() ? 0 : res.best[0].steps)});
     json.row({{"section", std::string("throughput")},
               {"depth", cfc::bench::jv(depth)},
+              {"reduction", std::string(name(opts.reduction))},
               {"states", cfc::bench::jv(res.stats.states_visited)},
               {"ms_min", cfc::bench::jv(ms)},
               {"states_per_sec", cfc::bench::jv(rate)},
@@ -282,26 +277,28 @@ int main(int argc, char** argv) {
     verify.check(res.stats.visited_live_bytes <= res.stats.visited_bytes,
                  "visited live bytes never exceed reserved at depth " +
                      std::to_string(depth));
-    if (opts.reduction != ReductionPolicy::SourceDpor) {
-      // The zero-allocation invariant of the mark restore: Sim
-      // constructions equal the frontier cell count, however many
-      // restores. (The parallel source-dpor path instead builds one Sim
-      // per worker plus the planner's — checked in the scaling section.)
-      const std::size_t cells =
-          Explorer::frontier_cells(2, peterson_config(depth).limits);
-      verify.check(res.stats.sims_built == cells,
-                   "mark restores build no Sims at depth " +
-                       std::to_string(depth));
-    }
     // Throughput regression guard vs the committed baseline. Wall time is
     // the one cross-host-noisy number here, so the gate carries a 30%
     // guard band: it catches real hot-path regressions, not machine skew.
+    // Rates of different reductions are different searches: the gate only
+    // binds when the baseline row was recorded under this run's reduction.
     const double base_rate =
         baseline_json.empty()
             ? -1.0
-            : baseline_throughput_double(baseline_json, depth,
-                                         "states_per_sec");
-    if (base_rate > 0.0 && !oversubscribed) {
+            : baseline_row_double(baseline_json, "throughput", depth,
+                                  "states_per_sec");
+    const std::string base_reduction =
+        baseline_json.empty()
+            ? std::string()
+            : baseline_row_string(baseline_json, "throughput", depth,
+                                  "reduction");
+    if (base_rate > 0.0 && base_reduction != name(opts.reduction)) {
+      std::printf("  [note] baseline throughput at depth %d was recorded "
+                  "under reduction=%s, not %s: rate gate skipped\n",
+                  depth,
+                  base_reduction.empty() ? "?" : base_reduction.c_str(),
+                  name(opts.reduction));
+    } else if (base_rate > 0.0 && !oversubscribed) {
       verify.check(rate >= base_rate * 0.7,
                    "states/sec not below baseline (30% band) at depth " +
                        std::to_string(depth));
@@ -389,7 +386,8 @@ int main(int argc, char** argv) {
       const long long base_states =
           baseline_json.empty()
               ? -1
-              : baseline_states_at_depth(baseline_json, depth);
+              : static_cast<long long>(baseline_row_double(
+                    baseline_json, "throughput", depth, "states"));
       const double base_factor =
           base_states > 0 && dpor.stats.states_visited
               ? static_cast<double>(base_states) /

@@ -87,7 +87,7 @@ void merge_best(std::vector<ComplexityReport>& best,
   }
 }
 
-/// Per-cell / per-work-item result slot; reduced in index order afterwards.
+/// Planner / per-work-item result slot; reduced in index order afterwards.
 struct CellResult {
   ExploreStats stats;
   std::vector<ComplexityReport> best;
@@ -97,11 +97,11 @@ struct CellResult {
   }
 };
 
-/// One unit of the parallel source-DPOR execution: a realizable,
-/// violation-free schedule prefix of planner picks (stored in the plan's
-/// slab arena), the sleep mask at its horizon node, and the last pick.
-/// Self-contained — any worker can claim it, reposition its private Sim,
-/// and run the subtree; race detection below the horizon is per-path
+/// One unit of the parallel execution: a realizable, violation-free
+/// schedule prefix of planner picks (stored in the plan's slab arena) and
+/// the DFS state at its horizon node — sleep mask, last pick, preemptions
+/// spent. Self-contained — any worker can claim it, reposition its private
+/// Sim, and run the subtree; race detection below the horizon is per-path
 /// (vector clocks live in the worker's own SourceDpor trace), so items
 /// share no mutable state.
 struct WorkItem {
@@ -109,52 +109,44 @@ struct WorkItem {
   std::uint32_t len = 0;
   std::uint32_t sleep = 0;
   Pid last = -1;
+  int preempt = 0;
+};
+
+/// The planner's output: the work items of one search, their prefixes
+/// stored in `arena`.
+struct Plan {
+  int horizon = 0;
+  SlabArena arena;
+  std::vector<WorkItem> items;
 };
 
 /// One DFS engine: owns the live simulation, the live accumulator, the
-/// per-cell visited table, the recycled scratch pools (branch stack,
-/// per-depth accumulator snapshots and rewind marks), and — under
-/// ReductionPolicy::SourceDpor — the per-path race detector and the
-/// per-depth backtrack masks. Descends by stepping the live sim and
+/// visited cache, the recycled scratch pools (per-depth branch masks,
+/// accumulator snapshots and rewind marks), and — in a source-DPOR worker
+/// — the per-path race detector. Descends by stepping the live sim and
 /// backtracks to per-depth RewindMarks (Sim::rewind_to_mark).
 ///
-/// Three entry points: run() walks one grid cell (policy Off), plan() is
-/// the parallel source-DPOR planner, run_item() executes one planner work
-/// item. A worker reuses one CellExplorer — and its Sim — across every
-/// item it claims.
+/// Two entry points over the one dfs(): plan() walks the top levels and
+/// emits work items, run_item() executes one item. A worker reuses one
+/// CellExplorer — and its Sim — across every item it claims.
 class CellExplorer {
  public:
   explicit CellExplorer(const Explorer::Config& cfg)
       : cfg_(cfg),
         acc_(cfg.nprocs),
-        use_scache_(cfg.limits.reduction == ReductionPolicy::SourceDpor &&
-                    cfg.limits.prune_visited) {
-    if (cfg.limits.reduction == ReductionPolicy::SourceDpor) {
-      dpor_.emplace(cfg.nprocs);
-      backtrack_.assign(
-          static_cast<std::size_t>(cfg.limits.max_depth) + 1,
-          SourceDpor::kForeignNode);
-    }
+        sleep_sets_(cfg.limits.reduction == ReductionPolicy::SourceDpor),
+        bounded_(cfg.limits.max_preemptions >= 0) {
+    backtrack_.assign(
+        static_cast<std::size_t>(std::max(cfg.limits.max_depth, 0)) + 1,
+        SourceDpor::kForeignNode);
   }
 
-  /// Grid-cell DFS (policy Off; the source-DPOR policy goes through
-  /// plan()/run_item() instead).
-  void run(const std::vector<Pid>& prefix, CellResult& out) {
-    out_ = &out;
-    begin_metrics();
-    run_cell(prefix);
-    out.stats.visited_bytes += visited_.bytes();
-    out.stats.visited_live_bytes += visited_.live_bytes();
-    flush_metrics();
-  }
-
-  /// Parallel source-DPOR, phase 1: walks the top `horizon` levels of the
-  /// tree with FULL branching over enabled-and-awake processes plus the
-  /// measurement-aware sleep transfer, emitting one WorkItem per horizon
-  /// node reached (prefix picks copied into `arena`). Runs on the calling
-  /// thread only, so every counter it touches — including the planner
-  /// levels' states/leaves/violations/sleep_blocked — is thread-count
-  /// invariant by construction.
+  /// Phase 1: walks the top `into.horizon` levels of the tree with FULL
+  /// branching over every admissible process (plus the measurement-aware
+  /// sleep transfer under SourceDpor), emitting one WorkItem per horizon
+  /// node reached. Runs on the calling thread only, so every counter it
+  /// touches — including the planner levels' states/leaves/violations/
+  /// sleep_blocked — is thread-count invariant by construction.
   ///
   /// Soundness of stopping worker race insertions at the horizon
   /// (SourceDpor::kForeignNode masks over prefix depths): full branching
@@ -163,32 +155,29 @@ class CellExplorer {
   /// reordering of the prefix a subtree race could demand is already a
   /// planner branch, or asleep and therefore covered by a same-length
   /// explored reordering (the classic sleep-set argument).
-  void plan(int horizon, SlabArena& arena, std::vector<WorkItem>& items,
-            CellResult& out) {
+  void plan(Plan& into, CellResult& out) {
     out_ = &out;
+    plan_ = &into;
     begin_metrics();
     reset_sim();
-    plan_dfs(0, /*last=*/-1, /*sleep=*/0, horizon, arena, items);
-    // The planner's sleep cache lives for the whole walk (it is what makes
-    // horizon-level re-convergence prune whole work items), so its
-    // footprint is deterministic — account it here. Worker caches are
-    // cleared per item and deliberately left out of the byte counters:
-    // their reserved capacity depends on which items a worker happened to
-    // claim, and every stat except steals/sims_built must stay
-    // thread-count invariant.
-    out.stats.visited_bytes += scache_.bytes();
-    out.stats.visited_live_bytes += scache_.live_bytes();
+    dfs(0, /*last=*/-1, /*sleep=*/0, /*preempt=*/0);
+    plan_ = nullptr;
+    // The planner's cache lives for the whole walk (it is what prunes
+    // re-convergent horizon states), so its footprint is deterministic.
+    // Worker caches are left out of the byte counters: their capacity
+    // depends on which items a worker claimed.
+    out.stats.visited_bytes += cache_.bytes();
+    out.stats.visited_live_bytes += cache_.live_bytes();
     flush_metrics();
   }
 
-  /// Parallel source-DPOR, phase 2: executes one work item. The first item
-  /// builds the worker's private Sim; later items rewind it to the run
-  /// start in place and re-step the prefix live (the planner proved it
-  /// realizable and violation-free). Prefix units join the race detector's
-  /// trace with foreign-node masks, exactly like the pre-parallel grid
-  /// path. Repositioning is part of claiming the item, not a sibling
-  /// backtrack, so it counts into neither restores nor
-  /// value_replayed_steps.
+  /// Phase 2: executes one work item. The first item builds the worker's
+  /// private Sim; later items rewind it to the run start in place and
+  /// re-step the prefix live (the planner proved it realizable and
+  /// violation-free). Under SourceDpor, prefix units join the race
+  /// detector's trace with foreign-node masks. Repositioning is part of
+  /// claiming the item, not a sibling backtrack, so it counts into neither
+  /// restores nor value_replayed_steps.
   void run_item(const WorkItem& item, CellResult& out) {
     out_ = &out;
     begin_metrics();
@@ -198,15 +187,17 @@ class CellExplorer {
       sim_->rewind_to(0);
       acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
     }
-    dpor_->clear();
-    // A fresh sleep cache per item (capacity kept). The scope carries two
-    // guarantees. Cache hits depend only on the item's own subtree, never
-    // on which items this worker ran before, so every counter derived from
-    // the pruning is identical at every thread count. And the certified
-    // values stay equal to the unreduced oracle's: the cut-point
-    // insertions at cache hits do NOT make one cache over a whole search
-    // sound (see ExploreLimits::prune_visited for the measured failure).
-    scache_.clear();
+    if (dpor_) {
+      dpor_->clear();
+    } else if (sleep_sets_) {
+      dpor_.emplace(cfg_.nprocs);  // workers only: the planner never races
+    }
+    // A fresh cache per item (capacity kept): hits depend only on the
+    // item's own subtree, so every counter is identical at every thread
+    // count; and under SourceDpor the values stay the oracle's — the
+    // cut-point insertions at hits do NOT make one cache over a whole
+    // search sound (ExploreLimits::prune_visited has the measured failure).
+    cache_.clear();
     std::fill(backtrack_.begin(), backtrack_.end(),
               SourceDpor::kForeignNode);
     nodes_ = 0;
@@ -219,89 +210,23 @@ class CellExplorer {
             "Explorer: work-item prefix diverged from the planner's run");
       }
       sim_->step(p);
-      dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
+      if (dpor_) {
+        dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
+      }
       ++depth;
     }
-    dfs_source(depth, item.last, item.sleep);
-    // Per-item flush of the race detector's counters (clear() resets
-    // them): the deltas land in the item's own slot and merge in item
-    // index order, keeping the totals thread-count invariant.
-    out.stats.races_detected += dpor_->stats().races_detected;
-    out.stats.backtrack_points += dpor_->stats().backtrack_points;
+    dfs(depth, item.last, item.sleep, item.preempt);
+    if (dpor_) {
+      // Per-item flush of the race detector's counters (clear() resets
+      // them): the deltas land in the item's own slot and merge in item
+      // index order, keeping the totals thread-count invariant.
+      out.stats.races_detected += dpor_->stats().races_detected;
+      out.stats.backtrack_points += dpor_->stats().backtrack_points;
+    }
     flush_metrics();
   }
 
  private:
-  void run_cell(const std::vector<Pid>& prefix) {
-    reset_sim();
-    int preempt = 0;
-    Pid last = -1;
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
-      const Pid p = prefix[i];
-      if (!sim_->any_runnable()) {
-        // Terminal before the frontier: exactly one cell — the one whose
-        // remaining digits are all zero — owns this leaf.
-        if (all_zero_from(prefix, i)) {
-          ++nodes_;
-          ++out_->stats.states_visited;
-          leaf_completed();
-        }
-        return;
-      }
-      if (!allowed_pick_exists(preempt, last)) {
-        // Runnable processes remain but every pick is over the preemption
-        // budget (the last-running process finished): the bounded space
-        // ends here, exactly as dfs() records it below the frontier.
-        if (all_zero_from(prefix, i)) {
-          ++nodes_;
-          ++out_->stats.states_visited;
-          leaf_truncated();
-        }
-        return;
-      }
-      if (!sim_->runnable(p)) {
-        return;  // unrealizable branch; the runnable-digit cells cover it
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (cfg_.limits.max_preemptions >= 0 &&
-          preempt + switch_cost > cfg_.limits.max_preemptions) {
-        return;  // excluded by the bound; the allowed-digit cells cover it
-      }
-      preempt += switch_cost;
-      try {
-        sim_->step(p);
-      } catch (const MutualExclusionViolation&) {
-        if (all_zero_from(prefix, i + 1)) {
-          ++out_->stats.violations;
-        }
-        return;
-      }
-      last = p;
-    }
-    dfs(static_cast<int>(prefix.size()), preempt, last);
-  }
-
-  [[nodiscard]] static bool all_zero_from(const std::vector<Pid>& prefix,
-                                          std::size_t from) {
-    return std::all_of(prefix.begin() + static_cast<std::ptrdiff_t>(from),
-                       prefix.end(), [](Pid p) { return p == 0; });
-  }
-
-  /// True iff some runnable pick fits the remaining preemption budget.
-  [[nodiscard]] bool allowed_pick_exists(int preempt, Pid last) const {
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (!sim_->runnable(p)) {
-        continue;
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (cfg_.limits.max_preemptions < 0 ||
-          preempt + switch_cost <= cfg_.limits.max_preemptions) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   void reset_sim() {
     sim_ = std::make_unique<Sim>();
     owner_ = cfg_.setup(*sim_);
@@ -340,35 +265,41 @@ class CellExplorer {
     acc_ = acc_pool_[d];  // the sink stays attached; plain-data restore
   }
 
-  [[nodiscard]] std::uint64_t state_key(Pid last) const {
+  /// Visited-cache key: state fingerprint x objective digest; the visit
+  /// mask is the cache's value dimension, not part of the key. Under a
+  /// preemption bound the last-scheduled pid is part of the state: futures
+  /// continuing it are free while switches cost budget, so merging across
+  /// different `last` would prune feasible subtrees.
+  [[nodiscard]] std::uint64_t cache_key(Pid last) const {
     std::uint64_t h = state_fingerprint(*sim_);
     if (cfg_.objective.eval) {
       h = fingerprint_combine(h, cfg_.objective.digest
                                      ? cfg_.objective.digest(acc_)
                                      : acc_.digest());
     }
-    if (cfg_.limits.max_preemptions >= 0) {
-      // Under a preemption bound the last-scheduled pid is part of the
-      // state: futures continuing it are free while switches cost budget,
-      // so merging across different `last` would prune feasible subtrees.
+    if (bounded_) {
       h = fingerprint_combine(h, static_cast<std::uint64_t>(last) + 1);
     }
     return h;
   }
 
-  /// Key for the sleep-set-aware cache (stateful source-DPOR): state
-  /// fingerprint x objective digest, WITHOUT the sleep mask — the mask is
-  /// the cache's value dimension (SleepCache subsumption), not part of the
-  /// key. No last-pid fold either: source-DPOR is Exhaustive-only, so
-  /// there is no preemption budget to make `last` state.
-  [[nodiscard]] std::uint64_t scache_key() const {
-    std::uint64_t h = state_fingerprint(*sim_);
-    if (cfg_.objective.eval) {
-      h = fingerprint_combine(h, cfg_.objective.digest
-                                     ? cfg_.objective.digest(acc_)
-                                     : acc_.digest());
+  /// Looks the node up in the visited cache and records the visit; true
+  /// (counted in pruned_visited) when a stored visit subsumes it — one
+  /// whose mask is a subset of this one's explored every behavior this
+  /// visit could (SleepCache). The mask is the sleep set (always 0 under
+  /// Off exhaustive), or under a preemption bound the budget already spent,
+  /// unary-coded, so "a stored visit had at least as much budget left" is
+  /// the same subset test.
+  [[nodiscard]] bool cache_hit(Pid last, std::uint32_t sleep, int preempt) {
+    if (!cfg_.limits.prune_visited) {
+      return false;
     }
-    return h;
+    const std::uint32_t mask = bounded_ ? (1u << preempt) - 1u : sleep;
+    if (!cache_.check_and_insert(cache_key(last), mask)) {
+      return false;
+    }
+    ++out_->stats.pruned_visited;
+    return true;
   }
 
   void eval_leaf(bool truncated) {
@@ -441,20 +372,19 @@ class CellExplorer {
     dpor_->note_cut(enabled, pend_at(depth), backtrack_);
   }
 
-  /// Node-entry outcome of classify_node: the leaf accounting shared by
-  /// every policy's DFS, with the depth-horizon cut distinguished so the
-  /// source-DPOR path can attach its cut-point insertions to it.
+  /// Node-entry outcome of classify_node, with the depth-horizon cut
+  /// distinguished so a source-DPOR worker can attach its cut-point
+  /// insertions to it.
   enum class NodeEntry : std::uint8_t {
     Interior,  ///< explore branches
     Leaf,      ///< completed run, or cut by the state budget
     DepthCut,  ///< truncated by the depth horizon
   };
 
-  /// Leaf and budget checks shared by every policy's node entry (the
-  /// single definition of the nodes_/states_visited/leaf accounting the
-  /// reduced-vs-unreduced stat comparisons rely on). The nodes_ budget
-  /// (ExploreLimits::max_states) is per engine run: per grid cell, per
-  /// planner walk, per work item.
+  /// Leaf and budget checks at node entry (the single definition of the
+  /// nodes_/states_visited/leaf accounting the reduced-vs-unreduced stat
+  /// comparisons rely on). The nodes_ budget (ExploreLimits::max_states)
+  /// is per engine run: per planner walk, per work item.
   [[nodiscard]] NodeEntry classify_node(int depth) {
     ++nodes_;
     ++out_->stats.states_visited;
@@ -478,89 +408,43 @@ class CellExplorer {
     return NodeEntry::Interior;
   }
 
-  /// The unreduced DFS (policy Off): the reference oracle, and the walk
-  /// of the preemption-bounded strategy.
-  void dfs(int depth, int preempt, Pid last) {
-    if (classify_node(depth) != NodeEntry::Interior) {
-      return;
-    }
-    const int eff_preempt = cfg_.limits.max_preemptions < 0 ? 0 : preempt;
-    if (cfg_.limits.prune_visited &&
-        visited_.check_and_insert(state_key(last), depth, eff_preempt)) {
-      ++out_->stats.pruned_visited;
-      return;
-    }
-
-    // Collect branches into the shared scratch stack (zero per-node
-    // allocation), continue-last-pid-first: the first branch descends the
-    // live sim with no restore at all, so leading with the running process
-    // makes that free descent the preemption-free spine.
-    const std::size_t base = branch_buf_.size();
-    const auto admit = [&](Pid p) {
-      if (!sim_->runnable(p)) {
-        return;
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (cfg_.limits.max_preemptions >= 0 &&
-          preempt + switch_cost > cfg_.limits.max_preemptions) {
-        return;
-      }
-      branch_buf_.push_back(p);
-    };
-    if (last != -1) {
-      admit(last);
-    }
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (p != last) {
-        admit(p);
-      }
-    }
-
-    const std::size_t nb = branch_buf_.size() - base;
-    if (nb == 0) {
-      // Runnable processes exist but every switch is over the preemption
-      // budget: the bounded space ends here.
-      leaf_truncated();
-      return;
-    }
-
-    // Node checkpoint for sibling restores (skipped for single branches:
-    // the parent restores for us).
-    if (nb > 1) {
-      capture_node(depth);
-    }
-
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (stop_) {
-        break;
-      }
-      const Pid p = branch_buf_[base + b];
-      if (b > 0) {
-        restore(depth);
-      }
-      try {
-        sim_->step(p);
-      } catch (const MutualExclusionViolation&) {
-        ++out_->stats.violations;
-        continue;  // sim is poisoned; the next iteration restores it
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      dfs(depth + 1, preempt + switch_cost, p);
-    }
-    branch_buf_.resize(base);
+  /// Continue-last-pid-first, then ascending pid: the restore-free first
+  /// descent stays on the preemption-free spine.
+  [[nodiscard]] static Pid pick(std::uint32_t mask, Pid last) {
+    return (last != -1 && ((mask >> last) & 1u) != 0)
+               ? last
+               : static_cast<Pid>(std::countr_zero(mask));
   }
 
-  /// The source-DPOR DFS (policy SourceDpor; Exhaustive only, so there is
-  /// no preemption accounting). Instead of branching on every enabled
-  /// process, the node starts from ONE seed branch and grows its backtrack
-  /// mask on demand: the race detector (por/source_dpor.h) watches every
-  /// executed unit and inserts, per race against the current path, a
-  /// source-set process at the ancestor node that ran the raced-with unit.
-  /// Sleep sets (full, measurement-aware transfer) prune the redundant
-  /// reorderings exactly as in the classic combination: explored branches
-  /// join the node's sleep mask, and the child keeps asleep every sleeper
-  /// whose captured next step is independent of the unit just taken.
-  void dfs_source(int depth, Pid last, std::uint32_t sleep) {
+  /// The one DFS, for every policy and both phases. Policy changes three
+  /// things only: (1) the branch mask a node starts from — a source-DPOR
+  /// worker seeds ONE branch and the race detector (por/source_dpor.h)
+  /// inserts more while the node's loop is suspended in recursion; the
+  /// planner, Off and Bounded take every admissible process (enabled,
+  /// awake, within the preemption budget); (2) sleep transfer — only under
+  /// SourceDpor does a child keep asleep the sleepers independent of the
+  /// unit just taken; elsewhere its sleep mask is 0; (3) the cache's visit
+  /// mask (cache_hit). A planner horizon node is emitted as a work item,
+  /// not entered: the worker's dfs classifies it, so node accounting stays
+  /// disjoint and planner-level leaves are recorded once, ever.
+  void dfs(int depth, Pid last, std::uint32_t sleep, int preempt) {
+    if (plan_ != nullptr && depth == plan_->horizon) {
+      // Stateful pruning across work items: an equal horizon state already
+      // emitted under a subsuming mask covers this one. No insertions are
+      // owed: every planner node full-branches over a maximal persistent
+      // set, so any prefix reordering a skipped subtree's race could
+      // demand is already a planner branch.
+      if (cache_hit(last, sleep, preempt)) {
+        return;
+      }
+      Pid* stored = plan_->arena.alloc<Pid>(path_.size());
+      std::copy(path_.begin(), path_.end(), stored);
+      plan_->items.push_back(WorkItem{
+          stored, static_cast<std::uint32_t>(path_.size()), sleep, last,
+          preempt});
+      ++out_->stats.work_items;
+      return;
+    }
     switch (classify_node(depth)) {
       case NodeEntry::Leaf:
         // Completed, or cut by the state budget — a budget cut leaves the
@@ -575,25 +459,21 @@ class CellExplorer {
         // buckets along the path instead. Sleeping processes are covered
         // by reorderings of equal length, so the sleep argument stands
         // and they are skipped.
-        cut_point_insertions(depth, sleep);
+        if (dpor_) {
+          cut_point_insertions(depth, sleep);
+        }
         return;
       case NodeEntry::Interior:
         break;
     }
-    // Stateful DPOR: skip the subtree when a stored visit of this state
-    // subsumes it — equal fingerprint implies equal per-process histories
-    // (so equal remaining depth and equal accumulator), and a stored sleep
-    // set S that is a subset of the current one means the stored subtree
-    // covered every behavior this visit could, so its leaves already
-    // contributed the same objective values. The one thing the skipped
-    // subtree still owes the *current* path is its race-driven backtrack
-    // insertions (they are path-dependent); the bounded-horizon cut-point
-    // insertions re-place them conservatively, exactly as at a DepthCut —
-    // enough within one work item's cache, not across a whole search (see
-    // run_item).
-    if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
-      ++out_->stats.pruned_visited;
-      cut_point_insertions(depth, sleep);
+    if (cache_hit(last, sleep, preempt)) {
+      // A skipped subtree still owes a source-DPOR worker's path its
+      // (path-dependent) race insertions; the cut-point insertions
+      // re-place them conservatively, as at a DepthCut — enough within
+      // one item's cache, not across a whole search (see run_item).
+      if (dpor_) {
+        cut_point_insertions(depth, sleep);
+      }
       return;
     }
     std::uint32_t enabled = 0;
@@ -604,43 +484,47 @@ class CellExplorer {
     }
     out_->stats.sleep_blocked +=
         static_cast<std::uint64_t>(std::popcount(enabled & sleep));
-    const std::uint32_t avail = enabled & ~sleep;
+    std::uint32_t avail = enabled & ~sleep;
     if (avail == 0) {
       // Every enabled branch is asleep: each is a reordering of an
       // explored schedule — not a leaf of the reduced tree.
       return;
     }
+    if (bounded_ && last != -1 && preempt >= cfg_.limits.max_preemptions) {
+      avail &= 1u << static_cast<unsigned>(last);  // switches over budget
+      if (avail == 0) {
+        // Runnable processes exist but every switch is over the preemption
+        // budget: the bounded space ends here.
+        leaf_truncated();
+        return;
+      }
+    }
 
-    // Seed the backtrack set with one branch, continue-last-pid-first so
-    // the restore-free first descent stays on the preemption-free spine;
-    // race insertions from the subtree grow the mask while this node's
-    // loop is suspended in recursion.
-    const Pid seed = (last != -1 && ((avail >> last) & 1u) != 0)
-                         ? last
-                         : static_cast<Pid>(std::countr_zero(avail));
-    backtrack_[static_cast<std::size_t>(depth)] =
-        1u << static_cast<unsigned>(seed);
-
-    // Node checkpoint: unlike the full-branching DFS, the branch count is
-    // not known up front (insertions arrive later), so capture always.
-    capture_node(depth);
-    capture_pendings(depth);
+    const auto d = static_cast<std::size_t>(depth);
+    backtrack_[d] = dpor_ ? 1u << static_cast<unsigned>(pick(avail, last))
+                          : avail;
+    // Node checkpoint for sibling restores. A single full-branching branch
+    // needs none (the parent restores for us); a source-DPOR worker does
+    // not know its branch count up front (insertions arrive later).
+    if (dpor_ || std::popcount(avail) > 1) {
+      capture_node(depth);
+    }
+    if (sleep_sets_) {
+      capture_pendings(depth);
+    }
 
     bool first = true;
     while (!stop_) {
-      const std::uint32_t todo =
-          backtrack_[static_cast<std::size_t>(depth)] & enabled & ~sleep;
+      const std::uint32_t todo = backtrack_[d] & enabled & ~sleep;
       if (todo == 0) {
         break;
       }
-      const Pid p = (last != -1 && ((todo >> last) & 1u) != 0)
-                        ? last
-                        : static_cast<Pid>(std::countr_zero(todo));
+      const Pid p = pick(todo, last);
       if (!first) {
         restore(depth);
       }
       first = false;
-      const std::size_t trace_len = dpor_->size();
+      const std::size_t trace_len = dpor_ ? dpor_->size() : 0;
       bool violated = false;
       try {
         sim_->step(p);
@@ -648,141 +532,37 @@ class CellExplorer {
         ++out_->stats.violations;
         violated = true;  // sim is poisoned; the next iteration restores it
       }
-      // Race-detect even the violating unit (its partial summary covers
-      // everything that took effect): the reorderings its races demand
-      // may be perfectly safe schedules.
-      dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
-      if (!violated) {
-        const std::uint32_t candidates =
-            sleep & ~(1u << static_cast<unsigned>(p));
-        const std::uint32_t child_sleep =
-            transfer_sleep(SleepSet(candidates), sim_->last_step_summary(),
-                           pend_at(depth))
-                .mask();
-        dfs_source(depth + 1, p, child_sleep);
+      if (dpor_) {
+        // Race-detect even the violating unit (its partial summary covers
+        // everything that took effect): the reorderings its races demand
+        // may be perfectly safe schedules.
+        dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
       }
-      dpor_->pop_to(trace_len);
+      if (!violated) {
+        const std::uint32_t child_sleep =
+            sleep_sets_
+                ? transfer_sleep(
+                      SleepSet(sleep & ~(1u << static_cast<unsigned>(p))),
+                      sim_->last_step_summary(), pend_at(depth))
+                      .mask()
+                : 0u;
+        path_.push_back(p);
+        dfs(depth + 1, p, child_sleep,
+            preempt + ((last != -1 && p != last) ? 1 : 0));
+        path_.pop_back();
+      }
+      if (dpor_) {
+        dpor_->pop_to(trace_len);
+      }
       // The explored (or excluded-violating) branch goes to sleep for its
       // later siblings: schedules starting with it here are covered.
       sleep |= 1u << static_cast<unsigned>(p);
     }
   }
 
-  /// The planner walk behind plan(): full branching over enabled-and-awake
-  /// processes with the measurement-aware sleep transfer — the same
-  /// reduction dfs_source applies, minus the race-driven narrowing (the
-  /// planner cannot see the workers' races, so it must branch over the
-  /// whole persistent set). Leaves/violations inside the planner levels
-  /// are recorded here, once, ever — no work item re-visits them.
-  void plan_dfs(int depth, Pid last, std::uint32_t sleep, int horizon,
-                SlabArena& arena, std::vector<WorkItem>& items) {
-    if (depth == horizon) {
-      // Stateful pruning across work items: when an equal horizon state
-      // was already emitted under a subset sleep mask, that item's subtree
-      // covers this one — skip emitting it entirely. No insertions are
-      // owed: every planner node full-branches over enabled-and-awake
-      // processes (a maximal persistent set), so any prefix reordering a
-      // skipped subtree's race could demand is already a planner branch,
-      // and the planner's own backtrack masks are never consulted.
-      if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
-        ++out_->stats.pruned_visited;
-        return;
-      }
-      // The horizon node itself belongs to the work item (the worker's
-      // dfs_source classifies it), keeping node accounting disjoint.
-      Pid* stored = arena.alloc<Pid>(path_.size());
-      std::copy(path_.begin(), path_.end(), stored);
-      items.push_back(WorkItem{stored,
-                               static_cast<std::uint32_t>(path_.size()),
-                               sleep, last});
-      ++out_->stats.work_items;
-      return;
-    }
-    switch (classify_node(depth)) {
-      case NodeEntry::Leaf:
-        return;
-      case NodeEntry::DepthCut:
-        // Unreachable (horizon <= max_depth), but keep the cut sound.
-        cut_point_insertions(depth, sleep);
-        return;
-      case NodeEntry::Interior:
-        break;
-    }
-    // Stateful pruning of planner-level re-convergence: same subsumption
-    // rule as dfs_source, same no-insertions-owed argument as the horizon
-    // check above (planner nodes full-branch over a maximal persistent
-    // set). A hit prunes every work item the subtree would have emitted.
-    if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
-      ++out_->stats.pruned_visited;
-      return;
-    }
-    std::uint32_t enabled = 0;
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (sim_->runnable(p)) {
-        enabled |= 1u << static_cast<unsigned>(p);
-      }
-    }
-    out_->stats.sleep_blocked +=
-        static_cast<std::uint64_t>(std::popcount(enabled & sleep));
-    const std::uint32_t avail = enabled & ~sleep;
-    if (avail == 0) {
-      return;  // every enabled branch asleep: covered by reorderings
-    }
-
-    // Full branching, continue-last-pid-first then ascending pid — the
-    // same deterministic order the other walks use.
-    const std::size_t base = branch_buf_.size();
-    if (last != -1 && ((avail >> last) & 1u) != 0) {
-      branch_buf_.push_back(last);
-    }
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (p != last && ((avail >> p) & 1u) != 0) {
-        branch_buf_.push_back(p);
-      }
-    }
-    const std::size_t nb = branch_buf_.size() - base;
-
-    if (nb > 1) {
-      capture_node(depth);
-    }
-    capture_pendings(depth);
-
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (stop_) {
-        break;
-      }
-      const Pid p = branch_buf_[base + b];
-      if (b > 0) {
-        restore(depth);
-      }
-      bool violated = false;
-      try {
-        sim_->step(p);
-      } catch (const MutualExclusionViolation&) {
-        ++out_->stats.violations;
-        violated = true;  // sim is poisoned; the next iteration restores it
-      }
-      if (!violated) {
-        const std::uint32_t candidates =
-            sleep & ~(1u << static_cast<unsigned>(p));
-        const std::uint32_t child_sleep =
-            transfer_sleep(SleepSet(candidates), sim_->last_step_summary(),
-                           pend_at(depth))
-                .mask();
-        path_.push_back(p);
-        plan_dfs(depth + 1, p, child_sleep, horizon, arena, items);
-        path_.pop_back();
-      }
-      // Explored (or excluded-violating) branches sleep for later
-      // siblings, exactly as in dfs_source.
-      sleep |= 1u << static_cast<unsigned>(p);
-    }
-    branch_buf_.resize(base);
-  }
-
   /// Starts a fresh metric epoch for the engine run about to begin (the
-  /// flush cursor tracks out_->stats, which each run/plan/run_item starts
-  /// from zero).
+  /// flush cursor tracks out_->stats, which each plan/run_item starts from
+  /// zero).
   void begin_metrics() { flushed_ = ExploreStats{}; }
 
   /// Exports the counter growth since the last flush into the global
@@ -808,21 +588,19 @@ class CellExplorer {
     bump(obs::Metric::races_detected, &ExploreStats::races_detected);
     bump(obs::Metric::backtrack_points, &ExploreStats::backtrack_points);
     bump(obs::Metric::restore_marks, &ExploreStats::restore_marks);
-    m.set_max(obs::Metric::visited_live_bytes,
-              use_scache_ ? scache_.live_bytes() : visited_.live_bytes());
+    m.set_max(obs::Metric::visited_live_bytes, cache_.live_bytes());
   }
 
   const Explorer::Config& cfg_;
   CellResult* out_ = nullptr;
+  Plan* plan_ = nullptr;  ///< set while plan() walks; null in workers
   std::unique_ptr<Sim> sim_;
   std::shared_ptr<void> owner_;
   MeasureAccumulator acc_;
-  VisitedTable visited_;
-  /// Stateful source-DPOR only (use_scache_): the sleep-set-aware cache.
-  /// Planner: one cache across the whole walk. Worker: cleared per item.
-  SleepCache scache_;
-  std::vector<Pid> branch_buf_;  ///< shared branch scratch stack
-  std::vector<Pid> path_;        ///< planner: picks along the current path
+  /// The visited cache. Planner: one cache across the whole walk. Worker:
+  /// cleared per item.
+  SleepCache cache_;
+  std::vector<Pid> path_;  ///< picks along the current path (planner prefixes)
   /// Flat per-depth pending captures (capture_pendings / pend_at): one
   /// contiguous slab instead of a kMaxPorProcs array per recursion frame.
   std::vector<NextStep> pend_pool_;
@@ -832,11 +610,13 @@ class CellExplorer {
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
   ExploreStats flushed_;  ///< metric-flush cursor (see flush_metrics)
   bool stop_ = false;
-  bool use_scache_ = false;
-  /// SourceDpor only: the race detector over the current path and the
-  /// per-depth node backtrack masks it inserts into (prefix depths hold
-  /// the foreign-node sentinel).
+  bool sleep_sets_ = false;  ///< SourceDpor: sleep transfer + pend captures
+  bool bounded_ = false;     ///< a preemption budget applies
+  /// Source-DPOR workers only: the race detector over the current path.
   std::optional<SourceDpor> dpor_;
+  /// Per-depth node branch masks: the full admissible set, or — in a
+  /// source-DPOR worker — the seed branch plus the detector's insertions
+  /// (prefix depths hold the foreign-node sentinel).
   std::vector<std::uint32_t> backtrack_;
 };
 
@@ -862,36 +642,43 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument(
         "Explorer: Bounded strategy requires limits.max_preemptions >= 0");
   }
-  if (cfg_.limits.reduction != ReductionPolicy::Off) {
-    if (cfg_.strategy != SearchStrategy::Exhaustive) {
-      // Under a preemption budget a sleeping branch's covering reordering
-      // may itself be out of budget, so the reduction would cut feasible
-      // space; restrict it to the strategy it is defined for.
-      throw std::invalid_argument(
-          "Explorer: partial-order reduction requires the Exhaustive "
-          "strategy");
-    }
+  if (cfg_.limits.reduction != ReductionPolicy::Off &&
+      cfg_.strategy != SearchStrategy::Exhaustive) {
+    // Under a preemption budget a sleeping branch's covering reordering
+    // may itself be out of budget, so the reduction would cut feasible
+    // space; restrict it to the strategy it is defined for.
+    throw std::invalid_argument(
+        "Explorer: partial-order reduction requires the Exhaustive "
+        "strategy");
+  }
+  if (cfg_.strategy != SearchStrategy::Random) {
+    // The DFS keeps branch masks and cache visit masks (sleep sets, or the
+    // unary-coded preemptions spent) in 32 bits.
     if (cfg_.nprocs > kMaxPorProcs) {
       throw std::invalid_argument(
-          "Explorer: partial-order reduction supports at most 32 processes");
+          "Explorer: DFS strategies support at most 32 processes");
+    }
+    if (cfg_.limits.max_preemptions > 31) {
+      throw std::invalid_argument(
+          "Explorer: limits.max_preemptions must be <= 31");
     }
   }
 }
 
 namespace {
 
-/// Hard cap on the cell grid / planner fan-out; n^f is clamped under it.
+/// Hard cap on the planner fan-out; n^f is clamped under it.
 constexpr std::size_t kFrontierCellCap = 4096;
 
-/// Frontier split depth f: prefixes of f picks form the cell grid of
-/// n^f cells (policy Off) or the planner horizon (source-DPOR), capped
-/// so wide process counts cannot explode — or overflow — the cell count.
-/// Depends only on (n, frontier_depth): thread-count invariant. A clamp
-/// below the requested depth logs a one-shot warning AND reports through
-/// `clamped` so ExploreStats::frontier_clamped (and the study JSON) make
-/// the coarser fan-out machine-readable.
+/// Planner horizon f: the top f levels are walked sequentially and every
+/// node at depth f becomes a work item — at most n^f of them, so f is
+/// capped to keep wide process counts from exploding (or overflowing) the
+/// fan-out. Depends only on (n, frontier_depth): thread-count invariant. A
+/// clamp below the requested depth logs a one-shot warning AND reports
+/// through `clamped` so ExploreStats::frontier_clamped (and the study
+/// JSON) make the coarser fan-out machine-readable.
 int frontier_split_depth(int nprocs, const ExploreLimits& limits,
-                         bool* clamped = nullptr) {
+                         bool* clamped) {
   const int want_f = std::clamp(limits.frontier_depth, 0, limits.max_depth);
   // Division instead of multiplication: overflow-proof for any nprocs.
   const std::size_t max_cells =
@@ -903,92 +690,44 @@ int frontier_split_depth(int nprocs, const ExploreLimits& limits,
     ++f;
   }
   if (f < want_f) {
-    if (clamped != nullptr) {
-      *clamped = true;
-    }
+    *clamped = true;
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "cfc: Explorer frontier depth clamped from %d to %d "
-                   "(%d^%d cells would exceed the %zu-cell cap)\n",
+                   "(%d^%d work items would exceed the %zu cap)\n",
                    want_f, f, nprocs, want_f, kFrontierCellCap);
     }
   }
   return f;
 }
 
-std::size_t cells_for_depth(int nprocs, int f) {
-  std::size_t cells = 1;
-  for (int i = 0; i < f; ++i) {
-    cells *= static_cast<std::size_t>(nprocs);
-  }
-  return cells;
-}
-
 }  // namespace
-
-std::size_t Explorer::frontier_cells(int nprocs,
-                                     const ExploreLimits& limits) {
-  return cells_for_depth(nprocs, frontier_split_depth(nprocs, limits));
-}
 
 Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   if (cfg_.strategy == SearchStrategy::Random) {
     return run_random_strategy(runner);
   }
-  if (cfg_.limits.reduction == ReductionPolicy::SourceDpor) {
-    return run_source_dpor(runner);
-  }
-
-  const int n = cfg_.nprocs;
   bool clamped = false;
-  const int f = frontier_split_depth(n, cfg_.limits, &clamped);
-  const std::size_t cells = cells_for_depth(n, f);
+  Plan plan;
+  plan.horizon = frontier_split_depth(cfg_.nprocs, cfg_.limits, &clamped);
 
-  std::vector<CellResult> slots(cells);
-  runner_or_shared(runner).parallel_for(cells, [&](std::size_t c) {
-    std::vector<Pid> prefix(static_cast<std::size_t>(f));
-    std::size_t x = c;
-    for (int i = f - 1; i >= 0; --i) {
-      prefix[static_cast<std::size_t>(i)] = static_cast<Pid>(
-          x % static_cast<std::size_t>(n));
-      x /= static_cast<std::size_t>(n);
-    }
-    const obs::TraceSpan cell_span("explorer.cell");
-    CellExplorer cell(cfg_);
-    cell.run(prefix, slots[c]);
-  });
-
-  Result res;
-  res.stats.frontier_clamped = clamped;
-  for (const CellResult& slot : slots) {  // index order: deterministic
-    res.stats.merge(slot.stats);
-    merge_best(res.best, slot.best);
-  }
-  return res;
-}
-
-Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
-  bool clamped = false;
-  const int f = frontier_split_depth(cfg_.nprocs, cfg_.limits, &clamped);
-
-  // Phase 1 — sequential planner: full-branching walk (mod sleep) of the
-  // top f levels, emitting one self-contained work item per horizon node.
-  // Everything the planner counts is thread-count invariant because only
-  // the calling thread runs it.
-  SlabArena arena;
-  std::vector<WorkItem> items;
+  // Phase 1 — sequential planner: full-branching walk of the top levels,
+  // emitting one self-contained work item per horizon node. Everything the
+  // planner counts is thread-count invariant because only the calling
+  // thread runs it.
   CellResult planner_slot;
   {
     const obs::TraceSpan plan_span("explorer.plan");
     CellExplorer planner(cfg_);
-    planner.plan(f, arena, items, planner_slot);
+    planner.plan(plan, planner_slot);
   }
+  const std::vector<WorkItem>& items = plan.items;
   {
     obs::MetricRegistry& m = obs::MetricRegistry::global();
     if (m.enabled()) {
       m.add(obs::Metric::work_items, items.size());
-      m.set_max(obs::Metric::slab_bytes, arena.bytes_reserved());
+      m.set_max(obs::Metric::slab_bytes, plan.arena.bytes_reserved());
     }
   }
 
@@ -997,16 +736,10 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
   // (fetch_add claims), then sweeps the other queues for leftovers. Each
   // worker owns one private Sim + CellExplorer reused across its items and
   // accumulates each item into a worker-LOCAL result, published to the
-  // item's shared slot once at item end: the per-node stat increments were
-  // previously direct writes through the slots array, whose adjacent
-  // ~200-byte entries share cache lines — under the old round-robin deal
-  // every neighbour belonged to a different worker, and the resulting
-  // false sharing on the hottest counters (states_visited bumps on every
-  // DFS node) cost more than the parallelism bought back (the measured
-  // threads=4 < threads=1 regression on the scaling bench). The slot
-  // merge below runs in item index order — the totals cannot depend on
-  // which worker ran what, only `steals` (and sims_built) reflect the
-  // scheduling.
+  // item's shared slot once at item end (per-node writes through the
+  // adjacent slots false-shared cache lines and cost more than the
+  // parallelism bought back). The slot merge runs in item index order, so
+  // only `steals` and sims_built reflect the scheduling.
   std::vector<CellResult> slots(items.size());
   std::atomic<std::uint64_t> steals{0};
   if (!items.empty()) {

@@ -36,9 +36,10 @@ enum class SearchStrategy : std::uint8_t {
 /// schedules whose values are provably duplicated by an explored one —
 /// which the POR differential suite asserts for every registry algorithm.
 enum class ReductionPolicy : std::uint8_t {
-  /// No reduction: every interleaving within the bounds. The reference
-  /// oracle the reduced search is differentially tested against, and the
-  /// only policy the Bounded strategy accepts.
+  /// No reduction: every admissible process is a branch at every node,
+  /// with the plain visited cache. The reference oracle the reduced search
+  /// is differentially tested against, and the only policy the Bounded
+  /// strategy accepts.
   Off,
   /// Source-DPOR (por/source_dpor.h): full sleep sets under the
   /// measurement-aware dependence relation (por/dependence.h — register
@@ -64,28 +65,30 @@ struct ExploreLimits {
   int max_depth = 48;
   /// Context switches per path; -1 = unlimited (Exhaustive).
   int max_preemptions = -1;
-  /// DFS node budget *per engine run* — per frontier cell, and under the
-  /// parallel source-DPOR path per planner walk / per work item; 0 =
-  /// unlimited. Exceeding it cuts the search (result no longer certified;
-  /// ExploreStats::truncated).
+  /// DFS node budget *per engine run* — per planner walk and per work
+  /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
+  /// certified; ExploreStats::truncated).
   std::uint64_t max_states = 0;
-  /// Depth of the parallel frontier split: prefixes of this many picks are
-  /// distributed over the ExperimentRunner as independent cells. Fixed per
-  /// configuration (never derived from the thread count), so results are
-  /// bit-identical for every thread count.
+  /// Planner horizon of the parallel fan-out: the top this-many levels are
+  /// walked sequentially and every node reached at that depth becomes a
+  /// work item for the ExperimentRunner's workers (every DFS policy).
+  /// Fixed per configuration (never derived from the thread count), so
+  /// results are bit-identical for every thread count.
   int frontier_depth = 4;
-  /// Visited-state pruning (on by default). Under Off: a dominance cache
-  /// per frontier cell, keyed on core/state_fingerprint x the objective
-  /// digest. Under SourceDpor: the sleep-set-aware cache (stateful DPOR)
-  /// — a revisit is skipped only when a stored visit's sleep set is a
-  /// subset of the current one, and every skip runs the bounded-horizon
-  /// cut-point insertions (SourceDpor::note_cut) at the pruned node.
-  /// Those insertions do NOT make one cache over a whole search sound: the
-  /// planner keeps one cache for its walk, but every work item starts from
-  /// an empty one, and that per-item scope is load-bearing for the values,
-  /// not only for thread-count invariance. With frontier_depth = 0 (one
-  /// work item, one cache) kessels-2p n=2 d20 certifies entry [4,4]
-  /// against the Off oracle's [17,4]; with pruning off it matches.
+  /// Visited-state pruning (on by default): one sleep-set-aware cache
+  /// (SleepCache) keyed on core/state_fingerprint x the objective digest
+  /// (x the last pid under a preemption bound). A revisit is skipped only
+  /// when a stored visit's mask is a subset of the current one: the sleep
+  /// set under SourceDpor (stateful DPOR), the unary-coded preemptions
+  /// spent under Bounded, 0 under Off. The planner keeps one cache for its
+  /// walk; every work item starts from an empty one. Under SourceDpor
+  /// every skip also runs the bounded-horizon cut-point insertions
+  /// (SourceDpor::note_cut) at the pruned node, and those do NOT make one
+  /// cache over a whole search sound: the per-item scope is load-bearing
+  /// for the values, not only for thread-count invariance. With
+  /// frontier_depth = 0 (one work item, one cache) kessels-2p n=2 d20
+  /// certifies entry [4,4] against the Off oracle's [17,4]; with pruning
+  /// off it matches. false runs every policy with no cache at all.
   bool prune_visited = true;
   /// The partial-order reduction applied to Exhaustive searches (src/por/;
   /// see ReductionPolicy). Off by default at this layer; the Study layer
@@ -119,7 +122,7 @@ struct ExploreLimits {
   X(visited_live_bytes)
 
 struct ExploreStats {
-  std::uint64_t states_visited = 0;  ///< DFS nodes entered (all cells)
+  std::uint64_t states_visited = 0;  ///< DFS nodes entered (planner + items)
   std::uint64_t runs_completed = 0;  ///< leaves with no runnable process
   std::uint64_t runs_truncated = 0;  ///< leaves cut by depth/preemption/state budget
   std::uint64_t pruned_visited = 0;  ///< subtrees skipped by the state cache
@@ -134,31 +137,36 @@ struct ExploreStats {
   /// register traffic, no measurement events. No unit re-executes live.
   std::uint64_t value_replayed_steps = 0;
   std::uint64_t restore_marks = 0;   ///< RewindMarks captured at branching nodes
-  /// --- Parallel source-DPOR counters. ---
+  /// --- Parallel fan-out counters. ---
   /// Work items the planner emitted (horizon subtrees fanned over the
-  /// worker pool). Thread-count invariant, like every counter above.
+  /// worker pool), under every DFS policy. Thread-count invariant, like
+  /// every counter above.
   std::uint64_t work_items = 0;
-  /// Work items a worker claimed from another worker's queue. The ONE
-  /// deliberately thread-dependent counter (with sims_built, which counts
-  /// one private Sim per pool worker): it reports scheduler behaviour,
-  /// not search shape, and is excluded from the study JSON and from the
-  /// bit-identity gates.
+  /// Work items a worker claimed from another worker's queue. One of the
+  /// two deliberately thread-dependent counters: it reports scheduler
+  /// behaviour, not search shape, and is excluded from the study JSON and
+  /// from the bit-identity gates.
   std::uint64_t steals = 0;
-  std::uint64_t sims_built = 0;      ///< Sim constructions + setup executions
-  std::uint64_t visited_bytes = 0;   ///< bytes reserved by the visited tables
-  /// Bytes of *live* visited-table entries (occupied slots + live spill
+  /// Sim constructions + setup executions: the planner's one, plus one
+  /// per pool worker that claimed an item (Random: one per seed). The
+  /// other thread-dependent counter, excluded like steals.
+  std::uint64_t sims_built = 0;
+  std::uint64_t visited_bytes = 0;   ///< bytes reserved by the planner's cache
+  /// Bytes of *live* planner-cache entries (occupied slots + live spill
   /// nodes); visited_bytes reports reserved capacity, including the spill
-  /// freelist — the bench memory column shows both.
+  /// freelist — the bench memory column shows both. Worker caches are
+  /// cleared per item and not counted (their capacity is thread-dependent).
   std::uint64_t visited_live_bytes = 0;
   /// True iff some path was cut off before terminating: the objective max
   /// is certified only over the explored bounded space. (For waiting
   /// algorithms, whose schedule space is infinite, this is unavoidable.)
   bool truncated = false;
-  /// True iff a cell hit max_states: the *bounded* space itself was not
-  /// fully covered, so the result is not certified even within the bounds.
+  /// True iff an engine run hit max_states: the *bounded* space itself was
+  /// not fully covered, so the result is not certified even within the
+  /// bounds.
   bool state_budget_hit = false;
   /// True iff the frontier split depth was clamped below the requested
-  /// frontier_depth by the cell cap (n^f would exceed it). Advisory — the
+  /// frontier_depth by the fan-out cap (n^f would exceed it). Advisory — the
   /// search is still complete, just with a coarser parallel fan-out — but
   /// machine-readable here and in the study JSON instead of only a
   /// one-shot stderr warning.
@@ -201,10 +209,14 @@ struct ExploreObjective {
 /// backtracking, and visited-state pruning — the schedule-space
 /// exploration engine behind the certified worst-case searches.
 ///
-/// One reduction, one oracle: an Exhaustive search runs either SourceDpor
-/// (a sequential planner fanning work items over a work-stealing pool,
-/// each item a stateful source-DPOR walk) or Off (the unreduced reference
-/// oracle, a grid of frontier cells — also the Bounded strategy's walk).
+/// One DFS, one fan-out: every Exhaustive and Bounded search runs the same
+/// walk — a sequential planner over the top frontier_depth levels emitting
+/// work items, executed on a work-stealing pool. The policy only picks a
+/// node's starting branch mask (SourceDpor workers: one seed branch grown
+/// by race-driven insertions; the planner, Off and Bounded: every
+/// admissible process), whether sleep sets transfer to children (SourceDpor
+/// only), and the visited cache's visit mask (ExploreLimits::prune_visited).
+/// Off, the unreduced reference oracle, is also the Bounded strategy's walk.
 ///
 /// Mechanics: each engine keeps ONE live simulation and descends by
 /// stepping it, ordering branches continue-last-pid-first so the
@@ -217,10 +229,10 @@ struct ExploreObjective {
 /// are value-replayed) and restores the accumulator by assignment. Steady
 /// state, a restore performs zero Sim heap allocation.
 ///
-/// Parallelism: prefixes of frontier_depth picks partition the tree into
-/// independent subtrees, fanned over an ExperimentRunner; per-cell results
-/// reduce in index order, so reports are bit-identical for every thread
-/// count.
+/// Parallelism: the planner's work items partition the tree below its
+/// horizon into independent subtrees, claimed by ExperimentRunner workers;
+/// per-item results reduce in item index order, so reports (every counter
+/// but steals/sims_built) are bit-identical for every thread count.
 class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle
@@ -248,26 +260,13 @@ class Explorer {
 
   explicit Explorer(Config cfg);
 
-  /// Number of frontier cells a DFS run partitions into: n^f with f the
-  /// (clamped, cap-limited, overflow-guarded) frontier depth. The single
-  /// definition behind run()'s cell grid for the Off policy, which builds
-  /// exactly this many Sims (ExploreStats::sims_built). Under SourceDpor
-  /// the same f is the planner horizon instead: work items number at most
-  /// n^f (sleep pruning drops covered prefix orderings) and sims_built is
-  /// one planner Sim plus one per pool worker.
-  [[nodiscard]] static std::size_t frontier_cells(int nprocs,
-                                                  const ExploreLimits& limits);
-
-  /// Runs the exploration. `runner == nullptr` uses the shared pool.
+  /// Runs the exploration: Random runs one schedule per seed; Exhaustive
+  /// and Bounded run the planner, then the work items on a work-stealing
+  /// pool. `runner == nullptr` uses the shared pool.
   [[nodiscard]] Result run(ExperimentRunner* runner = nullptr) const;
 
  private:
   [[nodiscard]] Result run_random_strategy(ExperimentRunner* runner) const;
-  /// The parallel source-DPOR path: a sequential planner fans the top f
-  /// levels into self-contained work items, executed by a work-stealing
-  /// worker pool; results merge in item index order, so everything except
-  /// steals/sims_built is bit-identical at every thread count.
-  [[nodiscard]] Result run_source_dpor(ExperimentRunner* runner) const;
 
   Config cfg_;
 };

@@ -15,7 +15,7 @@ namespace cfc {
 /// alloc() returns stays valid for the arena's lifetime; reset() rewinds
 /// the bump cursor and reuses the blocks wholesale (steady state, zero
 /// heap traffic). Single-owner, not thread-safe: each user — the parallel
-/// planner's work-item prefixes, a VisitedTable's spill pool — owns its
+/// planner's work-item prefixes, a SleepCache's spill pool — owns its
 /// own arena.
 class SlabArena {
  public:

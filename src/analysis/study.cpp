@@ -184,7 +184,7 @@ class MeasureTask {
   virtual ~MeasureTask() = default;
 
   [[nodiscard]] virtual std::size_t cell_count() const = 0;
-  virtual void run_cell(std::size_t i, ExperimentRunner& runner) = 0;
+  virtual void measure_cell(std::size_t i, ExperimentRunner& runner) = 0;
   virtual void reduce() = 0;
   /// Writes the task's reduced measurements into the study result.
   virtual void apply(StudyResult& out) const = 0;
@@ -233,7 +233,7 @@ class MutexCfTask final : public MeasureTask {
     return cells_.size();
   }
 
-  void run_cell(std::size_t i, ExperimentRunner&) override {
+  void measure_cell(std::size_t i, ExperimentRunner&) override {
     const Pid pid = static_cast<Pid>(i);
     Sim sim;
     sim.set_trace_recording(false);
@@ -306,7 +306,7 @@ class MutexWcTask final : public MeasureTask {
 
   [[nodiscard]] std::size_t cell_count() const override { return 1; }
 
-  void run_cell(std::size_t, ExperimentRunner& runner) override {
+  void measure_cell(std::size_t, ExperimentRunner& runner) override {
     Explorer::Config cfg;
     cfg.nprocs = n_;
     cfg.strategy = options_.strategy;
@@ -406,7 +406,7 @@ class DetectorCfTask final : public MeasureTask {
     return cells_.size();
   }
 
-  void run_cell(std::size_t i, ExperimentRunner&) override {
+  void measure_cell(std::size_t i, ExperimentRunner&) override {
     const Pid pid = static_cast<Pid>(i);
     SoloScheduler solo(pid);
     cells_[i] = detail::run_detector_cell(
@@ -440,7 +440,7 @@ class DetectorWcTask final : public MeasureTask {
 
   [[nodiscard]] std::size_t cell_count() const override { return 1; }
 
-  void run_cell(std::size_t, ExperimentRunner& runner) override {
+  void measure_cell(std::size_t, ExperimentRunner& runner) override {
     Explorer::Config cfg;
     cfg.nprocs = n_;
     cfg.strategy = options_.strategy;
@@ -524,7 +524,7 @@ class NamingTask final : public MeasureTask {
     return cells_.size();
   }
 
-  void run_cell(std::size_t i, ExperimentRunner&) override {
+  void measure_cell(std::size_t i, ExperimentRunner&) override {
     Sim sim;
     auto alg = setup_naming(sim, make_, n_);
     bool cut = false;  // budget exhausted: surfaced as truncated below
@@ -899,7 +899,7 @@ std::vector<StudyResult> Campaign::run(ExperimentRunner* runner,
   engine.parallel_for(flat.size(), [&](std::size_t i) {
     const obs::TraceSpan cell_span("campaign.cell");
     const auto t0 = std::chrono::steady_clock::now();
-    flat[i].first->run_cell(flat[i].second, engine);
+    flat[i].first->measure_cell(flat[i].second, engine);
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

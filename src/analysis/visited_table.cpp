@@ -1,7 +1,6 @@
 #include "analysis/visited_table.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace cfc {
@@ -10,166 +9,14 @@ namespace {
 
 constexpr std::size_t kInitialCapacity = 64;  // power of two
 
-/// Key 0 marks an empty slot in both tables; remap the (astronomically
-/// unlikely) fingerprint 0 to a fixed constant.
+/// Key 0 marks an empty slot; remap the (astronomically unlikely)
+/// fingerprint 0 to a fixed constant — the cache is already approximate
+/// at 64-bit-collision fidelity.
 constexpr std::uint64_t normalize_key(std::uint64_t key) {
   return key == 0 ? 0x9e3779b97f4a7c15ULL : key;
 }
 
-/// (depth, preempt) packed as depth<<16 | preempt.
-constexpr std::uint32_t pack(int depth, int preempt) {
-  return (static_cast<std::uint32_t>(depth) << 16) |
-         static_cast<std::uint32_t>(preempt);
-}
-constexpr int unpack_depth(std::uint32_t p) { return static_cast<int>(p >> 16); }
-constexpr int unpack_preempt(std::uint32_t p) {
-  return static_cast<int>(p & 0xffffu);
-}
-
 }  // namespace
-
-std::uint64_t VisitedTable::normalize(std::uint64_t key) {
-  // Key 0 marks an empty slot; remap the (astronomically unlikely)
-  // fingerprint 0 to a fixed constant — the cache is already approximate
-  // at 64-bit-collision fidelity.
-  return key == 0 ? 0x9e3779b97f4a7c15ULL : key;
-}
-
-std::size_t VisitedTable::find_slot(std::uint64_t key) const {
-  // Power-of-two capacity: mask instead of modulo, linear probing. The
-  // caller guarantees a free or matching slot exists (load factor < 1).
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = (key * 0x9e3779b97f4a7c15ULL) & mask;
-  while (slots_[i].key != 0 && slots_[i].key != key) {
-    i = (i + 1) & mask;
-  }
-  return i;
-}
-
-void VisitedTable::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? kInitialCapacity : old.size() * 2, Slot{});
-  for (const Slot& s : old) {
-    if (s.key != 0) {
-      // Spill chains move with the slot: the nodes live in the arena, so
-      // their addresses survive the rehash.
-      slots_[find_slot(s.key)] = s;
-    }
-  }
-}
-
-void VisitedTable::spill_push(Slot& slot, std::uint32_t pair) {
-  SpillNode* node;
-  if (spill_free_ != nullptr) {
-    node = spill_free_;
-    spill_free_ = node->next;
-  } else {
-    node = spill_arena_.alloc<SpillNode>(1);
-  }
-  node->pair = pair;
-  node->next = slot.spill_head;
-  slot.spill_head = node;
-  ++spill_live_;
-}
-
-bool VisitedTable::slot_dominates(const Slot& slot, int depth,
-                                  int preempt) const {
-  const auto dominates = [&](std::uint32_t p) {
-    return p != kNoPair && unpack_depth(p) <= depth &&
-           unpack_preempt(p) <= preempt;
-  };
-  for (const std::uint32_t p : slot.inline_pairs) {
-    if (dominates(p)) {
-      return true;
-    }
-  }
-  for (const SpillNode* n = slot.spill_head; n != nullptr; n = n->next) {
-    if (dominates(n->pair)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool VisitedTable::dominated(std::uint64_t raw_key, int depth,
-                             int preempt) const {
-  if (slots_.empty()) {
-    return false;
-  }
-  const std::uint64_t key = normalize(raw_key);
-  const Slot& slot = slots_[find_slot(key)];
-  return slot.key == key && slot_dominates(slot, depth, preempt);
-}
-
-void VisitedTable::insert(std::uint64_t raw_key, int depth, int preempt) {
-  if (depth < 0 || depth > 0xffff || preempt < 0 || preempt > 0xffff) {
-    throw std::out_of_range("VisitedTable: depth/preempt must fit 16 bits");
-  }
-  if (slots_.empty() || used_ * 10 >= slots_.size() * 7) {
-    grow();
-  }
-  const std::uint64_t key = normalize(raw_key);
-  insert_into(slots_[find_slot(key)], key, depth, preempt);
-}
-
-bool VisitedTable::check_and_insert(std::uint64_t raw_key, int depth,
-                                    int preempt) {
-  if (depth < 0 || depth > 0xffff || preempt < 0 || preempt > 0xffff) {
-    throw std::out_of_range("VisitedTable: depth/preempt must fit 16 bits");
-  }
-  if (slots_.empty() || used_ * 10 >= slots_.size() * 7) {
-    grow();
-  }
-  const std::uint64_t key = normalize(raw_key);
-  Slot& slot = slots_[find_slot(key)];
-  if (slot.key == key && slot_dominates(slot, depth, preempt)) {
-    return true;
-  }
-  insert_into(slot, key, depth, preempt);
-  return false;
-}
-
-void VisitedTable::insert_into(Slot& slot, std::uint64_t key, int depth,
-                               int preempt) {
-  if (slot.key == 0) {
-    slot.key = key;
-    ++used_;
-  }
-
-  // Drop stored pairs the new visit dominates (depth' >= depth and
-  // preempt' >= preempt) so the antichain stays minimal.
-  const std::uint32_t fresh = pack(depth, preempt);
-  const auto is_dominated = [&](std::uint32_t p) {
-    return unpack_depth(p) >= depth && unpack_preempt(p) >= preempt;
-  };
-  for (std::uint32_t& p : slot.inline_pairs) {
-    if (p != kNoPair && is_dominated(p)) {
-      p = kNoPair;
-    }
-  }
-  SpillNode** link = &slot.spill_head;
-  while (*link != nullptr) {
-    SpillNode* node = *link;
-    if (is_dominated(node->pair)) {
-      *link = node->next;
-      node->next = spill_free_;
-      spill_free_ = node;
-      --spill_live_;
-    } else {
-      link = &node->next;
-    }
-  }
-
-  for (std::uint32_t& p : slot.inline_pairs) {
-    if (p == kNoPair) {
-      p = fresh;
-      return;
-    }
-  }
-  spill_push(slot, fresh);
-}
-
-// ----------------------------------------------------------- SleepCache
 
 std::size_t SleepCache::find_slot(std::uint64_t key) const {
   const std::size_t mask = slots_.size() - 1;
@@ -304,15 +151,6 @@ std::size_t SleepCache::bytes() const {
 }
 
 std::size_t SleepCache::live_bytes() const {
-  return used_ * sizeof(Slot) + spill_live_ * sizeof(SpillNode);
-}
-
-std::size_t VisitedTable::bytes() const {
-  return slots_.capacity() * sizeof(Slot) +
-         static_cast<std::size_t>(spill_arena_.bytes_reserved());
-}
-
-std::size_t VisitedTable::live_bytes() const {
   return used_ * sizeof(Slot) + spill_live_ * sizeof(SpillNode);
 }
 

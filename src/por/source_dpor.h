@@ -44,8 +44,8 @@ namespace cfc {
 class SourceDpor {
  public:
   /// Sentinel backtrack mask for node depths the caller does not own
-  /// (the explorer's frontier prefix: every alternative ordering there is
-  /// its own frontier cell). A full mask always intersects I(v), so no
+  /// (the explorer's work-item prefix: the planner branched on every
+  /// alternative ordering there). A full mask always intersects I(v), so no
   /// insertion is ever attempted against it.
   static constexpr std::uint32_t kForeignNode = 0xffffffffu;
 
@@ -85,7 +85,7 @@ class SourceDpor {
   /// Drops every unit recorded beyond trace length `len` (DFS backtrack).
   void pop_to(std::size_t len);
 
-  /// Full reset for a fresh frontier cell.
+  /// Full reset for a fresh work item.
   void clear();
 
   [[nodiscard]] std::size_t size() const { return trace_.size(); }

@@ -20,8 +20,8 @@ namespace cfc {
 /// frame of a size seen before is recycled with two pointer moves.
 ///
 /// Threading: an arena serves ONE thread at a time (the explorer keeps one
-/// Sim — and with it one arena — per frontier cell, each driven by a single
-/// worker). The active arena is published through a thread-local pointer
+/// Sim — and with it one arena — for its planner and one per pool worker,
+/// each driven by a single thread). The active arena is published through a thread-local pointer
 /// (FrameArena::Scope); Task<T>'s promise operator new consults it, so
 /// every coroutine frame created while a Sim is stepping lands in that
 /// Sim's arena. Frames created with no active arena fall back to the

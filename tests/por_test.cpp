@@ -342,12 +342,14 @@ std::string study_json_at(const StudySpec& spec, int threads) {
 
 /// Runs the spec at threads 1 (the reference engine) and 2/4/8 and
 /// asserts the timing-free cfc.study.v1 payloads are byte-identical —
-/// the determinism contract of the work-stealing source-DPOR path.
+/// the determinism contract of the work-stealing DFS fan-out.
 void expect_json_thread_invariant(const StudySpec& spec,
-                                  const std::string& what) {
+                                  const std::string& what,
+                                  const std::string& policy = "source-dpor") {
   const std::string reference = study_json_at(spec, 1);
-  // The reference payload really exercised the reduced parallel path.
-  EXPECT_NE(reference.find("\"policy\": \"source-dpor\""), std::string::npos)
+  // The reference payload really exercised the expected parallel path.
+  EXPECT_NE(reference.find("\"policy\": \"" + policy + "\""),
+            std::string::npos)
       << what;
   EXPECT_NE(reference.find("\"work_items\":"), std::string::npos) << what;
   EXPECT_NE(reference.find("\"restore_marks\":"), std::string::npos) << what;
@@ -402,6 +404,23 @@ TEST(PorStudyJson, DetectorByteIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+TEST(PorStudyJson, BoundedByteIdenticalAcrossThreadCounts) {
+  // The preemption-bounded strategy runs the same planner/work-item
+  // fan-out (policy off, budget-coded cache masks), so its canonical JSON
+  // must be byte-identical at every thread count too. CI additionally runs
+  // this test under ThreadSanitizer.
+  ExploreLimits limits;
+  limits.max_depth = 24;
+  limits.max_preemptions = 2;
+  const StudySpec spec = StudySpec::of("peterson-tree")
+                             .kind(StudyKind::Mutex)
+                             .n(3)
+                             .worst_case(SearchStrategy::Bounded)
+                             .limits(limits);
+  expect_json_thread_invariant(spec, "peterson-tree n=3 bounded p=2 d24",
+                               "off");
 }
 
 TEST(PorStress, StealHeavyFanOutMatchesSequential) {
@@ -562,6 +581,37 @@ TEST(PorPolicy, RequiresExhaustiveStrategy) {
         1);
   };
   EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
+}
+
+TEST(PorPolicy, DfsRequiresThirtyTwoBitMasks) {
+  // Every DFS strategy keeps branch masks and cache visit masks (sleep
+  // sets, or the unary-coded preemptions spent) in 32 bits: wider process
+  // counts and budgets are rejected up front, whatever the policy. Random
+  // runs no DFS and keeps accepting them.
+  Explorer::Config cfg;
+  cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
+    return setup_mutex(
+        sim, AlgorithmRegistry::instance().mutex("peterson-2p").factory, 2,
+        1);
+  };
+  for (const SearchStrategy s :
+       {SearchStrategy::Exhaustive, SearchStrategy::Bounded}) {
+    cfg.strategy = s;
+    cfg.limits.max_preemptions = 1;
+    cfg.nprocs = kMaxPorProcs + 1;
+    EXPECT_THROW((void)Explorer(cfg), std::invalid_argument) << name(s);
+    cfg.nprocs = kMaxPorProcs;
+    EXPECT_NO_THROW((void)Explorer(cfg)) << name(s);
+  }
+  cfg.strategy = SearchStrategy::Bounded;
+  cfg.nprocs = 2;
+  cfg.limits.max_preemptions = 32;
+  EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
+  cfg.limits.max_preemptions = 31;
+  EXPECT_NO_THROW((void)Explorer(cfg));
+  cfg.strategy = SearchStrategy::Random;
+  cfg.nprocs = kMaxPorProcs + 1;
+  EXPECT_NO_THROW((void)Explorer(cfg));
 }
 
 }  // namespace

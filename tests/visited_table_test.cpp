@@ -1,158 +1,20 @@
-// VisitedTable correctness against a map-based dominance oracle: the flat
-// open-addressing table with inline/spilled antichain pairs must answer
-// every dominated() query exactly like the straightforward
-// unordered_map<key, vector<pair>> implementation it replaced, across
-// random workloads, key collisions on probe chains, inline overflow into
-// the spill pool, and growth/rehash.
+// SleepCache correctness against a map-based subsumption oracle: the flat
+// open-addressing cache with inline/spilled antichain masks must answer
+// every subsumed() query exactly like the straightforward
+// unordered_map<key, vector<mask>> implementation, across random
+// workloads, key collisions on probe chains, inline overflow into the
+// spill pool, clearing, and growth/rehash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "analysis/visited_table.h"
 
 namespace cfc {
 namespace {
-
-/// The reference semantics (the explorer's former cache, verbatim).
-class OracleTable {
- public:
-  [[nodiscard]] bool dominated(std::uint64_t key, int depth,
-                               int preempt) const {
-    const auto it = map_.find(key);
-    if (it == map_.end()) {
-      return false;
-    }
-    for (const auto& [d, p] : it->second) {
-      if (d <= depth && p <= preempt) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void insert(std::uint64_t key, int depth, int preempt) {
-    std::vector<std::pair<int, int>>& v = map_[key];
-    std::erase_if(v, [&](const std::pair<int, int>& e) {
-      return e.first >= depth && e.second >= preempt;
-    });
-    v.emplace_back(depth, preempt);
-  }
-
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<std::uint64_t, std::vector<std::pair<int, int>>> map_;
-};
-
-TEST(VisitedTable, MatchesOracleOnRandomWorkload) {
-  std::mt19937_64 rng(42);
-  VisitedTable table;
-  OracleTable oracle;
-  // Few distinct keys so antichains grow and the dominance logic is
-  // exercised hard; depths/preempts small so pairs collide and dominate.
-  std::uniform_int_distribution<std::uint64_t> key_dist(0, 199);
-  std::uniform_int_distribution<int> dim_dist(0, 15);
-  for (int i = 0; i < 20000; ++i) {
-    // Spread the key space (probe-chain collisions included) while
-    // avoiding the one documented alias: key 0 is remapped internally to
-    // the golden-ratio constant, so don't generate that constant itself.
-    const std::uint64_t key = key_dist(rng) * 0x100000001b3ULL;
-    const int depth = dim_dist(rng);
-    const int preempt = dim_dist(rng);
-    ASSERT_EQ(table.dominated(key, depth, preempt),
-              oracle.dominated(key, depth, preempt))
-        << "key " << key << " (" << depth << ", " << preempt << ")";
-    if (!table.dominated(key, depth, preempt)) {
-      table.insert(key, depth, preempt);
-      oracle.insert(key, depth, preempt);
-    }
-  }
-  EXPECT_EQ(table.size(), oracle.size());
-}
-
-TEST(VisitedTable, CheckAndInsertMatchesTwoCallForm) {
-  std::mt19937_64 rng(7);
-  VisitedTable combined;
-  VisitedTable split;
-  std::uniform_int_distribution<std::uint64_t> key_dist(0, 99);
-  std::uniform_int_distribution<int> dim_dist(0, 10);
-  for (int i = 0; i < 10000; ++i) {
-    const std::uint64_t key = key_dist(rng);
-    const int depth = dim_dist(rng);
-    const int preempt = dim_dist(rng);
-    const bool was_dominated = split.dominated(key, depth, preempt);
-    if (!was_dominated) {
-      split.insert(key, depth, preempt);
-    }
-    ASSERT_EQ(combined.check_and_insert(key, depth, preempt), was_dominated);
-  }
-  EXPECT_EQ(combined.size(), split.size());
-}
-
-TEST(VisitedTable, ExhaustiveModeKeepsSingletonAntichains) {
-  // Exhaustive searches always pass preempt == 0: a later (shallower)
-  // visit dominates and replaces the earlier one, so memory stays at one
-  // pair per key and never spills.
-  VisitedTable table;
-  table.insert(1, 10, 0);
-  table.insert(1, 7, 0);  // dominates (10, 0): replaces it
-  EXPECT_TRUE(table.dominated(1, 7, 0));
-  EXPECT_TRUE(table.dominated(1, 12, 0));
-  EXPECT_FALSE(table.dominated(1, 6, 0));
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(VisitedTable, LongAntichainsSpillAndUnspill) {
-  // A strictly diagonal antichain (d+p constant) never self-dominates:
-  // 12 pairs on one key overflow the 2 inline slots into the spill pool.
-  VisitedTable table;
-  const std::uint64_t key = 77;
-  for (int i = 0; i < 12; ++i) {
-    table.insert(key, 20 - i, i);
-  }
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(table.dominated(key, 20 - i, i));
-  }
-  EXPECT_FALSE(table.dominated(key, 8, 0));
-  // A (0, 0) visit dominates everything: the antichain collapses to it.
-  table.insert(key, 0, 0);
-  EXPECT_TRUE(table.dominated(key, 0, 0));
-  EXPECT_EQ(table.size(), 1u);
-  // The freed spill nodes are recycled for another key.
-  for (int i = 0; i < 12; ++i) {
-    table.insert(key + 1, 20 - i, i);
-  }
-  EXPECT_TRUE(table.dominated(key + 1, 15, 5));
-}
-
-TEST(VisitedTable, SurvivesGrowthAndKeyZero) {
-  VisitedTable table;
-  OracleTable oracle;
-  std::mt19937_64 rng(3);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t key = rng();  // distinct keys: forces rehashes
-    table.insert(key, 5, 5);
-    oracle.insert(key, 5, 5);
-  }
-  // Key 0 is remapped internally but must behave like any key.
-  EXPECT_FALSE(table.dominated(0, 10, 10));
-  table.insert(0, 3, 3);
-  EXPECT_TRUE(table.dominated(0, 10, 10));
-  EXPECT_FALSE(table.dominated(0, 2, 2));
-  EXPECT_EQ(table.size(), oracle.size() + 1);
-  EXPECT_GT(table.bytes(), 0u);
-}
-
-TEST(VisitedTable, RejectsOutOfRangeBudgets) {
-  VisitedTable table;
-  EXPECT_THROW(table.insert(1, -1, 0), std::out_of_range);
-  EXPECT_THROW(table.insert(1, 0, 0x10000), std::out_of_range);
-  EXPECT_THROW(table.check_and_insert(1, 0x10000, 0), std::out_of_range);
-}
 
 /// Reference semantics for the sleep-set-aware cache: a stored mask m
 /// subsumes a visit under `sleep` iff m ⊆ sleep; inserting drops stored
