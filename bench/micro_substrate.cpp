@@ -1,6 +1,8 @@
 // A4 — google-benchmark microbenchmarks of the simulation substrate:
 // events/second through the scheduler, solo mutex sessions (trace-recorded
-// vs streaming-measured), full detection runs, and trace measurement.
+// vs streaming-measured), full detection runs, trace measurement, and the
+// per-node primitives of the certified search (accumulator snapshot copy,
+// source-DPOR cut-point insertions, mark-based rewind).
 // These put a number on the harness itself so sweep costs in the table
 // benches are predictable. Algorithms are resolved from the
 // AlgorithmRegistry; results additionally land in
@@ -12,6 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +24,8 @@
 #include "core/algorithm_registry.h"
 #include "core/measures.h"
 #include "core/streaming_measures.h"
+#include "por/dependence.h"
+#include "por/source_dpor.h"
 #include "sched/sched.h"
 
 namespace {
@@ -143,6 +149,111 @@ void BM_WorstCaseSearchStreaming(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_WorstCaseSearchStreaming);
+
+// --- Per-layer costs of the certified search's hot path: one benchmark
+// per primitive the explorer calls at every node. ---
+
+MutexFactory peterson_tree() {
+  return AlgorithmRegistry::instance().mutex("peterson-tree").factory;
+}
+
+/// Steps `sim` along `units` units of a seeded random schedule.
+void step_random(Sim& sim, RandomScheduler& rnd, int units) {
+  for (int i = 0; i < units; ++i) {
+    const std::optional<Pid> p = rnd.next(sim);
+    if (!p) {
+      return;
+    }
+    sim.step(*p);
+  }
+}
+
+void BM_AccumulatorCopyAssign(benchmark::State& state) {
+  // The explorer's node snapshot and sibling restore: acc_pool_[d] = acc_.
+  // n=6 keeps every register id in the RegIdSet mask; n=64 uses the spill.
+  const auto n = static_cast<int>(state.range(0));
+  Sim sim;
+  sim.set_trace_recording(false);
+  MeasureAccumulator acc(n);
+  sim.add_sink(acc);
+  auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/2);
+  RandomScheduler rnd(1);
+  step_random(sim, rnd, 40 * n);
+  MeasureAccumulator snap(n);
+  for (auto _ : state) {
+    snap = acc;
+    benchmark::DoNotOptimize(&snap);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AccumulatorCopyAssign)->Arg(6)->Arg(64);
+
+void BM_SourceDporNoteCut(benchmark::State& state) {
+  // The cut-point insertions at a depth-14 leaf of a peterson-tree n=6
+  // path: every process's NextStep and the enabled mask as the explorer
+  // captures them there, against fresh (all-zero) backtrack masks.
+  const int n = 6;
+  const int depth = 14;
+  Sim sim;
+  sim.set_trace_recording(false);
+  auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/1);
+  SourceDpor dpor(n);
+  std::vector<std::uint32_t> bt(static_cast<std::size_t>(depth) + 1, 0);
+  RandomScheduler rnd(3);
+  for (int d = 0; d < depth; ++d) {
+    const std::optional<Pid> p = rnd.next(sim);
+    if (!p) {
+      state.SkipWithError("schedule ended before the cut depth");
+      return;
+    }
+    sim.step(*p);
+    dpor.push_step(d, sim.last_step_summary(), bt);
+  }
+  std::vector<NextStep> pends;
+  std::uint32_t enabled = 0;
+  for (Pid p = 0; p < n; ++p) {
+    pends.push_back(next_step_of(sim, p));
+    if (sim.runnable(p)) {
+      enabled |= 1u << static_cast<unsigned>(p);
+    }
+  }
+  std::vector<std::uint32_t> masks(bt.size());
+  for (auto _ : state) {
+    std::fill(masks.begin(), masks.end(), 0u);
+    dpor.note_cut(enabled, pends, masks);
+    benchmark::DoNotOptimize(masks.data());
+  }
+}
+BENCHMARK(BM_SourceDporNoteCut);
+
+void BM_SimRewindToMark(benchmark::State& state) {
+  // A sibling restore deep in the DFS: rewind a peterson-tree n=6 path of
+  // 14 units to its mark `range(0)` units back. Only the rewind is timed;
+  // re-stepping the suffix (so there is something to undo) is not.
+  const int n = 6;
+  const int depth = 14;
+  const auto back = static_cast<int>(state.range(0));
+  Sim sim;
+  sim.set_trace_recording(false);
+  auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/1);
+  sim.mark_rewind_base();
+  RandomScheduler rnd(5);
+  step_random(sim, rnd, depth - back);
+  Sim::RewindMark mark;
+  sim.capture_mark(mark);
+  step_random(sim, rnd, back);
+  const std::vector<SimCheckpoint::Unit> log = sim.schedule_log();
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(sim.rewind_to_mark(mark));
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    for (std::size_t i = mark.prefix_len; i < log.size(); ++i) {
+      sim.step(log[i].pid);
+    }
+  }
+}
+BENCHMARK(BM_SimRewindToMark)->Arg(1)->Arg(4)->UseManualTime();
 
 }  // namespace
 

@@ -160,6 +160,7 @@ class CellExplorer {
     plan_ = &into;
     begin_metrics();
     reset_sim();
+    root_depth_ = 0;
     dfs(0, /*last=*/-1, /*sleep=*/0, /*preempt=*/0);
     plan_ = nullptr;
     // The planner's cache lives for the whole walk (it is what prunes
@@ -215,6 +216,7 @@ class CellExplorer {
       }
       ++depth;
     }
+    root_depth_ = depth;
     dfs(depth, item.last, item.sleep, item.preempt);
     if (dpor_) {
       // Per-item flush of the race detector's counters (clear() resets
@@ -334,22 +336,34 @@ class CellExplorer {
     }
   }
 
-  /// Captures every process's NextStep into the flat per-depth pend pool
-  /// (hot-path round 4): slot [depth*nprocs, (depth+1)*nprocs) replaces a
-  /// kMaxPorProcs array in every recursion frame. Descendants only write
-  /// deeper slots, so a frame's capture survives its recursive calls;
-  /// frames re-derive the pointer via pend_at() after recursing, so pool
-  /// growth never dangles a span.
-  void capture_pendings(int depth) {
+  /// Captures every process's NextStep into the flat per-depth pend pool:
+  /// slot [depth*nprocs, (depth+1)*nprocs) replaces a kMaxPorProcs array in
+  /// every recursion frame. Descendants only write deeper slots, so a
+  /// frame's capture survives its recursive calls; frames re-derive the
+  /// pointer via pend_at() after recursing, so pool growth never dangles a
+  /// span.
+  ///
+  /// Incremental below the engine run's root (the planner root, or a work
+  /// item's horizon node): a unit of p changes only p's own status, crash
+  /// arming and pending access, so a node copies its parent's slot — still
+  /// intact, since the parent is suspended in this recursion — and re-reads
+  /// next_step_of only for `last`, the pid whose unit led here
+  /// (PorLocality.NextStepOfOthersSurvivesAStep pins that locality).
+  void capture_pendings(int depth, Pid last) {
     const auto np = static_cast<std::size_t>(cfg_.nprocs);
     const std::size_t base = static_cast<std::size_t>(depth) * np;
     if (pend_pool_.size() < base + np) {
       pend_pool_.resize(base + np);
     }
     NextStep* out = pend_pool_.data() + base;
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      out[static_cast<std::size_t>(p)] = next_step_of(*sim_, p);
+    if (depth == root_depth_) {
+      for (Pid p = 0; p < cfg_.nprocs; ++p) {
+        out[static_cast<std::size_t>(p)] = next_step_of(*sim_, p);
+      }
+      return;
     }
+    std::copy_n(out - np, np, out);
+    out[static_cast<std::size_t>(last)] = next_step_of(*sim_, last);
   }
 
   [[nodiscard]] std::span<const NextStep> pend_at(int depth) const {
@@ -361,8 +375,8 @@ class CellExplorer {
   /// depth-horizon cut (SourceDpor::note_cut). Uses the cut node's own
   /// pool slot — nothing else captured at this depth (the node returns
   /// without branching).
-  void cut_point_insertions(int depth, std::uint32_t sleep) {
-    capture_pendings(depth);
+  void cut_point_insertions(int depth, Pid last, std::uint32_t sleep) {
+    capture_pendings(depth, last);
     std::uint32_t enabled = 0;
     for (Pid q = 0; q < cfg_.nprocs; ++q) {
       if (sim_->runnable(q) && ((sleep >> q) & 1u) == 0) {
@@ -460,7 +474,7 @@ class CellExplorer {
         // by reorderings of equal length, so the sleep argument stands
         // and they are skipped.
         if (dpor_) {
-          cut_point_insertions(depth, sleep);
+          cut_point_insertions(depth, last, sleep);
         }
         return;
       case NodeEntry::Interior:
@@ -472,7 +486,7 @@ class CellExplorer {
       // re-place them conservatively, as at a DepthCut — enough within
       // one item's cache, not across a whole search (see run_item).
       if (dpor_) {
-        cut_point_insertions(depth, sleep);
+        cut_point_insertions(depth, last, sleep);
       }
       return;
     }
@@ -510,7 +524,7 @@ class CellExplorer {
       capture_node(depth);
     }
     if (sleep_sets_) {
-      capture_pendings(depth);
+      capture_pendings(depth, last);
     }
 
     bool first = true;
@@ -607,6 +621,9 @@ class CellExplorer {
   std::vector<MeasureAccumulator> acc_pool_;  ///< per-depth node snapshots
   std::vector<Sim::RewindMark> mark_pool_;    ///< per-depth rewind marks
   std::uint64_t nodes_ = 0;
+  /// Depth of the current engine run's root node: the one node whose pend
+  /// slot has no parent slot to derive from (capture_pendings).
+  int root_depth_ = 0;
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
   ExploreStats flushed_;  ///< metric-flush cursor (see flush_metrics)
   bool stop_ = false;

@@ -7,16 +7,17 @@
 
 namespace cfc {
 
-void MeasureAccumulator::ReportAcc::add(const Access& a) {
+void MeasureAccumulator::ReportAcc::add(const Access& a,
+                                        RegIdSpill& spill) {
   rep.steps += 1;
-  regs.insert(a.reg);
+  regs.insert(a.reg, spill);
   if (a.is_read()) {
     rep.read_steps += 1;
-    read_regs.insert(a.reg);
+    read_regs.insert(a.reg, spill);
   }
   if (a.is_write()) {
     rep.write_steps += 1;
-    write_regs.insert(a.reg);
+    write_regs.insert(a.reg, spill);
   }
   rep.atomicity = std::max(rep.atomicity, a.width);
   // Everything counted above is a function of (reg, kind, bit_op, width);
@@ -28,19 +29,20 @@ void MeasureAccumulator::ReportAcc::add(const Access& a) {
                           static_cast<std::uint64_t>(a.kind));
 }
 
-void MeasureAccumulator::ReportAcc::reset() {
+void MeasureAccumulator::ReportAcc::reset(RegIdSpill& spill) {
   rep = ComplexityReport{};
-  regs.clear();
-  read_regs.clear();
-  write_regs.clear();
+  regs.clear(spill);
+  read_regs.clear(spill);
+  write_regs.clear(spill);
   multiset_hash = 0;
 }
 
-ComplexityReport MeasureAccumulator::ReportAcc::report() const {
+ComplexityReport MeasureAccumulator::ReportAcc::report(
+    const RegIdSpill& spill) const {
   ComplexityReport out = rep;
-  out.registers = static_cast<int>(regs.size());
-  out.read_registers = static_cast<int>(read_regs.size());
-  out.write_registers = static_cast<int>(write_regs.size());
+  out.registers = static_cast<int>(regs.size(spill));
+  out.read_registers = static_cast<int>(read_regs.size(spill));
+  out.write_registers = static_cast<int>(write_regs.size(spill));
   return out;
 }
 
@@ -160,16 +162,16 @@ void MeasureAccumulator::on_event(const TraceEvent& ev) {
 
 void MeasureAccumulator::on_access(const TraceEvent& ev) {
   PerPid& pp = at(ev.pid);
-  pp.total.add(ev.access);
+  pp.total.add(ev.access, spill_);
   pp.total_dirty = true;
   if (pp.cf_session.open) {
-    pp.cf_session.acc.add(ev.access);
+    pp.cf_session.acc.add(ev.access, spill_);
   }
   if (pp.clean_entry.open) {
-    pp.clean_entry.acc.add(ev.access);
+    pp.clean_entry.acc.add(ev.access, spill_);
   }
   if (pp.exit.open) {
-    pp.exit.acc.add(ev.access);
+    pp.exit.acc.add(ev.access, spill_);
   }
   if (pp.cf_session.open || pp.clean_entry.open || pp.exit.open) {
     pp.window_dirty = true;
@@ -192,11 +194,12 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
       if (to == Section::Entry && !w.open) {
         w.open = true;
         w.clean = others_in_remainder(q);
-        w.acc.reset();
+        w.acc.reset(spill_);
       } else if (to == Section::Remainder && w.open) {
         PerPid& pp = per_pid_[static_cast<std::size_t>(q)];
         if (w.clean && others_in_remainder(q)) {
-          pp.cf_session_max = pp.cf_session_max.max_with(w.acc.report());
+          pp.cf_session_max =
+              pp.cf_session_max.max_with(w.acc.report(spill_));
           pp.cf_sessions_completed += 1;
           refresh_max_hash(q);
         }
@@ -220,11 +223,12 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
     if (q == p && to == Section::Entry) {
       w.open = true;
       w.clean = nobody_in_cs_or_exit();
-      w.acc.reset();
+      w.acc.reset(spill_);
     } else if (q == p && to == Section::Critical && w.open) {
       if (w.clean) {
         PerPid& pp = per_pid_[static_cast<std::size_t>(q)];
-        pp.clean_entry_max = pp.clean_entry_max.max_with(w.acc.report());
+        pp.clean_entry_max =
+            pp.clean_entry_max.max_with(w.acc.report(spill_));
         refresh_max_hash(q);
       }
       w.open = false;
@@ -240,10 +244,10 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
     WindowState& w = at(p).exit;
     if (ev.from == Section::Critical && to == Section::Exit) {
       w.open = true;
-      w.acc.reset();
+      w.acc.reset(spill_);
     } else if (to == Section::Remainder && w.open) {
       PerPid& pp = at(p);
-      pp.exit_max = pp.exit_max.max_with(w.acc.report());
+      pp.exit_max = pp.exit_max.max_with(w.acc.report(spill_));
       refresh_max_hash(p);
       w.open = false;
     }
@@ -290,7 +294,7 @@ void MeasureAccumulator::refresh_max_hash(Pid pid) {
 }
 
 ComplexityReport MeasureAccumulator::total(Pid pid) const {
-  ComplexityReport r = at(pid).total.report();
+  ComplexityReport r = at(pid).total.report(spill_);
   r.truncated = r.truncated || truncated_;
   return r;
 }

@@ -2,6 +2,9 @@
 #define CFC_CORE_STREAMING_MEASURES_H
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/measures.h"
@@ -10,32 +13,55 @@
 
 namespace cfc {
 
-/// Sorted-unique flat set of register ids, backing the register-complexity
-/// counts. A vector rather than a node-based std::set: the explorer copies
-/// accumulator snapshots on every branching DFS node and every sibling
-/// restore, and vector copy-assignment reuses the destination's capacity —
-/// steady-state allocation-free — where std::set would allocate one node
-/// per element per copy. Windows touch few registers, so the ordered
-/// insert's linear shift is cheaper than chasing tree nodes anyway.
+/// Pool of spill vectors backing the RegIdSets of one accumulator: each
+/// holds the sorted-unique ids >= RegIdSet::kInlineIds of one set.
+using RegIdSpill = std::vector<std::vector<RegId>>;
+
+/// Flat set of register ids, backing the register-complexity counts. Ids
+/// below kInlineIds live in a 64-bit mask; larger ids go to a sorted-unique
+/// spill vector in the owning accumulator's RegIdSpill pool, which the set
+/// indexes. The set itself is therefore trivially copyable: the explorer
+/// snapshots and restores whole accumulators on every branching DFS node
+/// and every sibling restore, and at the n its exhaustive searches reach
+/// every id fits the mask, so a snapshot is one memmove of the
+/// per-process records with an empty pool beside it.
 class RegIdSet {
  public:
-  void insert(RegId r) {
-    const auto it = std::lower_bound(ids_.begin(), ids_.end(), r);
-    if (it == ids_.end() || *it != r) {
-      ids_.insert(it, r);
+  static constexpr RegId kInlineIds = 64;
+
+  void insert(RegId r, RegIdSpill& spill) {
+    if (r >= 0 && r < kInlineIds) {
+      low_ |= std::uint64_t{1} << static_cast<unsigned>(r);
+      return;
+    }
+    if (spill_ == kNoSpill) {
+      // A slot is taken on the first large id and kept across clear(), so
+      // the pool grows to at most one slot per set.
+      spill_ = static_cast<std::uint32_t>(spill.size());
+      spill.emplace_back();
+    }
+    std::vector<RegId>& ids = spill[spill_];
+    const auto it = std::lower_bound(ids.begin(), ids.end(), r);
+    if (it == ids.end() || *it != r) {
+      ids.insert(it, r);
     }
   }
-  void clear() { ids_.clear(); }  // keeps capacity
-  [[nodiscard]] std::size_t size() const { return ids_.size(); }
-  [[nodiscard]] std::vector<RegId>::const_iterator begin() const {
-    return ids_.begin();
+  void clear(RegIdSpill& spill) {
+    low_ = 0;
+    if (spill_ != kNoSpill) {
+      spill[spill_].clear();  // keeps capacity
+    }
   }
-  [[nodiscard]] std::vector<RegId>::const_iterator end() const {
-    return ids_.end();
+  [[nodiscard]] std::size_t size(const RegIdSpill& spill) const {
+    return static_cast<std::size_t>(std::popcount(low_)) +
+           (spill_ == kNoSpill ? 0 : spill[spill_].size());
   }
 
  private:
-  std::vector<RegId> ids_;
+  static constexpr std::uint32_t kNoSpill = 0xffffffffu;
+
+  std::uint64_t low_ = 0;          ///< ids in [0, kInlineIds)
+  std::uint32_t spill_ = kNoSpill;  ///< slot in the owner's RegIdSpill
 };
 
 /// Streaming replacement for the offline trace measurement: an EventSink
@@ -54,6 +80,11 @@ class RegIdSet {
 /// path. Because nothing is materialized, long random-schedule searches can
 /// run with Sim trace recording disabled, dropping the per-event allocation
 /// cost of the trace from the hot path.
+///
+/// Copy-assignment is the explorer's per-node snapshot and restore. The
+/// per-process records are trivially copyable (RegIdSet), so a copy is one
+/// memmove plus the spill pool, which stays empty unless some register id
+/// reached RegIdSet::kInlineIds.
 class MeasureAccumulator final : public EventSink {
  public:
   /// `nprocs` must cover every pid that will appear in the run.
@@ -123,9 +154,9 @@ class MeasureAccumulator final : public EventSink {
     /// register sets per explorer node would dominate the search.
     std::uint64_t multiset_hash = 0;
 
-    void add(const Access& a);
-    void reset();
-    [[nodiscard]] ComplexityReport report() const;
+    void add(const Access& a, RegIdSpill& spill);
+    void reset(RegIdSpill& spill);
+    [[nodiscard]] ComplexityReport report(const RegIdSpill& spill) const;
     [[nodiscard]] std::uint64_t digest() const;
   };
 
@@ -172,8 +203,13 @@ class MeasureAccumulator final : public EventSink {
   [[nodiscard]] const PerPid& at(Pid pid) const;
   [[nodiscard]] PerPid& at(Pid pid);
 
+  /// Plain data end to end (RegIdSet spills live in spill_), so copying
+  /// the accumulator copies per_pid_ with one memmove.
+  static_assert(std::is_trivially_copyable_v<PerPid>);
+
   std::vector<PerPid> per_pid_;
   std::vector<Section> section_;
+  RegIdSpill spill_;  ///< ids >= RegIdSet::kInlineIds of every set above
   std::uint64_t section_hash_ = 0;  ///< XOR of per-pid section slots
   bool truncated_ = false;
 };

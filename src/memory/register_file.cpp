@@ -64,8 +64,15 @@ void RegisterFile::restore(const MemorySnapshot& snap) {
     throw std::invalid_argument(
         "snapshot does not match register file layout");
   }
+  // Delta restore: a slot already holding its snapshot value needs no
+  // write, so neither the width check (the value fits — it is stored) nor
+  // a fingerprint update (its contribution is unchanged). The explorer
+  // restores to a nearby ancestor, where few registers differ.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
+    if (s.value == snap[i]) {
+      continue;
+    }
     if (s.width < kMaxWidth && snap[i] > ((Value{1} << s.width) - 1)) {
       throw std::invalid_argument("snapshot value does not fit register " +
                                   s.name);

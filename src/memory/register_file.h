@@ -62,7 +62,8 @@ class RegisterFile {
 
   /// Restores the values captured by `snapshot()`. The register layout
   /// (count, widths) must be unchanged; throws std::invalid_argument on a
-  /// size mismatch or a value that no longer fits its register.
+  /// size mismatch or a value that no longer fits its register. Only slots
+  /// whose value differs are written (and width-checked and rehashed).
   void restore(const MemorySnapshot& snap);
 
   /// 64-bit incremental hash of the current (register, value) set,

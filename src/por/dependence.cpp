@@ -26,30 +26,4 @@ NextStep next_step_of(const Sim& sim, Pid pid) {
   return info;
 }
 
-bool dependent(const StepSummary& a, const StepSummary& b) {
-  if (a.pid == b.pid) {
-    return true;  // program order
-  }
-  if (a.section_changed && b.section_changed) {
-    return true;  // both touch the section table the window predicates read
-  }
-  if (a.accessed && b.accessed && a.reg == b.reg && (a.wrote || b.wrote)) {
-    return true;  // register conflict
-  }
-  return false;
-}
-
-bool dependent(const StepSummary& taken, const NextStep& pend) {
-  if (!pend.known) {
-    return true;
-  }
-  if (taken.section_changed) {
-    // The pending unit might change sections too once it runs; assume the
-    // worst and keep the pair ordered.
-    return true;
-  }
-  return taken.accessed && !pend.yield && taken.reg == pend.reg &&
-         (taken.wrote || pend.wrote);
-}
-
 }  // namespace cfc

@@ -74,14 +74,38 @@ struct NextStep {
 [[nodiscard]] NextStep next_step_of(const Sim& sim, Pid pid);
 
 /// Executed-vs-executed dependence (the race detector's relation): full
-/// information on both sides.
-[[nodiscard]] bool dependent(const StepSummary& a, const StepSummary& b);
+/// information on both sides. Inline, like the overload below: the race
+/// walk, the cut-point insertions and the sleep transfer call it once per
+/// path unit.
+[[nodiscard]] inline bool dependent(const StepSummary& a,
+                                    const StepSummary& b) {
+  if (a.pid == b.pid) {
+    return true;  // program order
+  }
+  if (a.section_changed && b.section_changed) {
+    return true;  // both touch the section table the window predicates read
+  }
+  return a.accessed && b.accessed && a.reg == b.reg &&
+         (a.wrote || b.wrote);  // register conflict
+}
 
 /// Executed-vs-pending dependence (the sleep-set transfer relation): the
 /// pending side's section adjacency is unknowable, so this is
 /// `dependent(taken, pend-with-worst-case-adjacency)` — dependent whenever
 /// the executed unit changed sections, or on a register conflict.
-[[nodiscard]] bool dependent(const StepSummary& taken, const NextStep& pend);
+[[nodiscard]] inline bool dependent(const StepSummary& taken,
+                                    const NextStep& pend) {
+  if (!pend.known) {
+    return true;
+  }
+  if (taken.section_changed) {
+    // The pending unit might change sections too once it runs; assume the
+    // worst and keep the pair ordered.
+    return true;
+  }
+  return taken.accessed && !pend.yield && taken.reg == pend.reg &&
+         (taken.wrote || pend.wrote);
+}
 
 }  // namespace cfc
 

@@ -27,10 +27,14 @@ void SourceDpor::push_step(int node_depth, const StepSummary& step,
   e.self_index = per_pid_count_[static_cast<std::size_t>(step.pid)];
   e.clock.fill(0);
   races_scratch_.clear();
+  const auto e_index = static_cast<std::uint32_t>(trace_.size());
   for (std::size_t i = trace_.size(); i-- > 0;) {
-    const Event& d = trace_[i];
+    Event& d = trace_[i];
     if (!dependent(d.step, e.step)) {
       continue;
+    }
+    if (d.first_dep == kNoDependent) {
+      d.first_dep = e_index;  // e is d's first dependent successor
     }
     if (in_clock(e.clock, i)) {
       continue;  // already ordered before e through a later dependence
@@ -116,19 +120,12 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
   // When u carries an access and is independent of q's pending as well,
   // the traded class is value-covered by the bucket placements: q's units
   // observe identical values with or without u, and u's own process only
-  // loses its final step (every objective is monotone along a run). The
-  // quadratic walk is bounded by the depth budget (tiny) and runs only at
-  // cut points.
+  // loses its final step (every objective is monotone along a run).
+  // push_step records each unit's first dependent successor, so "commutes
+  // with its entire suffix" is one read of first_dep.
   for (std::size_t i = trace_.size(); i-- > 0;) {
     const Event& u = trace_[i];
-    bool droppable = true;
-    for (std::size_t j = i + 1; j < trace_.size(); ++j) {
-      if (dependent(u.step, trace_[j].step)) {
-        droppable = false;
-        break;
-      }
-    }
-    if (!droppable) {
+    if (u.first_dep != kNoDependent) {
       continue;
     }
     for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
@@ -240,6 +237,13 @@ void SourceDpor::pop_to(std::size_t len) {
   while (trace_.size() > len) {
     per_pid_count_[static_cast<std::size_t>(trace_.back().step.pid)] -= 1;
     trace_.pop_back();
+  }
+  // A surviving unit whose first dependent successor was popped has none
+  // left: later successors of it were popped too.
+  for (Event& ev : trace_) {
+    if (ev.first_dep >= len) {
+      ev.first_dep = kNoDependent;
+    }
   }
 }
 

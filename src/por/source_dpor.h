@@ -75,10 +75,12 @@ class SourceDpor {
   /// explorer calls this with the mask of enabled, non-sleeping processes
   /// and every process's captured NextStep; the engine inserts backtrack
   /// points for (1) each enabled process's pending-placement buckets along
-  /// the path and (2) each *droppable* path unit's node (see the
-  /// implementation for both coverage arguments). The reversals then run
-  /// the cut-off units inside the bound, whose own races and cut points
-  /// cascade the rest.
+  /// the path and (2) each *droppable* path unit's node — one with no
+  /// dependent successor on the path, which push_step records per unit so
+  /// the test is a field read (see the implementation for both coverage
+  /// arguments). The reversals then run the cut-off units inside the
+  /// bound, whose own races and cut points cascade the rest. Cost:
+  /// O(enabled processes x path length) dependence checks.
   void note_cut(std::uint32_t enabled_mask, std::span<const NextStep> pends,
                 std::span<std::uint32_t> backtrack_by_depth);
 
@@ -94,11 +96,19 @@ class SourceDpor {
  private:
   using Clock = std::array<std::uint16_t, kMaxPorProcs>;
 
+  /// Event::first_dep of a unit with no dependent successor on the path.
+  static constexpr std::uint32_t kNoDependent = 0xffffffffu;
+
   struct Event {
     StepSummary step;
     int node_depth = 0;
     std::uint16_t self_index = 0;  ///< index among its process's units
-    Clock clock{};                 ///< happens-before closure (see above)
+    /// Trace index of the first later unit dependent with this one, or
+    /// kNoDependent: set by push_step's backward walk, cleared by pop_to
+    /// when that unit is popped. kNoDependent marks the unit droppable
+    /// (note_cut) with one read.
+    std::uint32_t first_dep = kNoDependent;
+    Clock clock{};  ///< happens-before closure (see above)
   };
 
   /// True iff trace_[i] happens-before-or-equal the event whose clock is

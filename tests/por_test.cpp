@@ -8,8 +8,11 @@
 // default to the reduced tree.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -455,6 +458,56 @@ TEST(PorStress, StealHeavyFanOutMatchesSequential) {
   EXPECT_LE(b.stats.sims_built, a.stats.work_items + 1);
 }
 
+// --- The search shape, pinned: hot-path work (snapshots, restores,
+// pending captures, the droppable test) must leave the reduced search
+// node for node where it is. Any change to these counts is a change to
+// the search and needs its own justification. ---
+
+struct PinnedShape {
+  const char* subject;
+  StudyKind kind;
+  int n;
+  int depth;
+  std::vector<std::uint64_t> crash;
+  // states_visited, cache_hits, races_detected, backtrack_points,
+  // sleep_blocked, work_items, restore_marks
+  std::array<std::uint64_t, 7> counts;
+};
+
+TEST(PorSearchShape, CountsPinnedAcrossHotPathChanges) {
+  const std::vector<PinnedShape> cells = {
+      {"peterson-tree", StudyKind::Mutex, 4, 12, {},
+       {63599, 9820, 30089, 50322, 8908, 41, 21247}},
+      {"kessels-tree", StudyKind::Mutex, 4, 12, {},
+       {54195, 11098, 24709, 42865, 8659, 35, 17596}},
+      {"peterson-tree", StudyKind::Mutex, 5, 11, {},
+       {242190, 53182, 110944, 214799, 31178, 76, 57565}},
+      {"tas-lock", StudyKind::Mutex, 3, 12, {2},
+       {5148, 1143, 3034, 2416, 129, 33, 2704}},
+      {"lamport-fast", StudyKind::Mutex, 3, 12, {},
+       {9529, 853, 5282, 5897, 1757, 18, 4416}},
+      {"splitter-tree-l2", StudyKind::Detector, 3, 12, {1},
+       {950, 85, 645, 296, 59, 34, 673}},
+  };
+  ExperimentRunner pool(2);
+  for (const PinnedShape& c : cells) {
+    StudySpec spec = StudySpec::of(c.subject)
+                         .kind(c.kind)
+                         .n(c.n)
+                         .worst_case(SearchStrategy::Exhaustive)
+                         .depth(c.depth);
+    if (!c.crash.empty()) {
+      spec.crash(c.crash);
+    }
+    const StudyResult r = run_study(spec, &pool);
+    const std::array<std::uint64_t, 7> got = {
+        r.states_visited,   r.cache_hits,    r.races_detected,
+        r.backtrack_points, r.sleep_blocked, r.work_items,
+        r.restore_marks};
+    EXPECT_EQ(got, c.counts) << c.subject << " n=" << c.n;
+  }
+}
+
 // --- The dependence relation's unit semantics. ---
 
 TEST(PorDependence, RegisterConflictAndSectionAdjacency) {
@@ -523,6 +576,211 @@ TEST(PorSleepSets, TransferWakesOnConflictOnly) {
   const SleepSet woken =
       transfer_sleep(candidates, section_step, std::span(pends.data(), 3));
   EXPECT_TRUE(woken.empty());  // section changes wake every sleeper
+}
+
+// --- Droppable tracking: SourceDpor records each unit's first dependent
+// successor so note_cut's droppable test is a field read. Driven with
+// random push/pop sequences and checked against the quadratic scan. ---
+
+/// note_cut's two insertion rules over an explicit path whose unit i was
+/// taken from node depth i, with droppability recomputed by scanning each
+/// unit's whole suffix. Returns the number of bits it set in `bt`.
+std::uint64_t reference_note_cut(const std::vector<StepSummary>& path,
+                                 std::uint32_t enabled,
+                                 std::span<const NextStep> pends,
+                                 std::vector<std::uint32_t>& bt) {
+  std::uint64_t inserted = 0;
+  const auto insert = [&](std::size_t depth, Pid q) {
+    const std::uint32_t bit = 1u << static_cast<unsigned>(q);
+    if ((bt[depth] & bit) == 0) {
+      bt[depth] |= bit;
+      ++inserted;
+    }
+  };
+  const auto is_enabled = [&](Pid q) {
+    return ((enabled >> static_cast<unsigned>(q)) & 1u) != 0;
+  };
+  for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
+    if (!is_enabled(q)) {
+      continue;
+    }
+    for (std::size_t i = path.size(); i-- > 0;) {
+      if (path[i].pid == q) {
+        break;
+      }
+      if (i + 1 == path.size() ||
+          dependent(path[i], pends[static_cast<std::size_t>(q)])) {
+        insert(i, q);
+      }
+    }
+  }
+  for (std::size_t i = path.size(); i-- > 0;) {
+    bool droppable = true;
+    for (std::size_t j = i + 1; j < path.size(); ++j) {
+      droppable = droppable && !dependent(path[i], path[j]);
+    }
+    if (!droppable) {
+      continue;
+    }
+    for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
+      if (q != path[i].pid && is_enabled(q) &&
+          (!path[i].accessed ||
+           dependent(path[i], pends[static_cast<std::size_t>(q)]))) {
+        insert(i, q);
+      }
+    }
+  }
+  return inserted;
+}
+
+TEST(PorSourceDpor, NoteCutMatchesQuadraticDroppableScan) {
+  constexpr std::size_t kMaxLen = 16;
+  std::uint64_t compared = 0;
+  std::uint64_t insertions = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto chance = [&](unsigned percent) {
+      return rng() % 100 < percent;
+    };
+    const int n = 2 + static_cast<int>(seed % 5);
+    // A few registers so conflicts are common; rare section changes.
+    const auto random_step = [&] {
+      StepSummary s;
+      s.pid = static_cast<Pid>(rng() % static_cast<unsigned>(n));
+      s.accessed = chance(85);
+      if (s.accessed) {
+        s.reg = static_cast<RegId>(rng() % 4);
+        s.wrote = chance(40);
+      }
+      s.section_changed = chance(15);
+      return s;
+    };
+    SourceDpor dpor(n);
+    std::vector<StepSummary> path;
+    std::vector<std::uint32_t> bt(kMaxLen + 1);
+    for (std::uint32_t& m : bt) {
+      m = static_cast<std::uint32_t>(rng()) & ((1u << n) - 1u) &
+          static_cast<std::uint32_t>(rng());
+    }
+    for (int op = 0; op < 400; ++op) {
+      if (path.size() < kMaxLen && (path.empty() || chance(65))) {
+        const StepSummary s = random_step();
+        dpor.push_step(static_cast<int>(path.size()), s, bt);
+        path.push_back(s);
+      } else {
+        const std::size_t len = rng() % (path.size() + 1);
+        dpor.pop_to(len);
+        path.resize(len);
+      }
+      ASSERT_EQ(dpor.size(), path.size());
+      if (!chance(40)) {
+        continue;
+      }
+      std::vector<NextStep> pends(static_cast<std::size_t>(n));
+      for (NextStep& pend : pends) {
+        pend.known = chance(85);
+        if (pend.known) {
+          pend.yield = chance(15);
+          if (!pend.yield) {
+            pend.reg = static_cast<RegId>(rng() % 4);
+            pend.wrote = chance(40);
+          }
+        }
+      }
+      const auto enabled =
+          static_cast<std::uint32_t>(rng()) & ((1u << n) - 1u);
+      std::vector<std::uint32_t> got = bt;
+      std::vector<std::uint32_t> want = bt;
+      const std::uint64_t before = dpor.stats().backtrack_points;
+      dpor.note_cut(enabled, pends, got);
+      const std::uint64_t added = reference_note_cut(path, enabled, pends,
+                                                     want);
+      ASSERT_EQ(got, want) << "seed=" << seed << " op=" << op;
+      ASSERT_EQ(dpor.stats().backtrack_points - before, added)
+          << "seed=" << seed << " op=" << op;
+      ++compared;
+      insertions += added;
+    }
+  }
+  // The sequences really exercised both rules.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(insertions, 1000u);
+}
+
+// --- Locality of pending captures: a unit of p changes no other
+// process's NextStep. The explorer's incremental capture_pendings copies
+// its parent's captures and re-reads only the pid it stepped, so this
+// must hold on every schedule it can take, crash injection included. ---
+
+bool same_next_step(const NextStep& a, const NextStep& b) {
+  return a.known == b.known && a.yield == b.yield && a.reg == b.reg &&
+         a.wrote == b.wrote;
+}
+
+/// Steps `sim` along one random schedule and checks, after every unit,
+/// that every other process's NextStep is what it was before the unit.
+void expect_next_steps_local(Sim& sim, std::uint64_t seed,
+                             const std::string& what) {
+  const int n = sim.process_count();
+  std::mt19937_64 rng(seed);
+  std::vector<NextStep> before(static_cast<std::size_t>(n));
+  for (int unit = 0; unit < 300; ++unit) {
+    std::vector<Pid> runnable;
+    for (Pid q = 0; q < n; ++q) {
+      if (sim.runnable(q)) {
+        runnable.push_back(q);
+      }
+    }
+    if (runnable.empty()) {
+      break;
+    }
+    const Pid p = runnable[rng() % runnable.size()];
+    for (Pid q = 0; q < n; ++q) {
+      before[static_cast<std::size_t>(q)] = next_step_of(sim, q);
+    }
+    sim.step(p);
+    for (Pid q = 0; q < n; ++q) {
+      if (q != p) {
+        ASSERT_TRUE(same_next_step(before[static_cast<std::size_t>(q)],
+                                   next_step_of(sim, q)))
+            << what << " unit=" << unit << " stepped=" << p << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(PorLocality, NextStepOfOthersSurvivesAStep) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  for (int n = 2; n <= 6; ++n) {
+    for (const MutexAlgorithmEntry* e : registry.mutex_for_n(n)) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        // Seeds 3 and 4 arm crashes of pids 0 and 1 at different access
+        // counts.
+        std::vector<std::uint64_t> crashes;
+        if (seed >= 3) {
+          crashes = {seed - 2, seed};
+        }
+        Sim sim;
+        const auto alg = mutex_setup(e->factory, n, crashes)(sim);
+        expect_next_steps_local(sim, seed,
+                                e->info.name + " n=" + std::to_string(n) +
+                                    " seed=" + std::to_string(seed));
+      }
+    }
+    for (const DetectorAlgorithmEntry* e : registry.detector_algorithms()) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        std::vector<std::uint64_t> crashes;
+        if (seed == 2) {
+          crashes = {1};
+        }
+        Sim sim;
+        const auto det = detector_setup(e->factory, n, crashes)(sim);
+        expect_next_steps_local(sim, seed,
+                                e->info.name + " n=" + std::to_string(n) +
+                                    " seed=" + std::to_string(seed));
+      }
+    }
+  }
 }
 
 // --- Observability is inert: tracing + progress heartbeats running over

@@ -6,6 +6,7 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/algorithm_registry.h"
@@ -57,6 +58,19 @@ void compare_all_measures(Sim& sim, const MeasureAccumulator& acc, int n,
   }
 }
 
+/// True iff one process accessed registers on both sides of the
+/// RegIdSet mask/spill boundary during the run.
+bool some_pid_straddles_the_spill(const Trace& trace, int n) {
+  std::vector<int> seen(static_cast<std::size_t>(n), 0);
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.kind == TraceEvent::Kind::Access) {
+      seen[static_cast<std::size_t>(ev.pid)] |=
+          ev.access.reg < RegIdSet::kInlineIds ? 1 : 2;
+    }
+  }
+  return std::find(seen.begin(), seen.end(), 3) != seen.end();
+}
+
 TEST(StreamingMeasures, MatchesTraceOnRandomMutexSchedules) {
   const auto& registry = AlgorithmRegistry::instance();
   const std::vector<std::string> algorithms = {
@@ -77,6 +91,68 @@ TEST(StreamingMeasures, MatchesTraceOnRandomMutexSchedules) {
                 std::to_string(seed));
       }
     }
+  }
+}
+
+TEST(StreamingMeasures, MatchesTraceWhenRegisterIdsSpill) {
+  // Register ids from RegIdSet::kInlineIds on live in the accumulator's
+  // spill vectors; at these n the tree locks' ids straddle that boundary,
+  // so every set mixes mask bits and spilled ids.
+  const auto& registry = AlgorithmRegistry::instance();
+  for (const std::string name : {"peterson-tree", "kessels-tree"}) {
+    const MutexAlgorithmEntry& entry = registry.mutex(name);
+    for (const int n : {32, 64}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Sim sim;
+        MeasureAccumulator acc(n);
+        sim.add_sink(acc);
+        auto alg = setup_mutex(sim, entry.factory, n, /*sessions=*/2);
+        ASSERT_GT(sim.memory().size(), RegIdSet::kInlineIds) << name;
+        RandomScheduler rnd(seed);
+        drive(sim, rnd, RunLimits{20'000});
+        EXPECT_TRUE(some_pid_straddles_the_spill(sim.trace(), n)) << name;
+        compare_all_measures(
+            sim, acc, n,
+            name + " n=" + std::to_string(n) + " seed=" +
+                std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(StreamingMeasures, CopiesAreIndependentAcrossTheSpill) {
+  // Two simulations run the same schedule prefix; at the split the
+  // accumulator is copied onto the second one and the two runs continue
+  // under different schedules. Each copy must keep matching its own
+  // trace: the copy owns its spill vectors, so neither sees the other's
+  // later ids.
+  const MutexAlgorithmEntry& entry =
+      AlgorithmRegistry::instance().mutex("peterson-tree");
+  const int n = 64;
+  for (const std::uint64_t prefix : {300u, 3'000u}) {
+    Sim a;
+    Sim b;
+    MeasureAccumulator acc_a(n);
+    a.add_sink(acc_a);
+    auto alg_a = setup_mutex(a, entry.factory, n, /*sessions=*/2);
+    auto alg_b = setup_mutex(b, entry.factory, n, /*sessions=*/2);
+    RandomScheduler pre_a(7);
+    RandomScheduler pre_b(7);
+    drive(a, pre_a, RunLimits{prefix});
+    drive(b, pre_b, RunLimits{prefix});
+    ASSERT_EQ(a.schedule_log().size(), b.schedule_log().size());
+
+    MeasureAccumulator acc_b(1);
+    acc_b = acc_a;  // copy-assign over a differently sized accumulator
+    b.add_sink(acc_b);
+    RandomScheduler post_a(11);
+    RandomScheduler post_b(12);
+    drive(a, post_a, RunLimits{20'000});
+    drive(b, post_b, RunLimits{20'000});
+    EXPECT_TRUE(some_pid_straddles_the_spill(b.trace(), n));
+    const std::string what = "prefix=" + std::to_string(prefix);
+    compare_all_measures(a, acc_a, n, what + " original");
+    compare_all_measures(b, acc_b, n, what + " copy");
   }
 }
 
