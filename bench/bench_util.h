@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -262,6 +263,18 @@ inline const char* git_sha() {
 #endif
 }
 
+/// The compiler that built this binary, e.g. "gcc 12.2.0" or "clang
+/// 18.1.3": timings from different compilers are different measurements.
+inline const char* compiler_id() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Min-of-N timing: runs `body` `repeat` times and returns the fastest
 /// wall time in milliseconds. The minimum is the noise-robust estimator
 /// for "how fast does this code run" on shared machines — every slower
@@ -333,14 +346,17 @@ using JsonValue = std::variant<std::string, long long, double>;
 ///   {
 ///     "schema": "cfc.bench.v1",
 ///     "bench": "<name>",
-///     "context": {"git_sha": "<rev>", ...},
+///     "context": {"git_sha": "<rev>", "nproc": N, "compiler": "<id>",
+///                 ...},
 ///     "studies": [{"context": {...}, "study": <cfc.study.v1 object>}, ...],
 ///     "rows": [{...flat key/value row...}, ...],
 ///     "summary": {"checks_total": T, "checks_failed": F, "elapsed_ms": MS}
 ///   }
 ///
 /// The top-level context records the provenance every perf-trajectory
-/// consumer needs (which revision produced these numbers); benches add
+/// consumer needs: which revision produced these numbers, on how many
+/// hardware threads, built by which compiler (cfc_report diff refuses to
+/// compare payloads whose nproc, compiler or threads differ). Benches add
 /// run parameters via context().
 ///
 /// Study measurements go through study() — the canonical Study serializer
@@ -363,6 +379,10 @@ class JsonReport {
         out_dir_(std::move(out_dir)),
         start_(std::chrono::steady_clock::now()) {
     context_.emplace_back("git_sha", std::string(git_sha()));
+    context_.emplace_back(
+        "nproc",
+        static_cast<long long>(std::thread::hardware_concurrency()));
+    context_.emplace_back("compiler", std::string(compiler_id()));
   }
 
   /// Adds a key to the top-level context object (run parameters that

@@ -1,12 +1,12 @@
 // P4/P6/P7 (perf) — schedule-space explorer scaling: DFS throughput
 // (states/sec, min-of-N wall time) with the restore-cost counters
-// (restores, mark re-feeds per node, restore_marks, sims_built,
-// visited-cache reserved/live bytes), visited-state pruning, the
+// (restores, mark re-feeds per node, restore_marks, visited-cache
+// reserved/live bytes), visited-state pruning, the
 // source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
 // stateful vs stateless source-dpor on the re-convergent peterson-tree
 // cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
-// (rewind vs fork vs from-scratch), work-stealing thread scaling of the
-// parallel source-DPOR path, and thread-count invariance checked
+// (rewind vs fork vs from-scratch), thread scaling of the parallel
+// source-DPOR path, and thread-count invariance checked
 // byte-for-byte on the canonical study JSON (also written to --study-out
 // for CI's cross-thread-count cmp gate). Writes BENCH_explorer_scaling.json
 // (schema cfc.bench.v1, git sha in the context); CI runs this in Release as
@@ -71,8 +71,8 @@ Explorer::Config peterson_config(
 }
 
 /// A four-process tree-mutex search under source-dpor: the planner fans a
-/// wide frontier of long work items — the shape the work-stealing thread
-/// scaling section measures.
+/// wide frontier of long work items — the shape the thread scaling
+/// section measures.
 Explorer::Config tree_dpor_config(int depth) {
   const MutexFactory make =
       AlgorithmRegistry::instance().mutex("peterson-tree").factory;
@@ -125,6 +125,23 @@ const char* baseline_row_value(const std::string& json, const char* section,
     return json.c_str() + s + key.size();
   }
   return nullptr;
+}
+
+/// A numeric field of the baseline's top-level context (the first
+/// "context" object, which JsonReport writes before any study); negative
+/// when absent.
+double baseline_context_double(const std::string& json, const char* field) {
+  const std::size_t at = json.find("\"context\": {");
+  if (at == std::string::npos) {
+    return -1.0;
+  }
+  const std::size_t end = json.find('}', at);
+  const std::string key = "\"" + std::string(field) + "\": ";
+  const std::size_t s = json.find(key, at);
+  if (s == std::string::npos || s > end) {
+    return -1.0;
+  }
+  return std::strtod(json.c_str() + s + key.size(), nullptr);
 }
 
 /// A numeric baseline field; negative when absent.
@@ -209,6 +226,35 @@ int main(int argc, char** argv) {
                 "omitted\n",
                 opts.baseline.c_str());
   }
+  // A states/sec figure depends on the pool size and on the min-of-N
+  // estimator, so the baseline's rates bind only a run recorded at the
+  // same --threads and --repeat. Otherwise the rate gate is refused, with
+  // the mismatch named; the state-count gates are thread-invariant and
+  // always bind.
+  std::string rate_context_mismatch;
+  const auto compare_context = [&](const char* field, int mine) {
+    const double theirs = baseline_context_double(baseline_json, field);
+    if (theirs == static_cast<double>(mine)) {
+      return;
+    }
+    if (!rate_context_mismatch.empty()) {
+      rate_context_mismatch += ", ";
+    }
+    rate_context_mismatch +=
+        std::string(field) + " " +
+        (theirs < 0.0 ? std::string("?")
+                      : std::to_string(static_cast<long long>(theirs))) +
+        " vs " + std::to_string(mine);
+  };
+  if (!baseline_json.empty()) {
+    compare_context("threads", opts.threads);
+    compare_context("repeat", opts.repeat);
+    if (!rate_context_mismatch.empty()) {
+      std::printf("  [note] baseline context differs (baseline vs this run: "
+                  "%s): states/sec gate refused\n\n",
+                  rate_context_mismatch.c_str());
+    }
+  }
 
   // --- 1. Exhaustive DFS throughput over depth, with the restore cost
   // model's counters: every DFS node with k > 1 branches pays k-1
@@ -266,7 +312,6 @@ int main(int argc, char** argv) {
               {"value_replayed_per_node",
                cfc::bench::jv(value_replayed_per_node)},
               {"restore_marks", cfc::bench::jv(res.stats.restore_marks)},
-              {"sims_built", cfc::bench::jv(res.stats.sims_built)},
               {"visited_bytes", cfc::bench::jv(res.stats.visited_bytes)},
               {"visited_live_bytes",
                cfc::bench::jv(res.stats.visited_live_bytes)}});
@@ -282,8 +327,9 @@ int main(int argc, char** argv) {
     // guard band: it catches real hot-path regressions, not machine skew.
     // Rates of different reductions are different searches: the gate only
     // binds when the baseline row was recorded under this run's reduction.
+    // A context mismatch was refused (and named) once, above.
     const double base_rate =
-        baseline_json.empty()
+        baseline_json.empty() || !rate_context_mismatch.empty()
             ? -1.0
             : baseline_row_double(baseline_json, "throughput", depth,
                                   "states_per_sec");
@@ -598,9 +644,9 @@ int main(int argc, char** argv) {
                  "recycled rewind not slower than from-scratch replay");
   }
 
-  // --- 4b. Work-stealing thread scaling of the parallel source-DPOR
-  // path: a four-process tree search whose planner fans a wide frontier
-  // of work items over per-worker engines. Certified values, states, and
+  // --- 4b. Thread scaling of the parallel source-DPOR path: a
+  // four-process tree search whose planner fans a wide frontier of work
+  // items over per-worker engines. Certified values, states, and
   // every thread-invariant counter must match the sequential reference
   // exactly at every pool size; the speedup gate only binds on hosts with
   // >= 4 hardware threads (elsewhere the pool adds overhead, not cores).
@@ -609,8 +655,8 @@ int main(int argc, char** argv) {
     std::printf(
         "Parallel source-DPOR scaling (peterson-tree, n=4, depth %d):\n\n",
         depth);
-    TextTable scale({"threads", "ms", "states/sec", "speedup", "work items",
-                     "steals"});
+    TextTable scale({"threads", "ms", "states/sec", "speedup",
+                     "work items"});
     Explorer::Result ref;
     double rate1 = 0.0;
     double rate4 = 0.0;
@@ -649,8 +695,7 @@ int main(int argc, char** argv) {
            std::to_string(static_cast<long long>(ms)),
            std::to_string(static_cast<long long>(rate)),
            std::to_string(rate1 > 0 ? rate / rate1 : 0.0).substr(0, 4),
-           std::to_string(r.stats.work_items),
-           std::to_string(r.stats.steals)});
+           std::to_string(r.stats.work_items)});
       json.row({{"section", std::string("thread_scaling")},
                 {"threads", cfc::bench::jv(threads)},
                 {"ms_min", cfc::bench::jv(ms)},
@@ -658,8 +703,6 @@ int main(int argc, char** argv) {
                 {"speedup_vs_1", cfc::bench::jv(rate1 > 0 ? rate / rate1
                                                           : 0.0)},
                 {"work_items", cfc::bench::jv(r.stats.work_items)},
-                {"steals", cfc::bench::jv(r.stats.steals)},
-                {"sims_built", cfc::bench::jv(r.stats.sims_built)},
                 {"states", cfc::bench::jv(r.stats.states_visited)}});
     }
     std::printf("%s\n", scale.render().c_str());
@@ -671,8 +714,8 @@ int main(int argc, char** argv) {
     } else if (rate4 < rate1) {
       // Advisory on starved hosts: with fewer hardware threads than pool
       // workers, the pool's scheduling overhead competes with the search
-      // itself for the same cores, so a slowdown here does not indicate a
-      // work-stealing regression.
+      // itself for the same cores, so a slowdown here does not indicate an
+      // executor regression.
       std::printf(
           "  [note] threads=4 at %.2fx of threads=1 on %u hardware "
           "thread(s): pool overhead without extra cores — speedup gates "

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/slab_arena.h"
 #include "analysis/visited_table.h"
 #include "core/state_fingerprint.h"
 #include "obs/metrics.h"
@@ -65,7 +63,6 @@ void ExploreStats::merge(const ExploreStats& o) {
   }
   truncated = truncated || o.truncated;
   state_budget_hit = state_budget_hit || o.state_budget_hit;
-  frontier_clamped = frontier_clamped || o.frontier_clamped;
 }
 
 namespace {
@@ -98,26 +95,30 @@ struct CellResult {
 };
 
 /// One unit of the parallel execution: a realizable, violation-free
-/// schedule prefix of planner picks (stored in the plan's slab arena) and
-/// the DFS state at its horizon node — sleep mask, last pick, preemptions
-/// spent. Self-contained — any worker can claim it, reposition its private
-/// Sim, and run the subtree; race detection below the horizon is per-path
-/// (vector clocks live in the worker's own SourceDpor trace), so items
-/// share no mutable state.
+/// schedule prefix of planner picks (`len` pids at `offset` in the plan's
+/// flat prefix store) and the DFS state at its horizon node — sleep mask,
+/// last pick, preemptions spent. Self-contained — any worker can claim it,
+/// reposition its private Sim, and run the subtree; race detection below
+/// the horizon is per-path (vector clocks live in the worker's own
+/// SourceDpor trace), so items share no mutable state.
 struct WorkItem {
-  const Pid* prefix = nullptr;
+  std::uint32_t offset = 0;
   std::uint32_t len = 0;
   std::uint32_t sleep = 0;
   Pid last = -1;
   int preempt = 0;
 };
 
-/// The planner's output: the work items of one search, their prefixes
-/// stored in `arena`.
+/// The planner's output: the work items of one search and their prefixes,
+/// stored back to back in one flat vector.
 struct Plan {
   int horizon = 0;
-  SlabArena arena;
+  std::vector<Pid> prefixes;
   std::vector<WorkItem> items;
+
+  [[nodiscard]] std::span<const Pid> prefix(const WorkItem& item) const {
+    return {prefixes.data() + item.offset, item.len};
+  }
 };
 
 /// One DFS engine: owns the live simulation, the live accumulator, the
@@ -179,7 +180,8 @@ class CellExplorer {
   /// detector's trace with foreign-node masks. Repositioning is part of
   /// claiming the item, not a sibling backtrack, so it counts into neither
   /// restores nor value_replayed_steps.
-  void run_item(const WorkItem& item, CellResult& out) {
+  void run_item(const WorkItem& item, std::span<const Pid> prefix,
+                CellResult& out) {
     out_ = &out;
     begin_metrics();
     if (!sim_) {
@@ -204,8 +206,7 @@ class CellExplorer {
     nodes_ = 0;
     stop_ = false;
     int depth = 0;
-    for (std::uint32_t i = 0; i < item.len; ++i) {
-      const Pid p = item.prefix[i];
+    for (const Pid p : prefix) {
       if (!sim_->runnable(p)) {
         throw std::logic_error(
             "Explorer: work-item prefix diverged from the planner's run");
@@ -234,7 +235,6 @@ class CellExplorer {
     owner_ = cfg_.setup(*sim_);
     sim_->set_trace_recording(false);
     sim_->mark_rewind_base();
-    ++out_->stats.sims_built;
     acc_ = MeasureAccumulator(cfg_.nprocs);
     sim_->add_sink(acc_);
   }
@@ -451,11 +451,11 @@ class CellExplorer {
       if (cache_hit(last, sleep, preempt)) {
         return;
       }
-      Pid* stored = plan_->arena.alloc<Pid>(path_.size());
-      std::copy(path_.begin(), path_.end(), stored);
       plan_->items.push_back(WorkItem{
-          stored, static_cast<std::uint32_t>(path_.size()), sleep, last,
-          preempt});
+          static_cast<std::uint32_t>(plan_->prefixes.size()),
+          static_cast<std::uint32_t>(path_.size()), sleep, last, preempt});
+      plan_->prefixes.insert(plan_->prefixes.end(), path_.begin(),
+                             path_.end());
       ++out_->stats.work_items;
       return;
     }
@@ -684,19 +684,18 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
 
 namespace {
 
-/// Hard cap on the planner fan-out; n^f is clamped under it.
+/// Planner levels walked before the fan-out, at most: the top f levels
+/// are walked sequentially and every node at depth f becomes a work item.
+constexpr int kFrontierDepth = 4;
+
+/// Hard cap on the planner fan-out: at most n^f work items.
 constexpr std::size_t kFrontierCellCap = 4096;
 
-/// Planner horizon f: the top f levels are walked sequentially and every
-/// node at depth f becomes a work item — at most n^f of them, so f is
-/// capped to keep wide process counts from exploding (or overflowing) the
-/// fan-out. Depends only on (n, frontier_depth): thread-count invariant. A
-/// clamp below the requested depth logs a one-shot warning AND reports
-/// through `clamped` so ExploreStats::frontier_clamped (and the study
-/// JSON) make the coarser fan-out machine-readable.
-int frontier_split_depth(int nprocs, const ExploreLimits& limits,
-                         bool* clamped) {
-  const int want_f = std::clamp(limits.frontier_depth, 0, limits.max_depth);
+/// Planner horizon f: the largest f <= min(kFrontierDepth, max_depth) with
+/// n^f <= kFrontierCellCap. Depends only on (n, max_depth), so the work
+/// items, and every count derived from them, are thread-count invariant.
+int frontier_split_depth(int nprocs, int max_depth) {
+  const int want_f = std::clamp(max_depth, 0, kFrontierDepth);
   // Division instead of multiplication: overflow-proof for any nprocs.
   const std::size_t max_cells =
       kFrontierCellCap / static_cast<std::size_t>(nprocs);
@@ -705,16 +704,6 @@ int frontier_split_depth(int nprocs, const ExploreLimits& limits,
   while (f < want_f && cells <= max_cells) {
     cells *= static_cast<std::size_t>(nprocs);
     ++f;
-  }
-  if (f < want_f) {
-    *clamped = true;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "cfc: Explorer frontier depth clamped from %d to %d "
-                   "(%d^%d work items would exceed the %zu cap)\n",
-                   want_f, f, nprocs, want_f, kFrontierCellCap);
-    }
   }
   return f;
 }
@@ -725,9 +714,8 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   if (cfg_.strategy == SearchStrategy::Random) {
     return run_random_strategy(runner);
   }
-  bool clamped = false;
   Plan plan;
-  plan.horizon = frontier_split_depth(cfg_.nprocs, cfg_.limits, &clamped);
+  plan.horizon = frontier_split_depth(cfg_.nprocs, cfg_.limits.max_depth);
 
   // Phase 1 — sequential planner: full-branching walk of the top levels,
   // emitting one self-contained work item per horizon node. Everything the
@@ -744,84 +732,42 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
     obs::MetricRegistry& m = obs::MetricRegistry::global();
     if (m.enabled()) {
       m.add(obs::Metric::work_items, items.size());
-      m.set_max(obs::Metric::slab_bytes, plan.arena.bytes_reserved());
     }
   }
 
-  // Phase 2 — work-stealing execution: items are dealt in contiguous
-  // blocks into per-worker queues; a worker drains its own queue first
-  // (fetch_add claims), then sweeps the other queues for leftovers. Each
-  // worker owns one private Sim + CellExplorer reused across its items and
-  // accumulates each item into a worker-LOCAL result, published to the
-  // item's shared slot once at item end (per-node writes through the
-  // adjacent slots false-shared cache lines and cost more than the
-  // parallelism bought back). The slot merge runs in item index order, so
-  // only `steals` and sims_built reflect the scheduling.
+  // Phase 2 — execution: each worker claims item indices from one shared
+  // counter until it runs dry. A worker owns one private Sim +
+  // CellExplorer reused across its items and accumulates each item into a
+  // worker-LOCAL result, published to the item's shared slot once at item
+  // end (per-node writes through the adjacent slots false-shared cache
+  // lines and cost more than the parallelism bought back). The slot merge
+  // runs in item index order, so no report depends on the scheduling.
   std::vector<CellResult> slots(items.size());
-  std::atomic<std::uint64_t> steals{0};
   if (!items.empty()) {
     ExperimentRunner& eng = runner_or_shared(runner);
-    const int workers = static_cast<int>(std::min(
+    const std::size_t workers = std::min(
         items.size(),
-        static_cast<std::size_t>(std::max(1, eng.thread_count()))));
-    struct Queue {
-      std::vector<std::size_t> items;
-      std::atomic<std::size_t> next{0};
-    };
-    std::vector<Queue> queues(static_cast<std::size_t>(workers));
-    {
-      const std::size_t nw = static_cast<std::size_t>(workers);
-      const std::size_t per = items.size() / nw;
-      const std::size_t rem = items.size() % nw;
-      std::size_t next_item = 0;
-      for (std::size_t w = 0; w < nw; ++w) {
-        const std::size_t take = per + (w < rem ? 1 : 0);
-        for (std::size_t k = 0; k < take; ++k) {
-          queues[w].items.push_back(next_item++);
-        }
-      }
-    }
-    eng.parallel_for(static_cast<std::size_t>(workers), [&](std::size_t w) {
+        static_cast<std::size_t>(std::max(1, eng.thread_count())));
+    std::atomic<std::size_t> next{0};
+    eng.parallel_for(workers, [&](std::size_t) {
       CellExplorer cell(cfg_);
       CellResult local;  // worker-local: one hot cache line per worker
-      std::uint64_t local_steals = 0;
-      for (;;) {
-        std::size_t idx = items.size();
-        Queue& own = queues[w];
-        const std::size_t pos =
-            own.next.fetch_add(1, std::memory_order_relaxed);
-        if (pos < own.items.size()) {
-          idx = own.items[pos];
-        } else {
-          for (std::size_t off = 1;
-               off < queues.size() && idx == items.size(); ++off) {
-            Queue& victim = queues[(w + off) % queues.size()];
-            const std::size_t vpos =
-                victim.next.fetch_add(1, std::memory_order_relaxed);
-            if (vpos < victim.items.size()) {
-              idx = victim.items[vpos];
-              ++local_steals;
-            }
-          }
-        }
-        if (idx == items.size()) {
-          break;  // every queue drained
-        }
+      for (std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
+           idx < items.size();
+           idx = next.fetch_add(1, std::memory_order_relaxed)) {
         local.stats = ExploreStats{};
         local.best.clear();
         {
           const obs::TraceSpan item_span("explorer.item");
-          cell.run_item(items[idx], local);
+          cell.run_item(items[idx], plan.prefix(items[idx]), local);
         }
         slots[idx].stats = local.stats;
         slots[idx].best.swap(local.best);
       }
-      steals.fetch_add(local_steals, std::memory_order_relaxed);
     });
   }
 
   Result res;
-  res.stats.frontier_clamped = clamped;
   {
     const obs::TraceSpan merge_span("explorer.merge");
     res.stats.merge(planner_slot.stats);
@@ -829,13 +775,6 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
     for (const CellResult& slot : slots) {  // item index order: deterministic
       res.stats.merge(slot.stats);
       merge_best(res.best, slot.best);
-    }
-  }
-  res.stats.steals += steals.load(std::memory_order_relaxed);
-  {
-    obs::MetricRegistry& m = obs::MetricRegistry::global();
-    if (m.enabled()) {
-      m.add(obs::Metric::steals, res.stats.steals);
     }
   }
   return res;
@@ -855,7 +794,6 @@ Explorer::Result Explorer::run_random_strategy(
         const RunOutcome out =
             drive(sim, rnd, RunLimits{cfg_.random_budget});
         CellResult& slot = slots[i];
-        slot.stats.sims_built += 1;
         slot.stats.states_visited += sim.schedule_log().size();
         if (out == RunOutcome::BudgetExhausted) {
           acc.mark_truncated();

@@ -59,7 +59,10 @@ enum class ReductionPolicy : std::uint8_t {
 [[nodiscard]] std::optional<ReductionPolicy> reduction_policy_from(
     std::string_view s);
 
-/// Budgets for a DFS exploration.
+/// Budgets for a DFS exploration. The fan-out is not a knob: the planner
+/// horizon follows from the process count and max_depth (Explorer), so
+/// every field here shapes the searched space or its reduction, never the
+/// scheduling.
 struct ExploreLimits {
   /// Scheduler picks per path (depth of the interleaving tree).
   int max_depth = 48;
@@ -69,12 +72,6 @@ struct ExploreLimits {
   /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
   /// certified; ExploreStats::truncated).
   std::uint64_t max_states = 0;
-  /// Planner horizon of the parallel fan-out: the top this-many levels are
-  /// walked sequentially and every node reached at that depth becomes a
-  /// work item for the ExperimentRunner's workers (every DFS policy).
-  /// Fixed per configuration (never derived from the thread count), so
-  /// results are bit-identical for every thread count.
-  int frontier_depth = 4;
   /// Visited-state pruning (on by default): one sleep-set-aware cache
   /// (SleepCache) keyed on core/state_fingerprint x the objective digest
   /// (x the last pid under a preemption bound). A revisit is skipped only
@@ -85,8 +82,8 @@ struct ExploreLimits {
   /// every skip also runs the bounded-horizon cut-point insertions
   /// (SourceDpor::note_cut) at the pruned node, and those do NOT make one
   /// cache over a whole search sound: the per-item scope is load-bearing
-  /// for the values, not only for thread-count invariance. With
-  /// frontier_depth = 0 (one work item, one cache) kessels-2p n=2 d20
+  /// for the values, not only for thread-count invariance. With one cache
+  /// over the whole search (no planner horizon) kessels-2p n=2 d20
   /// certifies entry [4,4] against the Off oracle's [17,4]; with pruning
   /// off it matches. false runs every policy with no cache at all.
   bool prune_visited = true;
@@ -116,8 +113,6 @@ struct ExploreLimits {
   X(value_replayed_steps)             \
   X(restore_marks)                    \
   X(work_items)                       \
-  X(steals)                           \
-  X(sims_built)                       \
   X(visited_bytes)                    \
   X(visited_live_bytes)
 
@@ -137,20 +132,10 @@ struct ExploreStats {
   /// register traffic, no measurement events. No unit re-executes live.
   std::uint64_t value_replayed_steps = 0;
   std::uint64_t restore_marks = 0;   ///< RewindMarks captured at branching nodes
-  /// --- Parallel fan-out counters. ---
-  /// Work items the planner emitted (horizon subtrees fanned over the
-  /// worker pool), under every DFS policy. Thread-count invariant, like
-  /// every counter above.
+  /// Work items the planner emitted (horizon subtrees run by the pool's
+  /// workers), under every DFS policy. A count of the search's shape:
+  /// every counter in ExploreStats is thread-count invariant.
   std::uint64_t work_items = 0;
-  /// Work items a worker claimed from another worker's queue. One of the
-  /// two deliberately thread-dependent counters: it reports scheduler
-  /// behaviour, not search shape, and is excluded from the study JSON and
-  /// from the bit-identity gates.
-  std::uint64_t steals = 0;
-  /// Sim constructions + setup executions: the planner's one, plus one
-  /// per pool worker that claimed an item (Random: one per seed). The
-  /// other thread-dependent counter, excluded like steals.
-  std::uint64_t sims_built = 0;
   std::uint64_t visited_bytes = 0;   ///< bytes reserved by the planner's cache
   /// Bytes of *live* planner-cache entries (occupied slots + live spill
   /// nodes); visited_bytes reports reserved capacity, including the spill
@@ -165,12 +150,6 @@ struct ExploreStats {
   /// not fully covered, so the result is not certified even within the
   /// bounds.
   bool state_budget_hit = false;
-  /// True iff the frontier split depth was clamped below the requested
-  /// frontier_depth by the fan-out cap (n^f would exceed it). Advisory — the
-  /// search is still complete, just with a coarser parallel fan-out — but
-  /// machine-readable here and in the study JSON instead of only a
-  /// one-shot stderr warning.
-  bool frontier_clamped = false;
 
   void merge(const ExploreStats& o);
 };
@@ -210,12 +189,17 @@ struct ExploreObjective {
 /// exploration engine behind the certified worst-case searches.
 ///
 /// One DFS, one fan-out: every Exhaustive and Bounded search runs the same
-/// walk — a sequential planner over the top frontier_depth levels emitting
-/// work items, executed on a work-stealing pool. The policy only picks a
-/// node's starting branch mask (SourceDpor workers: one seed branch grown
-/// by race-driven insertions; the planner, Off and Bounded: every
-/// admissible process), whether sleep sets transfer to children (SourceDpor
-/// only), and the visited cache's visit mask (ExploreLimits::prune_visited).
+/// walk — a sequential planner over the top f levels emitting one work
+/// item per horizon node, then the items on the ExperimentRunner's
+/// workers. The horizon f is the largest f <= min(4, max_depth) with
+/// n^f <= 4096, so it depends on the process count and depth alone. The
+/// planner and the per-item caches define the search and every count it
+/// reports; the executor only decides which worker runs which item. The
+/// policy only picks a node's starting branch mask (SourceDpor workers: one
+/// seed branch grown by race-driven insertions; the planner, Off and
+/// Bounded: every admissible process), whether sleep sets transfer to
+/// children (SourceDpor only), and the visited cache's visit mask
+/// (ExploreLimits::prune_visited).
 /// Off, the unreduced reference oracle, is also the Bounded strategy's walk.
 ///
 /// Mechanics: each engine keeps ONE live simulation and descends by
@@ -235,9 +219,11 @@ struct ExploreObjective {
 /// Steady state, a restore performs zero Sim heap allocation.
 ///
 /// Parallelism: the planner's work items partition the tree below its
-/// horizon into independent subtrees, claimed by ExperimentRunner workers;
-/// per-item results reduce in item index order, so reports (every counter
-/// but steals/sims_built) are bit-identical for every thread count.
+/// horizon into independent subtrees. Workers claim item indices from one
+/// shared atomic counter, the same dispenser ExperimentRunner::parallel_for
+/// uses, and each runs its items on one private Sim. Per-item results
+/// reduce in item index order, so reports are bit-identical for every
+/// thread count.
 class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle
@@ -266,8 +252,8 @@ class Explorer {
   explicit Explorer(Config cfg);
 
   /// Runs the exploration: Random runs one schedule per seed; Exhaustive
-  /// and Bounded run the planner, then the work items on a work-stealing
-  /// pool. `runner == nullptr` uses the shared pool.
+  /// and Bounded run the planner, then the work items on the runner's
+  /// workers. `runner == nullptr` uses the shared pool.
   [[nodiscard]] Result run(ExperimentRunner* runner = nullptr) const;
 
  private:

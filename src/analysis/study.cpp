@@ -211,7 +211,6 @@ void fill_search_stats(StudyResult& out, const Explorer::Result& r,
   out.field = r.stats.stats_member;
   CFC_STUDY_REDUCTION_COUNTERS(CFC_COPY_COUNTER)
 #undef CFC_COPY_COUNTER
-  out.frontier_clamped = r.stats.frontier_clamped;
   out.schedules_tried = r.stats.runs_completed + r.stats.runs_truncated;
   out.states_visited = r.stats.states_visited;
   out.violations = r.stats.violations;
@@ -698,7 +697,6 @@ std::string search_key(const WorstCaseSearchOptions& o) {
          "|depth=" + std::to_string(o.limits.max_depth) +
          "|preempt=" + std::to_string(o.limits.max_preemptions) +
          "|states=" + std::to_string(o.limits.max_states) +
-         "|frontier=" + std::to_string(o.limits.frontier_depth) +
          "|prune=" + std::to_string(o.limits.prune_visited ? 1 : 0) +
          "|reduction=" + name(o.limits.reduction) +
          "|rr=" + std::to_string(o.detector_round_robin ? 1 : 0) +
@@ -1062,8 +1060,7 @@ std::string to_json(const StudyResult& r, const StudyJsonOptions& opts) {
            ",\n    \"truncated\": " +
            (r.truncated ? "true" : "false") +
            ",\n    \"certified\": " + (r.certified ? "true" : "false") +
-           ",\n    \"frontier_clamped\": " +
-           (r.frontier_clamped ? "true" : "false") + "\n  }";
+           "\n  }";
   } else {
     out += "  \"wc\": null";
   }
@@ -1204,9 +1201,8 @@ StudyResult study_from_json(const std::string& payload) {
     r.violations = json::to_u64(json::member(wc, "violations"));
     r.truncated = json::to_bool(json::member(wc, "truncated"));
     r.certified = json::to_bool(json::member(wc, "certified"));
-    // Optional (added with the frontier-clamp surfacing).
-    const json::Node* fc = wc.find("frontier_clamped");
-    r.frontier_clamped = fc != nullptr && json::to_bool(*fc);
+    // Members this reader does not know are ignored here too, so payloads
+    // that still carry the retired "frontier_clamped" flag parse unchanged.
   }
 
   // Optional (added with the phase-timing breakdown); members optional

@@ -203,11 +203,9 @@ struct StudyResult {
   std::uint64_t backtrack_points = 0;
   std::uint64_t sleep_blocked = 0;
   std::uint64_t cache_hits = 0;
-  /// Parallel source-DPOR: work items the planner emitted and rewind
-  /// marks the engines captured at branching nodes. Thread-count
-  /// invariant, like every counter here (the deliberately thread-DEPENDENT
-  /// counters — steals, sims_built — are excluded from study results, so
-  /// the canonical JSON stays byte-identical at every thread count).
+  /// Work items the planner emitted and rewind marks the engines captured
+  /// at branching nodes. Thread-count invariant, like every counter here,
+  /// so the canonical JSON stays byte-identical at every thread count.
   std::uint64_t work_items = 0;
   std::uint64_t restore_marks = 0;
   ComplexityReport wc;
@@ -226,10 +224,6 @@ struct StudyResult {
   /// Exhaustive/Bounded only: the whole bounded schedule space was covered
   /// (no max_states cut) — the values are the exact maxima over it.
   bool certified = false;
-  /// The parallel frontier split was clamped below the requested depth by
-  /// the cell cap (ExploreStats::frontier_clamped). Advisory — coverage is
-  /// unaffected — but surfaced so the coarser fan-out is machine-readable.
-  bool frontier_clamped = false;
 
   /// Wall-clock measurement time attributed to this study: the summed
   /// durations of its cells (a shared, deduplicated measurement counts

@@ -32,10 +32,24 @@ void SleepCache::grow() {
   slots_.assign(old.empty() ? kInitialCapacity : old.size() * 2, Slot{});
   for (const Slot& s : old) {
     if (s.key != 0) {
-      // Spill chains move with the slot: arena addresses survive rehash.
+      // Spill chains move with the slot: their links are pool indices.
       slots_[find_slot(s.key)] = s;
     }
   }
+}
+
+bool SleepCache::covered(const Slot& slot, std::uint32_t sleep) const {
+  for (std::uint8_t i = 0; i < slot.inline_count; ++i) {
+    if ((slot.inline_masks[i] & ~sleep) == 0) {
+      return true;
+    }
+  }
+  for (std::uint32_t n = slot.spill_head; n != kNoNode; n = spill_[n].next) {
+    if ((spill_[n].mask & ~sleep) == 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool SleepCache::subsumed(std::uint64_t raw_key, std::uint32_t sleep) const {
@@ -44,20 +58,7 @@ bool SleepCache::subsumed(std::uint64_t raw_key, std::uint32_t sleep) const {
   }
   const std::uint64_t key = normalize_key(raw_key);
   const Slot& slot = slots_[find_slot(key)];
-  if (slot.key != key) {
-    return false;
-  }
-  for (std::uint8_t i = 0; i < slot.inline_count; ++i) {
-    if ((slot.inline_masks[i] & ~sleep) == 0) {
-      return true;
-    }
-  }
-  for (const SpillNode* n = slot.spill_head; n != nullptr; n = n->next) {
-    if ((n->mask & ~sleep) == 0) {
-      return true;
-    }
-  }
-  return false;
+  return slot.key == key && covered(slot, sleep);
 }
 
 void SleepCache::insert(std::uint64_t raw_key, std::uint32_t sleep) {
@@ -75,17 +76,8 @@ bool SleepCache::check_and_insert(std::uint64_t raw_key,
   }
   const std::uint64_t key = normalize_key(raw_key);
   Slot& slot = slots_[find_slot(key)];
-  if (slot.key == key) {
-    for (std::uint8_t i = 0; i < slot.inline_count; ++i) {
-      if ((slot.inline_masks[i] & ~sleep) == 0) {
-        return true;
-      }
-    }
-    for (const SpillNode* n = slot.spill_head; n != nullptr; n = n->next) {
-      if ((n->mask & ~sleep) == 0) {
-        return true;
-      }
-    }
+  if (slot.key == key && covered(slot, sleep)) {
+    return true;
   }
   insert_into(slot, key, sleep);
   return false;
@@ -107,16 +99,16 @@ void SleepCache::insert_into(Slot& slot, std::uint64_t key,
     }
   }
   slot.inline_count = kept;
-  SpillNode** link = &slot.spill_head;
-  while (*link != nullptr) {
-    SpillNode* node = *link;
-    if ((sleep & ~node->mask) == 0) {
-      *link = node->next;
-      node->next = spill_free_;
-      spill_free_ = node;
+  std::uint32_t* link = &slot.spill_head;
+  while (*link != kNoNode) {
+    const std::uint32_t n = *link;
+    if ((sleep & ~spill_[n].mask) == 0) {
+      *link = spill_[n].next;
+      spill_[n].next = spill_free_;
+      spill_free_ = n;
       --spill_live_;
     } else {
-      link = &node->next;
+      link = &spill_[n].next;
     }
   }
 
@@ -124,30 +116,29 @@ void SleepCache::insert_into(Slot& slot, std::uint64_t key,
     slot.inline_masks[slot.inline_count++] = sleep;
     return;
   }
-  SpillNode* node;
-  if (spill_free_ != nullptr) {
-    node = spill_free_;
-    spill_free_ = node->next;
+  std::uint32_t n = spill_free_;
+  if (n != kNoNode) {
+    spill_free_ = spill_[n].next;
   } else {
-    node = spill_arena_.alloc<SpillNode>(1);
+    n = static_cast<std::uint32_t>(spill_.size());
+    spill_.emplace_back();
   }
-  node->mask = sleep;
-  node->next = slot.spill_head;
-  slot.spill_head = node;
+  spill_[n] = SpillNode{sleep, slot.spill_head};
+  slot.spill_head = n;
   ++spill_live_;
 }
 
 void SleepCache::clear() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
-  spill_arena_.reset();
-  spill_free_ = nullptr;
+  spill_.clear();
+  spill_free_ = kNoNode;
   spill_live_ = 0;
   used_ = 0;
 }
 
 std::size_t SleepCache::bytes() const {
   return slots_.capacity() * sizeof(Slot) +
-         static_cast<std::size_t>(spill_arena_.bytes_reserved());
+         spill_.capacity() * sizeof(SpillNode);
 }
 
 std::size_t SleepCache::live_bytes() const {

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/slab_arena.h"
-
 namespace cfc {
 
 /// The explorer's visited-state cache, for every DFS policy.
@@ -28,16 +26,16 @@ namespace cfc {
 /// automatically.
 ///
 /// Layout: open addressing with linear probing over a power-of-two slot
-/// array, two inline masks per key, longer antichains spilled into
-/// pointer-linked nodes carved from a SlabArena (stable addresses,
-/// geometric blocks) and recycled through a free list. One lookup is one
-/// hash, a handful of contiguous probes, and zero allocation steady-state.
-/// clear() keeps every reservation (slot array, slabs) so a worker can
-/// reuse one cache across work items. The per-item clearing keeps the
-/// pruning (and every counter derived from it) thread-count invariant
-/// under the work-stealing executor, and it keeps source-DPOR's certified
-/// values sound: one cache over a whole search is not
-/// (ExploreLimits::prune_visited).
+/// array of 24-byte slots, two inline masks per key. Longer antichains
+/// spill into nodes of one pool vector, linked by 32-bit indices (so a
+/// rehash or a pool reallocation moves no link) and recycled through an
+/// index free list. One lookup is one hash, a handful of contiguous
+/// probes, and zero allocation steady-state. clear() keeps every
+/// reservation (slot array, spill pool) so a worker can reuse one cache
+/// across work items. The per-item clearing keeps the pruning (and every
+/// counter derived from it) independent of which worker runs which item,
+/// and it keeps source-DPOR's certified values sound: one cache over a
+/// whole search is not (ExploreLimits::prune_visited).
 class SleepCache {
  public:
   SleepCache() = default;
@@ -54,22 +52,25 @@ class SleepCache {
   bool check_and_insert(std::uint64_t key, std::uint32_t sleep);
 
   /// Drops every entry but keeps the reserved capacity (slot array and
-  /// spill slabs) for reuse.
+  /// spill pool) for reuse.
   void clear();
 
   /// Distinct keys stored.
   [[nodiscard]] std::size_t size() const { return used_; }
 
-  /// Bytes reserved (slot capacity + spill slabs, freelist included).
+  /// Bytes reserved (slot capacity + spill pool, freelist included).
   [[nodiscard]] std::size_t bytes() const;
 
   /// Bytes of live entries (occupied slots + in-chain spill nodes).
   [[nodiscard]] std::size_t live_bytes() const;
 
  private:
+  /// End of a spill chain (and of the free list).
+  static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
+
   struct SpillNode {
     std::uint32_t mask = 0;
-    SpillNode* next = nullptr;
+    std::uint32_t next = kNoNode;  ///< index into spill_
   };
 
   struct Slot {
@@ -77,16 +78,17 @@ class SleepCache {
     std::uint32_t inline_masks[2] = {0, 0};
     std::uint8_t inline_count = 0;  ///< masks are arbitrary: count, not
                                     ///< sentinel, marks the used slots
-    SpillNode* spill_head = nullptr;
+    std::uint32_t spill_head = kNoNode;  ///< index into spill_
   };
 
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
+  [[nodiscard]] bool covered(const Slot& slot, std::uint32_t sleep) const;
   void grow();
   void insert_into(Slot& slot, std::uint64_t key, std::uint32_t sleep);
 
   std::vector<Slot> slots_;
-  SlabArena spill_arena_{1024};
-  SpillNode* spill_free_ = nullptr;
+  std::vector<SpillNode> spill_;  ///< spill pool: live chains + free list
+  std::uint32_t spill_free_ = kNoNode;
   std::size_t spill_live_ = 0;
   std::size_t used_ = 0;
 };

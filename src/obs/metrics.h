@@ -15,7 +15,8 @@ namespace cfc::obs {
 /// touching the intermediate layers. Counters are monotonic sums over
 /// per-shard cells; gauges are last-write point-in-time values.
 ///
-/// X-macro: X(enumerator, "json_name", kind).
+/// X-macro: X(enumerator, "json_name", kind). `steals` has no producer;
+/// it stays (reading 0) because certbench's `explorer.steals` row reads it.
 #define CFC_OBS_METRICS(X)                       \
   X(states_visited, "states_visited", Counter)   \
   X(cells_total, "cells_total", Gauge)           \
@@ -28,8 +29,7 @@ namespace cfc::obs {
   X(work_items, "work_items", Counter)           \
   X(steals, "steals", Counter)                   \
   X(restores, "restores", Counter)               \
-  X(visited_live_bytes, "visited_live_bytes", Gauge) \
-  X(slab_bytes, "slab_bytes", Gauge)
+  X(visited_live_bytes, "visited_live_bytes", Gauge)
 
 enum class Metric : std::uint32_t {
 #define CFC_OBS_METRIC_ENUM(id, name, kind) id,

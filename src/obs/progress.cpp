@@ -88,8 +88,7 @@ void ProgressReporter::emit() {
         "\"states\": %llu, \"states_per_sec\": %.1f, "
         "\"cache_hits\": %llu, \"cache_hit_rate\": %.4f, "
         "\"sleep_blocked\": %llu, \"sleep_blocked_rate\": %.4f, "
-        "\"visited_live_bytes\": %llu, \"slab_bytes\": %llu, "
-        "\"steals\": %llu}\n",
+        "\"visited_live_bytes\": %llu}\n",
         ms_total,
         static_cast<unsigned long long>(snap.value(Metric::cells_done)),
         static_cast<unsigned long long>(snap.value(Metric::cells_total)),
@@ -97,25 +96,20 @@ void ProgressReporter::emit() {
         static_cast<unsigned long long>(cache_hits), cache_rate,
         static_cast<unsigned long long>(sleep_blocked), sleep_rate,
         static_cast<unsigned long long>(
-            snap.value(Metric::visited_live_bytes)),
-        static_cast<unsigned long long>(snap.value(Metric::slab_bytes)),
-        static_cast<unsigned long long>(snap.value(Metric::steals)));
+            snap.value(Metric::visited_live_bytes)));
     std::fflush(file_);
   } else if (opts_.path.empty()) {
     std::fprintf(
         stderr,
         "[cfc] t=%.1fs cells %llu/%llu states %llu (%.0f/s) "
-        "cache-hit %.1f%% sleep-block %.1f%% visited %llu B slab %llu B "
-        "steals %llu\n",
+        "cache-hit %.1f%% sleep-block %.1f%% visited %llu B\n",
         ms_total / 1000.0,
         static_cast<unsigned long long>(snap.value(Metric::cells_done)),
         static_cast<unsigned long long>(snap.value(Metric::cells_total)),
         static_cast<unsigned long long>(states), states_per_sec,
         100.0 * cache_rate, 100.0 * sleep_rate,
         static_cast<unsigned long long>(
-            snap.value(Metric::visited_live_bytes)),
-        static_cast<unsigned long long>(snap.value(Metric::slab_bytes)),
-        static_cast<unsigned long long>(snap.value(Metric::steals)));
+            snap.value(Metric::visited_live_bytes)));
   }
   prev_ = snap;
   prev_time_ = now;

@@ -16,8 +16,8 @@ namespace cfc::obs {
 /// every interval, snapshots the registry, and emits one progress line —
 /// human-readable to stderr, or one JSON object per line (JSONL) to a
 /// file. Reports cells done/total, cumulative states and the states/sec
-/// over the last interval, cache hit and sleep-block rates, live
-/// visited-table / slab bytes, and steals.
+/// over the last interval, cache hit and sleep-block rates, and the live
+/// visited-cache bytes high-water mark.
 ///
 /// The reporter enables the global registry for its lifetime (restoring
 /// the previous state on stop), so instrumented code only pays for

@@ -334,7 +334,6 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
   // restores / value_replayed_steps / visited_bytes are per-item
   // deterministic sums (the planner's cache bytes plus nothing
   // worker-dependent), so they must not depend on the pool size.
-  // sims_built counts one Sim per pool worker and is excluded.
   ExperimentRunner seq(1);
   ExperimentRunner par(4);
   Explorer::Config cfg;
@@ -351,6 +350,33 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
   EXPECT_EQ(a.stats.value_replayed_steps, b.stats.value_replayed_steps);
   EXPECT_EQ(a.stats.visited_bytes, b.stats.visited_bytes);
   EXPECT_GT(a.stats.visited_bytes, 0u);
+}
+
+TEST(Explorer, WideFanOutStaysUnderTheWorkItemCap) {
+  // The planner horizon is the largest f <= min(4, max_depth) with
+  // n^f <= 4096: f = 3 at n = 9 (at most 729 items) and f = 2 at n = 17
+  // (at most 289), short of the 4 levels a narrow search gets. The counts
+  // are pinned, so the horizon rule cannot drift silently.
+  struct WideCell {
+    int n;
+    int depth;
+    std::uint64_t work_items;
+  };
+  ExperimentRunner pool(4);
+  for (const WideCell c : {WideCell{9, 5, 405}, WideCell{17, 4, 289}}) {
+    Explorer::Config cfg;
+    cfg.nprocs = c.n;
+    cfg.strategy = SearchStrategy::Exhaustive;
+    cfg.limits.max_depth = c.depth;
+    cfg.limits.reduction = ReductionPolicy::SourceDpor;
+    cfg.setup = [n = c.n](Sim& sim) -> std::shared_ptr<void> {
+      return setup_mutex(sim, TasLock::factory(), n, 1);
+    };
+    const Explorer::Result r = Explorer(cfg).run(&pool);
+    EXPECT_EQ(r.stats.work_items, c.work_items) << "n=" << c.n;
+    EXPECT_LE(r.stats.work_items, 4096u) << "n=" << c.n;
+    EXPECT_FALSE(r.stats.state_budget_hit) << "n=" << c.n;
+  }
 }
 
 TEST(Explorer, VisitedPruningOnlyDropsRedundantWork) {

@@ -88,11 +88,11 @@ TEST_F(MetricsTest, DisabledRegistryIsInert) {
   EXPECT_FALSE(reg_.enabled());
   reg_.set_enabled(true);
   reg_.add(Metric::states_visited, 5);
-  reg_.set(Metric::slab_bytes, 100);
-  reg_.set_max(Metric::slab_bytes, 50);  // max keeps the larger value
+  reg_.set(Metric::visited_live_bytes, 100);
+  reg_.set_max(Metric::visited_live_bytes, 50);  // max keeps the larger value
   const MetricRegistry::Snapshot snap = reg_.snapshot();
   EXPECT_EQ(snap.value(Metric::states_visited), 5u);
-  EXPECT_EQ(snap.value(Metric::slab_bytes), 100u);
+  EXPECT_EQ(snap.value(Metric::visited_live_bytes), 100u);
   reg_.reset();
   EXPECT_EQ(reg_.snapshot().value(Metric::states_visited), 0u);
 }

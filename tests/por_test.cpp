@@ -247,7 +247,7 @@ TEST(PorDifferential, SourceDporReducesTheUnprunedTree) {
 
 TEST(PorDifferential, Kessels2pDepth20MatchesUnreduced) {
   // The certification sweep's deepest n=2 cell, at the default limits.
-  // One cache over the whole search (frontier_depth 0) under-certifies
+  // One cache over the whole search (no planner horizon) under-certifies
   // its entry window as [4,4] against the oracle's [17,4]; the per-item
   // cache scope must keep the default search exact.
   ExperimentRunner seq(1);
@@ -334,8 +334,8 @@ TEST(PorCounters, PopulatedAndThreadInvariant) {
   EXPECT_GT(d.stats.sleep_blocked, 0u);
 }
 
-// --- The parallel work-stealing path: canonical JSON is byte-identical
-// at every thread count, and a steal-heavy fan-out matches sequential. ---
+// --- The parallel fan-out: canonical JSON is byte-identical at every
+// thread count, and a wide fan-out matches sequential. ---
 
 std::string study_json_at(const StudySpec& spec, int threads) {
   ExperimentRunner runner(threads);
@@ -345,7 +345,7 @@ std::string study_json_at(const StudySpec& spec, int threads) {
 
 /// Runs the spec at threads 1 (the reference engine) and 2/4/8 and
 /// asserts the timing-free cfc.study.v1 payloads are byte-identical —
-/// the determinism contract of the work-stealing DFS fan-out.
+/// the determinism contract of the DFS fan-out.
 void expect_json_thread_invariant(const StudySpec& spec,
                                   const std::string& what,
                                   const std::string& policy = "source-dpor") {
@@ -426,13 +426,13 @@ TEST(PorStudyJson, BoundedByteIdenticalAcrossThreadCounts) {
                                "off");
 }
 
-TEST(PorStress, StealHeavyFanOutMatchesSequential) {
+TEST(PorStress, WideFanOutMatchesSequential) {
   // A deep three-process detector tree gives the planner a wide frontier
-  // of long work items — the steal-heavy shape. Run it on an 8-thread
-  // pool (more workers than cores on most CI boxes, so queues drain
-  // unevenly and steals actually happen) and on the sequential reference,
-  // and require identical certified values and thread-invariant counters.
-  // CI additionally runs this test under ThreadSanitizer.
+  // of long work items. Run it on an 8-thread pool (more workers than
+  // cores on most CI boxes, so workers claim items in uneven, contended
+  // order) and on the sequential reference, and require identical
+  // certified values and thread-invariant counters. CI additionally runs
+  // this test under ThreadSanitizer.
   const DetectorFactory splitter =
       AlgorithmRegistry::instance().detector("splitter-tree-l2").factory;
   const auto cfg = explorer_config(detector_setup(splitter, 3), 3, 12,
@@ -443,7 +443,7 @@ TEST(PorStress, StealHeavyFanOutMatchesSequential) {
   const Explorer::Result b = Explorer(cfg).run(&pool);
   ASSERT_EQ(a.best.size(), b.best.size());
   for (std::size_t i = 0; i < a.best.size(); ++i) {
-    expect_reports_equal(a.best[i], b.best[i], "steal-heavy");
+    expect_reports_equal(a.best[i], b.best[i], "wide fan-out");
   }
   EXPECT_GT(a.stats.work_items, 1u);  // the planner genuinely fanned out
   EXPECT_EQ(a.stats.work_items, b.stats.work_items);
@@ -453,9 +453,6 @@ TEST(PorStress, StealHeavyFanOutMatchesSequential) {
   EXPECT_EQ(a.stats.sleep_blocked, b.stats.sleep_blocked);
   EXPECT_EQ(a.stats.restore_marks, b.stats.restore_marks);
   EXPECT_EQ(a.stats.violations, b.stats.violations);
-  // Thread-dependent observability: the pool built one sim per worker
-  // (plus the planner's), never more than items + 1.
-  EXPECT_LE(b.stats.sims_built, a.stats.work_items + 1);
 }
 
 // --- The search shape, pinned: hot-path work (snapshots, restores,

@@ -61,7 +61,6 @@ StudyResult golden_fixture() {
   r.violations = 0;
   r.truncated = true;
   r.certified = true;
-  r.frontier_clamped = true;
   r.plan_ms = 0.2;
   r.execute_ms = 1.1;
   r.merge_ms = 0.2;
@@ -132,7 +131,6 @@ TEST(StudyJson, RoundTripsByteIdentically) {
   EXPECT_EQ(parsed.violations, original.violations);
   EXPECT_EQ(parsed.truncated, original.truncated);
   EXPECT_EQ(parsed.certified, original.certified);
-  EXPECT_EQ(parsed.frontier_clamped, original.frontier_clamped);
   EXPECT_DOUBLE_EQ(parsed.plan_ms, original.plan_ms);
   EXPECT_DOUBLE_EQ(parsed.execute_ms, original.execute_ms);
   EXPECT_DOUBLE_EQ(parsed.merge_ms, original.merge_ms);
@@ -234,22 +232,30 @@ TEST(StudyJson, ParallelCountersOptionalForPreParallelPayloads) {
 
 TEST(StudyJson, StatefulCountersOptionalForPreStatefulPayloads) {
   // Payloads written before stateful DPOR carry a reduction object without
-  // cache_hits and a wc object without frontier_clamped; they parse with
-  // zero cache hits and an unclamped frontier.
+  // cache_hits; they parse with zero cache hits.
   std::string json = to_json(golden_fixture());
   const std::string ch = ", \"cache_hits\": 17";
   const std::size_t cat = json.find(ch);
   ASSERT_NE(cat, std::string::npos);
   json.erase(cat, ch.size());
-  const std::string fc = ",\n    \"frontier_clamped\": true";
-  const std::size_t fat = json.find(fc);
-  ASSERT_NE(fat, std::string::npos);
-  json.erase(fat, fc.size());
   const StudyResult parsed = study_from_json(json);
   EXPECT_EQ(parsed.wc_reduction, ReductionPolicy::SourceDpor);
   EXPECT_EQ(parsed.cache_hits, 0u);
-  EXPECT_FALSE(parsed.frontier_clamped);
   EXPECT_EQ(parsed.races_detected, 21u);
+}
+
+TEST(StudyJson, PayloadWithRetiredFrontierClampedStillParses) {
+  // Earlier cfc.study.v1 writers closed the wc object with a
+  // "frontier_clamped" flag. The parser ignores it, so such a payload
+  // parses to the same result and re-serializes to today's form.
+  std::string json = to_json(golden_fixture());
+  const std::string certified = "\"certified\": true";
+  const std::size_t at = json.find(certified);
+  ASSERT_NE(at, std::string::npos);
+  json.insert(at + certified.size(), ",\n    \"frontier_clamped\": true");
+  const StudyResult parsed = study_from_json(json);
+  EXPECT_TRUE(parsed.certified);
+  EXPECT_EQ(to_json(parsed), to_json(golden_fixture()));
 }
 
 TEST(StudyJson, PayloadWithRetiredReductionKeysStillParses) {

@@ -143,7 +143,7 @@ TEST(SleepCache, ClearKeepsReservedCapacity) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.subsumed(0x9e3779b9ULL, 0xFF));
-  // Capacity (slot array + spill slabs) survives for reuse; live bytes
+  // Capacity (slot array + spill pool) survives for reuse; live bytes
   // fall back to the empty slot array.
   EXPECT_EQ(cache.bytes(), reserved);
   cache.insert(123, 7);

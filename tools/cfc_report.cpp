@@ -8,7 +8,9 @@
 //     "_per_sec", where lower is worse) gate the exit status: a drop of
 //     more than <pct> percent (default 3) fails the diff. Rows present in
 //     only one payload are listed but never fail the run — benches grow
-//     rows over time.
+//     rows over time. Payloads whose top-level context differs in nproc,
+//     compiler or threads measure different machines or pools: the diff
+//     refuses them (exit 3), naming the field, instead of comparing.
 //
 //   cfc_report --check-trace <trace.json>
 //     Validates a Chrome trace-event file the obs tracer wrote: parses the
@@ -104,11 +106,36 @@ std::vector<Row> rows_of(const cfc::json::Node& payload, const char* path) {
   return rows;
 }
 
+/// The raw text of a top-level context field; "(absent)" when missing.
+std::string context_field(const cfc::json::Node& payload, const char* key) {
+  const cfc::json::Node* context = payload.find("context");
+  const cfc::json::Node* v =
+      context != nullptr ? context->find(key) : nullptr;
+  return v != nullptr ? v->text : "(absent)";
+}
+
+/// Exit status of a diff refused because the payloads' provenance differs.
+constexpr int kRefused = 3;
+
 int diff(const char* base_path, const char* cur_path, double max_regress) {
   const cfc::json::Node base_doc = cfc::json::parse(read_file(base_path));
   const cfc::json::Node cur_doc = cfc::json::parse(read_file(cur_path));
   const std::vector<Row> base = rows_of(base_doc, base_path);
   std::vector<Row> cur = rows_of(cur_doc, cur_path);
+
+  // Throughput from another host, compiler or pool size is a different
+  // measurement, not a regression: refuse rather than gate on it.
+  for (const char* key : {"nproc", "compiler", "threads"}) {
+    const std::string b = context_field(base_doc, key);
+    const std::string c = context_field(cur_doc, key);
+    if (b != c) {
+      std::fprintf(stderr,
+                   "cfc_report diff: refused: context.%s differs (%s: %s, "
+                   "%s: %s)\n",
+                   key, base_path, b.c_str(), cur_path, c.c_str());
+      return kRefused;
+    }
+  }
 
   std::printf("cfc_report diff: %zu baseline rows vs %zu current rows "
               "(max throughput regression %.1f%%)\n",
