@@ -220,7 +220,9 @@ void fill_search_stats(StudyResult& out, const Explorer::Result& r,
 }
 
 /// Mutex contention-free measurement (Section 2.2): one solo session per
-/// measured pid, each a cell; max over pids.
+/// measured pid; max over pids. Each cell is one block of
+/// detail::kCfPidBlock consecutive pids (detail::measure_mutex_cf_block),
+/// so a solo run costs its own work rather than a fresh n-process setup.
 class MutexCfTask final : public MeasureTask {
  public:
   MutexCfTask(MutexFactory make, int n, AccessPolicy policy, int pid_limit)
@@ -229,35 +231,23 @@ class MutexCfTask final : public MeasureTask {
   }
 
   [[nodiscard]] std::size_t cell_count() const override {
-    return cells_.size();
+    return (cells_.size() + detail::kCfPidBlock - 1) / detail::kCfPidBlock;
   }
 
-  void measure_cell(std::size_t i, ExperimentRunner&) override {
-    const Pid pid = static_cast<Pid>(i);
-    Sim sim;
-    sim.set_trace_recording(false);
-    sim.set_access_policy(policy_);
-    MeasureAccumulator acc(n_);
-    sim.add_sink(acc);
-    auto alg = setup_mutex(sim, make_, n_, /*sessions=*/1);
-    SoloScheduler solo(pid);
-    if (drive(sim, solo) == RunOutcome::BudgetExhausted) {
-      throw std::logic_error(
-          "solo mutex session did not terminate (weak deadlock freedom "
-          "violated)");
-    }
-    if (acc.contention_free_session_count(pid) != 1) {
-      throw std::logic_error("expected exactly one contention-free session");
-    }
-    Cell& cell = cells_[i];
-    cell.session = acc.contention_free_session_max(pid);
-    cell.entry = acc.clean_entry_max(pid);
-    cell.exit = acc.exit_max(pid);
-    cell.atomicity = acc.total(pid).atomicity;
+  void measure_cell(std::size_t block, ExperimentRunner&) override {
+    const std::size_t first = block * detail::kCfPidBlock;
+    const std::size_t last =
+        std::min(first + detail::kCfPidBlock, cells_.size());
+    const std::vector<detail::MutexCfPid> pids =
+        detail::measure_mutex_cf_block(make_, n_, policy_,
+                                       static_cast<Pid>(first),
+                                       static_cast<Pid>(last));
+    std::copy(pids.begin(), pids.end(),
+              cells_.begin() + static_cast<std::ptrdiff_t>(first));
   }
 
   void reduce() override {
-    for (const Cell& cell : cells_) {  // index order: deterministic
+    for (const detail::MutexCfPid& cell : cells_) {  // index order
       session_ = session_.max_with(cell.session);
       entry_ = entry_.max_with(cell.entry);
       exit_ = exit_.max_with(cell.exit);
@@ -274,17 +264,10 @@ class MutexCfTask final : public MeasureTask {
   }
 
  private:
-  struct Cell {
-    ComplexityReport session;
-    ComplexityReport entry;
-    ComplexityReport exit;
-    int atomicity = 0;
-  };
-
   MutexFactory make_;
   int n_;
   AccessPolicy policy_;
-  std::vector<Cell> cells_;
+  std::vector<detail::MutexCfPid> cells_;  ///< one per measured pid
   ComplexityReport session_;
   ComplexityReport entry_;
   ComplexityReport exit_;
@@ -366,6 +349,46 @@ class MutexWcTask final : public MeasureTask {
 }  // namespace
 
 namespace detail {
+
+std::vector<MutexCfPid> measure_mutex_cf_block(const MutexFactory& make,
+                                               int n, AccessPolicy policy,
+                                               Pid first, Pid last) {
+  Sim sim;
+  sim.set_trace_recording(false);
+  sim.set_access_policy(policy);
+  MeasureAccumulator acc(n);
+  sim.add_sink(acc);
+  auto alg = setup_mutex(sim, make, n, /*sessions=*/1);
+  sim.mark_rewind_base();
+  Sim::RewindMark base;
+  sim.capture_mark(base);
+  const MeasureAccumulator fresh = acc;
+  std::vector<MutexCfPid> out;
+  out.reserve(static_cast<std::size_t>(std::max(0, last - first)));
+  for (Pid pid = first; pid < last; ++pid) {
+    if (pid != first) {
+      // Only the pid that just ran acted past the base mark, so the rewind
+      // value-replays nothing and resets just that process.
+      sim.rewind_to_mark(base);
+      acc = fresh;
+    }
+    SoloScheduler solo(pid);
+    if (drive(sim, solo) == RunOutcome::BudgetExhausted) {
+      throw std::logic_error(
+          "solo mutex session did not terminate (weak deadlock freedom "
+          "violated)");
+    }
+    if (acc.contention_free_session_count(pid) != 1) {
+      throw std::logic_error("expected exactly one contention-free session");
+    }
+    MutexCfPid& cell = out.emplace_back();
+    cell.session = acc.contention_free_session_max(pid);
+    cell.entry = acc.clean_entry_max(pid);
+    cell.exit = acc.exit_max(pid);
+    cell.atomicity = acc.total(pid).atomicity;
+  }
+  return out;
+}
 
 ComplexityReport run_detector_cell(const DetectorFactory& make, int n,
                                    Scheduler& sched,
@@ -506,7 +529,9 @@ class DetectorWcTask final : public MeasureTask {
 /// cell 2 the Theorem 6 lockstep symmetry adversary, and cells 3.. the
 /// seeded random schedules. The wc report is the max over all cells
 /// (naming worst cases are found by this fixed adversary battery; the DFS
-/// strategies do not apply).
+/// strategies do not apply). Every cell is measured by a streaming
+/// MeasureAccumulator; only the lockstep cell records a trace, because the
+/// adversary reads each step's observation from it.
 class NamingTask final : public MeasureTask {
  public:
   NamingTask(NamingFactory make, int n, std::vector<std::uint64_t> seeds,
@@ -525,6 +550,9 @@ class NamingTask final : public MeasureTask {
 
   void measure_cell(std::size_t i, ExperimentRunner&) override {
     Sim sim;
+    sim.set_trace_recording(i == 2);
+    MeasureAccumulator acc(n_);
+    sim.add_sink(acc);
     auto alg = setup_naming(sim, make_, n_);
     bool cut = false;  // budget exhausted: surfaced as truncated below
     switch (i) {
@@ -569,13 +597,12 @@ class NamingTask final : public MeasureTask {
         break;
       }
     }
-    const NamingRunCheck check = check_naming_run(sim, alg->name_space());
-    if (!check.ok()) {
+    if (!check_naming_names(sim, alg->name_space()).ok()) {
       throw std::logic_error("naming run failed validation: " + label_);
     }
     ComplexityReport best;
-    for (Pid p = 0; p < sim.process_count(); ++p) {
-      best = best.max_with(measure_all(sim.trace(), p));
+    for (Pid p = 0; p < n_; ++p) {
+      best = best.max_with(acc.total(p));
     }
     best.truncated = best.truncated || cut;
     cells_[i] = best;

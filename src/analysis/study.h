@@ -258,14 +258,16 @@ struct CampaignStats {
 };
 
 /// A batch of studies executed as one flat cell grid: every spec's
-/// independent cells (per-pid solo runs, per-schedule adversary runs,
-/// whole searches) are interleaved round-robin across specs and fanned
-/// over ONE ExperimentRunner::parallel_for — no per-spec barriers — then
-/// reduced per spec in a fixed order. Identical measurement requests from
-/// different specs (same registry subject, kind, n, and measurement
-/// parameters, seeds included) are deduplicated: the cells run once and
-/// every requesting spec shares the reduced result. Results are returned
-/// in spec insertion order and are bit-identical for every thread count.
+/// independent cells (contention-free solo runs in blocks of
+/// detail::kCfPidBlock pids on one rewound Sim, per-schedule naming and
+/// detector runs, whole searches) are interleaved round-robin across specs
+/// and fanned over ONE ExperimentRunner::parallel_for — no per-spec
+/// barriers — then reduced per spec in a fixed order. Identical
+/// measurement requests from different specs (same registry subject, kind,
+/// n, and measurement parameters, seeds included) are deduplicated: the
+/// cells run once and every requesting spec shares the reduced result.
+/// Results are returned in spec insertion order and are bit-identical for
+/// every thread count.
 class Campaign {
  public:
   Campaign() = default;
@@ -309,6 +311,30 @@ struct StudyJsonOptions {
 [[nodiscard]] StudyResult study_from_json(const std::string& json);
 
 namespace detail {
+
+/// Pids per contention-free mutex cell: a Campaign measures a mutex cf
+/// study in blocks of this many consecutive pids, one cell each.
+inline constexpr std::size_t kCfPidBlock = 64;
+
+/// The contention-free measures of one pid's solo session (Section 2.2).
+struct MutexCfPid {
+  ComplexityReport session;  ///< the contention-free session
+  ComplexityReport entry;    ///< its clean entry window
+  ComplexityReport exit;     ///< its exit window
+  int atomicity = 0;         ///< widest register the session accessed
+};
+
+/// Internal: one contention-free mutex cell — the solo sessions of pids
+/// [first, last) on ONE Sim. The Sim is built once and marked as its
+/// rewind base; before each later pid it is rewound to the base mark
+/// (Sim::rewind_to_mark resets just the pid that ran) and the fresh
+/// streaming accumulator is restored by assignment, so every pid sees
+/// exactly the fresh-Sim solo run. Throws std::logic_error when a solo
+/// session exhausts its step budget or does not complete exactly one
+/// contention-free session.
+[[nodiscard]] std::vector<MutexCfPid> measure_mutex_cf_block(
+    const MutexFactory& make, int n, AccessPolicy policy, Pid first,
+    Pid last);
 
 /// Internal: one detector run under `sched`, measured streaming — the max
 /// whole-run complexity over all processes, `truncated` set on budget

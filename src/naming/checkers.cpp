@@ -7,12 +7,11 @@
 
 namespace cfc {
 
-NamingRunCheck check_naming_run(const Sim& sim, int name_space) {
+NamingRunCheck check_naming_names(const Sim& sim, int name_space) {
   NamingRunCheck out;
   out.all_terminated = true;
   std::set<int> seen;
   for (Pid p = 0; p < sim.process_count(); ++p) {
-    out.per_process.push_back(measure_all(sim.trace(), p));
     if (sim.status(p) == ProcStatus::Crashed) {
       continue;  // a crashed process claims nothing
     }
@@ -28,6 +27,14 @@ NamingRunCheck check_naming_run(const Sim& sim, int name_space) {
     if (!seen.insert(name).second) {
       out.names_unique = false;
     }
+  }
+  return out;
+}
+
+NamingRunCheck check_naming_run(const Sim& sim, int name_space) {
+  NamingRunCheck out = check_naming_names(sim, name_space);
+  for (Pid p = 0; p < sim.process_count(); ++p) {
+    out.per_process.push_back(measure_all(sim.trace(), p));
   }
   return out;
 }

@@ -25,7 +25,15 @@ struct NamingRunCheck {
   }
 };
 
-/// Validates outputs + measures per-process complexity of a finished run.
+/// Validates the outputs of a finished run — termination, uniqueness and
+/// range of the claimed names — without measuring anything (`per_process`
+/// stays empty), so it needs no materialized trace. Callers that measure
+/// by streaming (the Study naming cells) validate with this.
+[[nodiscard]] NamingRunCheck check_naming_names(const Sim& sim,
+                                                int name_space);
+
+/// check_naming_names() plus the per-process complexity of the run,
+/// measured from its materialized trace.
 [[nodiscard]] NamingRunCheck check_naming_run(const Sim& sim, int name_space);
 
 /// Runs the algorithm under a seeded random schedule (optionally crashing

@@ -58,13 +58,7 @@ std::optional<Pid> RoundRobinScheduler::next(const Sim& sim) {
 }
 
 std::optional<Pid> RandomScheduler::next(const Sim& sim) {
-  std::vector<Pid> ready;
-  ready.reserve(static_cast<std::size_t>(sim.process_count()));
-  for (Pid p = 0; p < sim.process_count(); ++p) {
-    if (sim.runnable(p)) {
-      ready.push_back(p);
-    }
-  }
+  const std::vector<Pid>& ready = sim.runnable_pids();
   if (ready.empty()) {
     return std::nullopt;
   }

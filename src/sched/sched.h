@@ -35,6 +35,8 @@ struct RunLimits {
 };
 
 /// Drives `sim` until completion, scheduler stop, or budget exhaustion.
+/// Completion is Sim::any_runnable() going false, an O(1) read of the
+/// simulation's runnable list, so a pick costs no scan of all n processes.
 RunOutcome drive(Sim& sim, Scheduler& sched, RunLimits limits = {});
 
 /// drive(), resumable from a checkpoint: forks a fresh simulation from `cp`
@@ -84,7 +86,9 @@ class RoundRobinScheduler final : public Scheduler {
 };
 
 /// Uniformly random choice among runnable processes; deterministic given the
-/// seed. The workhorse for property tests and worst-case search.
+/// seed. The workhorse for property tests and worst-case search. One pick
+/// is one draw indexing Sim::runnable_pids() (ascending pids), so it costs
+/// O(1) rather than a scan of all n processes.
 class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(std::uint64_t seed) : rng_(seed) {}

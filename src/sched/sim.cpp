@@ -1,6 +1,7 @@
 #include "sched/sim.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "memory/fingerprint.h"
@@ -74,6 +75,7 @@ Pid Sim::spawn(std::string proc_name, BodyFactory factory) {
   pr.ctx.resume_slot_ = &pr.resume_point;
   pr.ctx.last_result_slot_ = &pr.last_result;
   tape_.emplace_back();  // the pid's value tape (filled once rewindable)
+  runnable_.push_back(pid);  // the largest pid so far: stays ascending
   refresh_proc_fp(pid);
   return pid;
 }
@@ -95,15 +97,6 @@ Sim::Proc& Sim::proc(Pid pid) {
 bool Sim::runnable(Pid pid) const {
   const ProcStatus st = proc(pid).status;
   return st == ProcStatus::NotStarted || st == ProcStatus::Runnable;
-}
-
-bool Sim::any_runnable() const {
-  for (Pid p = 0; p < process_count(); ++p) {
-    if (runnable(p)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Sim::all_done() const {
@@ -155,8 +148,7 @@ void Sim::ensure_started(Pid pid) {
   pr.resume_point.resume();  // run to first access request or completion
   if (pr.root.done()) {
     pr.root.rethrow_if_exception();
-    pr.status = ProcStatus::Done;
-    record_terminal(pid, TraceEvent::Kind::Finish);
+    retire(pr, pid, ProcStatus::Done);
     refresh_proc_fp(pid);  // batched: digest + status in one update
     return;
   }
@@ -199,8 +191,7 @@ Sim::StepResult Sim::step(Pid pid) {
   // Crash injection fires when the process attempts one access too many.
   if (pr.crash_after.has_value() && pr.naccesses >= *pr.crash_after) {
     last_step_.crashed = true;
-    pr.status = ProcStatus::Crashed;
-    record_terminal(pid, TraceEvent::Kind::Crash);
+    retire(pr, pid, ProcStatus::Crashed);
     refresh_proc_fp(pid);  // batched: digest + status in one update
     return StepResult::CrashedNow;
   }
@@ -227,8 +218,7 @@ Sim::StepResult Sim::step(Pid pid) {
   h.resume();
   if (pr.root.done()) {
     pr.root.rethrow_if_exception();
-    pr.status = ProcStatus::Done;
-    record_terminal(pid, TraceEvent::Kind::Finish);
+    retire(pr, pid, ProcStatus::Done);
   } else if (!pr.pending.has_value()) {
     throw std::logic_error("live process is not suspended at an access");
   }
@@ -493,6 +483,9 @@ void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
     refresh_proc_fp(pid);  // replayed units re-refresh; unstepped pids
                            // need the reset folded in here
   }
+  // Everyone is NotStarted again; the replay retires what the prefix ends.
+  runnable_.resize(procs_.size());
+  std::iota(runnable_.begin(), runnable_.end(), Pid{0});
   mem_.restore(base_memory_);
   next_seq_ = base_seq_;
   recorder_.clear();  // like a fork, the rewound run's trace starts empty
@@ -690,6 +683,13 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
       // processes have none, so their tapes are already at mark length.
       const std::uint32_t nu = mark.pid_units[up];
       tape_[up].resize(nu == 0 ? 0 : nu - 1);
+      // A touched process was runnable at the mark; put it back in the
+      // runnable list if the suffix retired it.
+      const auto it =
+          std::lower_bound(runnable_.begin(), runnable_.end(), pid);
+      if (it == runnable_.end() || *it != pid) {
+        runnable_.insert(it, pid);
+      }
     }
   }
   sched_log_.resize(mark.prefix_len);
@@ -706,15 +706,15 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   return fed;
 }
 
-void Sim::record_terminal(Pid pid, TraceEvent::Kind kind) {
-  Proc& pr = proc(pid);
-  pr.digest = fp_push(pr.digest, kind == TraceEvent::Kind::Crash
-                                     ? kDigestCrash
-                                     : kDigestFinish);
+void Sim::retire(Proc& pr, Pid pid, ProcStatus status) {
+  const bool crashed = status == ProcStatus::Crashed;
+  pr.status = status;
+  runnable_.erase(std::lower_bound(runnable_.begin(), runnable_.end(), pid));
+  pr.digest = fp_push(pr.digest, crashed ? kDigestCrash : kDigestFinish);
   TraceEvent ev;
   ev.seq = next_seq_++;
   ev.pid = pid;
-  ev.kind = kind;
+  ev.kind = crashed ? TraceEvent::Kind::Crash : TraceEvent::Kind::Finish;
   emit(ev);
 }
 

@@ -287,7 +287,17 @@ class Sim {
 
   /// True iff step(pid) can still make progress.
   [[nodiscard]] bool runnable(Pid pid) const;
-  [[nodiscard]] bool any_runnable() const;
+  /// True iff some process can still make progress. O(1): reads the
+  /// runnable list below.
+  [[nodiscard]] bool any_runnable() const { return !runnable_.empty(); }
+  /// The pids for which runnable() holds, in ascending order. Maintained
+  /// incrementally — spawn appends, a finish or crash erases, rewind_to
+  /// resets it to every pid and rewind_to_mark re-inserts the processes it
+  /// restores — so a scheduler picks among the runnable processes without
+  /// scanning all n (RandomScheduler indexes it).
+  [[nodiscard]] const std::vector<Pid>& runnable_pids() const {
+    return runnable_;
+  }
   [[nodiscard]] bool all_done() const;
 
   [[nodiscard]] ProcStatus status(Pid pid) const { return proc(pid).status; }
@@ -569,7 +579,9 @@ class Sim {
 
   void on_section_change(Pid pid, Section s);
   void on_output(Pid pid, int value);
-  void record_terminal(Pid pid, TraceEvent::Kind kind);
+  /// Marks `pid` finished or crashed: sets its terminal status, drops it
+  /// from runnable_, and folds and publishes the terminal event.
+  void retire(Proc& pr, Pid pid, ProcStatus status);
 
   /// The batched per-unit fingerprint update: recomputes `pid`'s slot hash
   /// over its (digest, status, section) and swaps it into procs_fp_.
@@ -582,6 +594,8 @@ class Sim {
   RegisterFile mem_;
   FrameArena arena_;  // declared before procs_: frames die before the arena
   std::deque<Proc> procs_;  // deque: stable addresses for ProcessContext
+  /// runnable_pids(): ascending pids whose status is NotStarted/Runnable.
+  std::vector<Pid> runnable_;
   TraceRecorder recorder_;
   std::vector<EventSink*> sinks_;
   std::vector<SimCheckpoint::Unit> sched_log_;

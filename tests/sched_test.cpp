@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <random>
+#include <vector>
 
 namespace cfc {
 namespace {
@@ -158,6 +161,127 @@ TEST(Sched, RoundRobinSkipsCrashedProcesses) {
   EXPECT_EQ(drive(sim, rr), RunOutcome::AllDone);
   EXPECT_EQ(sim.status(a), ProcStatus::Crashed);
   EXPECT_EQ(sim.status(b), ProcStatus::Done);
+}
+
+// --- RandomScheduler indexes Sim::runnable_pids(): same picks as the
+// scan-every-pid scheduler it replaced, and the list stays the status
+// scan through finishes, crashes and both rewinds. ---
+
+/// The RandomScheduler pick as it was before Sim kept a runnable list:
+/// collect the runnable pids by scanning all n, draw one uniformly.
+class ScanRandomScheduler final : public Scheduler {
+ public:
+  explicit ScanRandomScheduler(std::uint64_t seed) : rng_(seed) {}
+  std::optional<Pid> next(const Sim& sim) override {
+    std::vector<Pid> ready;
+    for (Pid p = 0; p < sim.process_count(); ++p) {
+      if (sim.runnable(p)) {
+        ready.push_back(p);
+      }
+    }
+    if (ready.empty()) {
+      return std::nullopt;
+    }
+    std::uniform_int_distribution<std::size_t> pick(0, ready.size() - 1);
+    return ready[pick(rng_)];
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+void expect_runnable_list_is_status_scan(const Sim& sim) {
+  std::vector<Pid> scan;
+  for (Pid p = 0; p < sim.process_count(); ++p) {
+    const ProcStatus st = sim.status(p);
+    if (st == ProcStatus::NotStarted || st == ProcStatus::Runnable) {
+      scan.push_back(p);
+    }
+  }
+  EXPECT_EQ(sim.runnable_pids(), scan);
+  EXPECT_EQ(sim.any_runnable(), !scan.empty());
+}
+
+/// n incrementers of uneven length; every fifth process crashes early.
+void spawn_uneven(Sim& sim, int n) {
+  const RegId r = sim.memory().add_register("r", 16);
+  for (Pid p = 0; p < n; ++p) {
+    sim.spawn("p" + std::to_string(p), make_incrementer(r, 1 + p % 4));
+    if (p % 5 == 2) {
+      sim.crash_after(p, static_cast<std::uint64_t>(p % 3));
+    }
+  }
+}
+
+/// Steps `sim` with both schedulers' (identical) picks, at most
+/// `max_picks` times or until they stop; returns the picks taken.
+std::size_t step_both(Sim& sim, RandomScheduler& fast, ScanRandomScheduler& ref,
+                      std::size_t max_picks) {
+  std::size_t picks = 0;
+  while (picks < max_picks) {
+    expect_runnable_list_is_status_scan(sim);
+    const std::optional<Pid> a = fast.next(sim);
+    const std::optional<Pid> b = ref.next(sim);
+    EXPECT_EQ(a, b) << "pick " << picks;
+    if (!a.has_value() || a != b) {
+      break;
+    }
+    sim.step(*a);
+    ++picks;
+  }
+  expect_runnable_list_is_status_scan(sim);
+  return picks;
+}
+
+constexpr std::size_t kUnbounded = ~std::size_t{0};
+
+TEST(Sched, RandomPicksMatchScanningEveryPid) {
+  for (const int n : {2, 17, 256}) {
+    for (const std::uint64_t seed : {1u, 7u, 4242u}) {
+      Sim sim;
+      spawn_uneven(sim, n);
+      expect_runnable_list_is_status_scan(sim);
+      RandomScheduler fast(seed);
+      ScanRandomScheduler ref(seed);
+      EXPECT_GT(step_both(sim, fast, ref, kUnbounded), 0u);
+      EXPECT_FALSE(sim.any_runnable()) << "n=" << n << " seed=" << seed;
+      if (n > 2) {
+        EXPECT_EQ(sim.status(2), ProcStatus::Crashed);
+      }
+    }
+  }
+}
+
+TEST(Sched, RandomPicksMatchAcrossRewinds) {
+  for (const int n : {2, 17, 256}) {
+    const std::uint64_t seed = 99;
+    Sim sim;
+    spawn_uneven(sim, n);
+    sim.mark_rewind_base();
+    RandomScheduler fast(seed);
+    ScanRandomScheduler ref(seed);
+    const auto third = static_cast<std::size_t>(n) * 2;
+    step_both(sim, fast, ref, third);
+    Sim::RewindMark mark;
+    sim.capture_mark(mark);
+    step_both(sim, fast, ref, third);  // some finish or crash past the mark
+    sim.rewind_to_mark(mark);
+    expect_runnable_list_is_status_scan(sim);
+    step_both(sim, fast, ref, kUnbounded);
+    EXPECT_FALSE(sim.any_runnable());
+
+    sim.rewind_to(0);
+    expect_runnable_list_is_status_scan(sim);
+    EXPECT_EQ(sim.runnable_pids().size(), static_cast<std::size_t>(n));
+    step_both(sim, fast, ref, kUnbounded);
+    EXPECT_FALSE(sim.any_runnable());
+
+    // A partial replay: the rewind re-retires what finished in the prefix.
+    sim.rewind_to(sim.schedule_log().size() / 2);
+    expect_runnable_list_is_status_scan(sim);
+    step_both(sim, fast, ref, kUnbounded);
+    EXPECT_FALSE(sim.any_runnable());
+  }
 }
 
 }  // namespace

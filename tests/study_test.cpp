@@ -5,6 +5,9 @@
 // repaired detector legacy-overload result type.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,7 +15,9 @@
 #include "analysis/experiment.h"
 #include "analysis/naming_complexity.h"
 #include "analysis/study.h"
+#include "core/adversary.h"
 #include "core/algorithm_registry.h"
+#include "core/measures.h"
 #include "core/streaming_measures.h"
 #include "sched/sched.h"
 
@@ -155,6 +160,230 @@ TEST(StudyDifferential, LegacyDriversMatchStudyPath) {
   }
 }
 
+// --- Differential: a contention-free block (one Sim rewound between
+// pids) measures every pid exactly as a fresh Sim per pid does, at and
+// around the block edges. ---
+
+/// The reference: `pid`'s solo session on a fresh, trace-recording Sim.
+detail::MutexCfPid fresh_solo(const MutexFactory& make, int n, Pid pid) {
+  Sim sim;
+  MeasureAccumulator acc(n);
+  sim.add_sink(acc);
+  auto alg = setup_mutex(sim, make, n, 1);
+  SoloScheduler solo(pid);
+  EXPECT_NE(drive(sim, solo), RunOutcome::BudgetExhausted);
+  EXPECT_EQ(acc.contention_free_session_count(pid), 1);
+  return {acc.contention_free_session_max(pid), acc.clean_entry_max(pid),
+          acc.exit_max(pid), acc.total(pid).atomicity};
+}
+
+/// Checks every block of pids [0, pid_limit) against the fresh-Sim
+/// reference, pid by pid; returns the reference maxima over those pids.
+detail::MutexCfPid expect_cf_blocks_match(const MutexFactory& make, int n,
+                                          int pid_limit,
+                                          const std::string& what) {
+  detail::MutexCfPid best;
+  const auto limit = static_cast<std::size_t>(pid_limit);
+  for (std::size_t first = 0; first < limit; first += detail::kCfPidBlock) {
+    const std::size_t last = std::min(first + detail::kCfPidBlock, limit);
+    const std::vector<detail::MutexCfPid> block =
+        detail::measure_mutex_cf_block(make, n, AccessPolicy::Unrestricted,
+                                       static_cast<Pid>(first),
+                                       static_cast<Pid>(last));
+    EXPECT_EQ(block.size(), last - first) << what;
+    for (std::size_t i = first; i < last && i - first < block.size(); ++i) {
+      const detail::MutexCfPid ref = fresh_solo(make, n, static_cast<Pid>(i));
+      const detail::MutexCfPid& got = block[i - first];
+      const std::string at = what + " pid " + std::to_string(i);
+      expect_reports_equal(got.session, ref.session, at + " session");
+      expect_reports_equal(got.entry, ref.entry, at + " entry");
+      expect_reports_equal(got.exit, ref.exit, at + " exit");
+      EXPECT_EQ(got.atomicity, ref.atomicity) << at;
+      best.session = best.session.max_with(ref.session);
+      best.entry = best.entry.max_with(ref.entry);
+      best.exit = best.exit.max_with(ref.exit);
+      best.atomicity = std::max(best.atomicity, ref.atomicity);
+    }
+  }
+  return best;
+}
+
+/// A solo-only lock whose entry cost grows with the sessions run before it
+/// on the same memory (it reads a session counter once per earlier
+/// session). Registry mutexes leave memory quiescent after a session, so
+/// only a subject like this shows whether a block really gives every pid
+/// a fresh Sim.
+class SessionCountingLock final : public MutexAlgorithm {
+ public:
+  explicit SessionCountingLock(RegisterFile& mem)
+      : count_(mem.add_register("sessions", 16)) {}
+
+  Task<void> enter(ProcessContext& ctx, int /*slot*/) override {
+    const Value before = co_await ctx.read(count_);
+    for (Value i = 0; i < before; ++i) {
+      co_await ctx.read(count_);
+    }
+    co_await ctx.write(count_, before + 1);
+  }
+  Task<void> exit(ProcessContext& ctx, int /*slot*/) override {
+    co_await ctx.read(count_);
+  }
+  Task<Value> try_enter(ProcessContext& ctx, int slot, RegId) override {
+    co_await enter(ctx, slot);
+    co_return 1;
+  }
+  [[nodiscard]] int capacity() const override { return 1 << 16; }
+  [[nodiscard]] int atomicity() const override { return 16; }
+  [[nodiscard]] std::string algorithm_name() const override {
+    return "session-counting-lock";
+  }
+
+ private:
+  RegId count_;
+};
+
+TEST(StudyDifferential, MutexCfBlocksMatchFreshSimPerPid) {
+  for (const int n : {1, 63, 64, 65, 129}) {
+    const std::vector<const MutexAlgorithmEntry*> subjects =
+        AlgorithmRegistry::instance().mutex_for_n(n);
+    EXPECT_FALSE(subjects.empty()) << "n=" << n;
+    for (const MutexAlgorithmEntry* e : subjects) {
+      (void)expect_cf_blocks_match(e->factory, n, n,
+                                   e->info.name + " n=" + std::to_string(n));
+    }
+    const MutexFactory counting = [](RegisterFile& mem, int) {
+      return std::make_unique<SessionCountingLock>(mem);
+    };
+    (void)expect_cf_blocks_match(counting, n, n,
+                                 "session-counting-lock n=" +
+                                     std::to_string(n));
+  }
+}
+
+TEST(StudyDifferential, SampledCfBlocksMatchFreshSimPerPid) {
+  // sample_pids(70) at n=128: a full block plus a 6-pid tail block.
+  const int n = 128;
+  const int sample = 70;
+  for (const MutexAlgorithmEntry* e :
+       AlgorithmRegistry::instance().mutex_for_n(n)) {
+    const std::string what = e->info.name + " n=128 sample=70";
+    const detail::MutexCfPid ref =
+        expect_cf_blocks_match(e->factory, n, sample, what);
+    Campaign campaign;
+    campaign.add(StudySpec::of(e->info.name)
+                     .kind(StudyKind::Mutex)
+                     .n(n)
+                     .sample_pids(sample)
+                     .contention_free());
+    CampaignStats stats;
+    const StudyResult r = campaign.run(nullptr, &stats)[0];
+    EXPECT_EQ(stats.cells, 2u) << what;
+    expect_reports_equal(r.cf, ref.session, what + " study session");
+    expect_reports_equal(r.cf_entry, ref.entry, what + " study entry");
+    expect_reports_equal(r.cf_exit, ref.exit, what + " study exit");
+    EXPECT_EQ(r.measured_atomicity, ref.atomicity) << what;
+  }
+}
+
+// --- Differential: the Study's naming cells measure by streaming; every
+// pid's whole-run total equals the trace measure of the same schedule. ---
+
+/// Drives naming battery cell `cell` on `sim` (0 sequential, 1 round-robin,
+/// 2 lockstep then round-robin, 3.. random with seeds[cell - 3]). Returns
+/// false when the run did not finish.
+bool drive_naming_cell(Sim& sim, std::size_t cell, int n,
+                       const std::vector<std::uint64_t>& seeds) {
+  switch (cell) {
+    case 0:
+      return run_sequentially(sim);
+    case 1: {
+      RoundRobinScheduler rr;
+      return drive(sim, rr) == RunOutcome::AllDone;
+    }
+    case 2: {
+      std::vector<Pid> group;
+      for (Pid p = 0; p < n; ++p) {
+        group.push_back(p);
+      }
+      EXPECT_FALSE(
+          lockstep_symmetry_adversary(sim, group).identical_group_terminated);
+      RoundRobinScheduler rr;
+      return drive(sim, rr) == RunOutcome::AllDone;
+    }
+    default: {
+      RandomScheduler rnd(seeds[cell - 3]);
+      return drive(sim, rnd) == RunOutcome::AllDone;
+    }
+  }
+}
+
+bool naming_supports(const NamingAlgorithmEntry& e, int n) {
+  if ((e.info.max_n != 0 && n > e.info.max_n) ||
+      (e.info.pow2_n_only && !std::has_single_bit(static_cast<unsigned>(n)))) {
+    return false;
+  }
+  Sim probe;
+  return e.factory(probe.memory(), n)->capacity() >= n;
+}
+
+TEST(StudyDifferential, NamingStreamingMatchesTraceMeasures) {
+  const std::vector<std::uint64_t> seeds = {1, 2, 3};
+  std::size_t subjects_at_n64 = 0;
+  for (const NamingAlgorithmEntry* e :
+       AlgorithmRegistry::instance().naming_algorithms()) {
+    for (const int n : {2, 3, 8, 64}) {
+      if (!naming_supports(*e, n)) {
+        continue;
+      }
+      subjects_at_n64 += n == 64 ? 1 : 0;
+      ComplexityReport cf;
+      ComplexityReport wc;
+      for (std::size_t cell = 0; cell < 3 + seeds.size(); ++cell) {
+        const std::string what = e->info.name + " n=" + std::to_string(n) +
+                                 " cell " + std::to_string(cell);
+        // Streaming, as the Study cell measures (a trace only for the
+        // lockstep adversary, which reads observations from it).
+        Sim live;
+        live.set_trace_recording(cell == 2);
+        MeasureAccumulator acc(n);
+        live.add_sink(acc);
+        auto live_alg = setup_naming(live, e->factory, n);
+        const bool live_done = drive_naming_cell(live, cell, n, seeds);
+        // Reference: the same schedule, trace recorded and measured.
+        Sim ref;
+        auto ref_alg = setup_naming(ref, e->factory, n);
+        const bool ref_done = drive_naming_cell(ref, cell, n, seeds);
+        ASSERT_EQ(live_done, ref_done) << what;
+        ASSERT_EQ(live.next_seq(), ref.next_seq()) << what;
+        ComplexityReport best;
+        for (Pid p = 0; p < n; ++p) {
+          const ComplexityReport want = measure_all(ref.trace(), p);
+          expect_reports_equal(acc.total(p), want,
+                               what + " pid " + std::to_string(p));
+          EXPECT_EQ(live.output(p), ref.output(p)) << what;
+          best = best.max_with(want);
+        }
+        best.truncated = best.truncated || !ref_done;
+        if (cell == 0) {
+          cf = best;
+        }
+        wc = wc.max_with(best);
+      }
+      const StudyResult r = run_study(StudySpec::of(e->info.name)
+                                          .kind(StudyKind::Naming)
+                                          .n(n)
+                                          .contention_free()
+                                          .worst_case()
+                                          .seeds(seeds));
+      const std::string what = e->info.name + " n=" + std::to_string(n);
+      expect_reports_equal(r.cf, cf, what + " study cf");
+      expect_reports_equal(r.wc, wc, what + " study wc");
+    }
+  }
+  EXPECT_EQ(subjects_at_n64,
+            AlgorithmRegistry::instance().naming_algorithms().size());
+}
+
 // --- Campaign semantics. ---
 
 TEST(Campaign, BatchedResultsEqualIndividualRuns) {
@@ -210,7 +439,7 @@ TEST(Campaign, DeduplicatesIdenticalRegistryMeasurements) {
   EXPECT_EQ(stats.specs, 3u);
   EXPECT_EQ(stats.tasks_planned, 1u);
   EXPECT_EQ(stats.tasks_deduplicated, 2u);
-  EXPECT_EQ(stats.cells, 4u);  // one solo run per pid, shared by all specs
+  EXPECT_EQ(stats.cells, 1u);  // one block of solo runs, shared by all specs
 
   const StudyJsonOptions no_timing{.include_timing = false};
   EXPECT_EQ(to_json(results[0], no_timing), to_json(results[1], no_timing));
