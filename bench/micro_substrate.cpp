@@ -2,7 +2,7 @@
 // events/second through the scheduler, solo mutex sessions (trace-recorded
 // vs streaming-measured), full detection runs, trace measurement, and the
 // per-node primitives of the certified search (accumulator snapshot copy,
-// source-DPOR cut-point insertions, mark-based rewind).
+// section changes, source-DPOR cut-point insertions, mark-based rewind).
 // These put a number on the harness itself so sweep costs in the table
 // benches are predictable. Algorithms are resolved from the
 // AlgorithmRegistry; results additionally land in
@@ -188,6 +188,30 @@ void BM_AccumulatorCopyAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_AccumulatorCopyAssign)->Arg(6)->Arg(64);
 
+void BM_SectionChange(benchmark::State& state) {
+  // One process's solo session as section changes only — Remainder ->
+  // Entry -> Critical -> Exit -> Remainder — with n-1 processes idle in
+  // their remainder regions (the contention-free study's shape). Reported
+  // per section change: a flat time across n is the O(1) update.
+  const auto n = static_cast<int>(state.range(0));
+  MeasureAccumulator acc(n);
+  constexpr Section kCycle[] = {Section::Remainder, Section::Entry,
+                                Section::Critical, Section::Exit};
+  TraceEvent ev;
+  ev.kind = TraceEvent::Kind::SectionChange;
+  ev.pid = n / 2;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      ev.from = kCycle[i];
+      ev.to = kCycle[(i + 1) % 4];
+      acc.on_event(ev);
+    }
+    benchmark::DoNotOptimize(&acc);
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_SectionChange)->Arg(8)->Arg(64)->Arg(1024);
+
 void BM_SourceDporNoteCut(benchmark::State& state) {
   // The cut-point insertions at a depth-14 leaf of a peterson-tree n=6
   // path: every process's NextStep and the enabled mask as the explorer
@@ -227,12 +251,14 @@ void BM_SourceDporNoteCut(benchmark::State& state) {
 BENCHMARK(BM_SourceDporNoteCut);
 
 void BM_SimRewindToMark(benchmark::State& state) {
-  // A sibling restore deep in the DFS: rewind a peterson-tree n=6 path of
-  // 14 units to its mark `range(0)` units back. Only the rewind is timed;
-  // re-stepping the suffix (so there is something to undo) is not.
-  const int n = 6;
-  const int depth = 14;
+  // A sibling restore deep in the DFS: rewind a peterson-tree path of 14
+  // units to its mark `range(0)` units back, at n = `range(1)`. Only the
+  // rewind is timed; re-stepping the suffix (so there is something to
+  // undo) is not. One unit back means one acting pid, so /1/8 and /1/1024
+  // side by side show what the rewind still pays per process in n.
   const auto back = static_cast<int>(state.range(0));
+  const auto n = static_cast<int>(state.range(1));
+  const int depth = 14;
   Sim sim;
   sim.set_trace_recording(false);
   auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/1);
@@ -253,7 +279,12 @@ void BM_SimRewindToMark(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_SimRewindToMark)->Arg(1)->Arg(4)->UseManualTime();
+BENCHMARK(BM_SimRewindToMark)
+    ->Args({1, 6})
+    ->Args({4, 6})
+    ->Args({1, 8})
+    ->Args({1, 1024})
+    ->UseManualTime();
 
 }  // namespace
 

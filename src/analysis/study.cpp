@@ -362,15 +362,14 @@ std::vector<MutexCfPid> measure_mutex_cf_block(const MutexFactory& make,
   sim.mark_rewind_base();
   Sim::RewindMark base;
   sim.capture_mark(base);
-  const MeasureAccumulator fresh = acc;
   std::vector<MutexCfPid> out;
   out.reserve(static_cast<std::size_t>(std::max(0, last - first)));
   for (Pid pid = first; pid < last; ++pid) {
     if (pid != first) {
       // Only the pid that just ran acted past the base mark, so the rewind
-      // value-replays nothing and resets just that process.
+      // value-replays nothing and resets just that process. The
+      // accumulator needs no reset: see the header.
       sim.rewind_to_mark(base);
-      acc = fresh;
     }
     SoloScheduler solo(pid);
     if (drive(sim, solo) == RunOutcome::BudgetExhausted) {

@@ -325,12 +325,18 @@ struct MutexCfPid {
 };
 
 /// Internal: one contention-free mutex cell — the solo sessions of pids
-/// [first, last) on ONE Sim. The Sim is built once and marked as its
-/// rewind base; before each later pid it is rewound to the base mark
-/// (Sim::rewind_to_mark resets just the pid that ran) and the fresh
-/// streaming accumulator is restored by assignment, so every pid sees
-/// exactly the fresh-Sim solo run. Throws std::logic_error when a solo
-/// session exhausts its step budget or does not complete exactly one
+/// [first, last) on ONE Sim and ONE streaming accumulator. The Sim is
+/// built once and marked as its rewind base; before each later pid it is
+/// rewound to the base mark (Sim::rewind_to_mark resets just the pid that
+/// ran), so every pid sees exactly the fresh-Sim solo run.
+///
+/// The accumulator is never reset or copied, and its values are still
+/// those of a fresh one: a solo session touches no other process's record,
+/// each pid runs once per block so its own record is fresh when it starts,
+/// and a pid that completed its one contention-free session (checked, see
+/// below) is back in Remainder, so the section table is all-Remainder
+/// again for the next. Throws std::logic_error when a solo session
+/// exhausts its step budget or does not complete exactly one
 /// contention-free session.
 [[nodiscard]] std::vector<MutexCfPid> measure_mutex_cf_block(
     const MutexFactory& make, int n, AccessPolicy policy, Pid first,

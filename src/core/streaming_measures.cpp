@@ -100,6 +100,12 @@ std::uint64_t section_slot(Pid pid, Section s) {
                  static_cast<std::uint64_t>(s));
 }
 
+bool in_cs_or_exit(Section s) {
+  return s == Section::Critical || s == Section::Exit;
+}
+
+constexpr Pid kNoPid = -1;
+
 }  // namespace
 
 MeasureAccumulator::MeasureAccumulator(int nprocs)
@@ -128,22 +134,13 @@ MeasureAccumulator::PerPid& MeasureAccumulator::at(Pid pid) {
 }
 
 bool MeasureAccumulator::others_in_remainder(Pid pid) const {
-  for (Pid q = 0; q < process_count(); ++q) {
-    if (q != pid && section_[static_cast<std::size_t>(q)] !=
-                        Section::Remainder) {
-      return false;
-    }
-  }
-  return true;
+  const bool self_out =
+      section_[static_cast<std::size_t>(pid)] != Section::Remainder;
+  return not_in_remainder_ == (self_out ? 1 : 0);
 }
 
 bool MeasureAccumulator::nobody_in_cs_or_exit() const {
-  for (const Section s : section_) {
-    if (s == Section::Critical || s == Section::Exit) {
-      return false;
-    }
-  }
-  return true;
+  return in_cs_or_exit_ == 0;
 }
 
 void MeasureAccumulator::on_event(const TraceEvent& ev) {
@@ -181,6 +178,8 @@ void MeasureAccumulator::on_access(const TraceEvent& ev) {
 void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
   const Pid p = ev.pid;
   const Section to = ev.to;
+  PerPid& pp = at(p);  // validates the pid before any direct indexing
+  Section& sec = section_[static_cast<std::size_t>(p)];
 
   // --- Contention-free sessions (measures.h contention_free_sessions):
   // a session of q opens at q's Remainder->Entry, closes at its next
@@ -188,76 +187,111 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
   // remainder region throughout. The trace-based code checks the others'
   // sections *before* applying this event's update, so run this block
   // first.
-  for (Pid q = 0; q < process_count(); ++q) {
-    WindowState& w = per_pid_[static_cast<std::size_t>(q)].cf_session;
-    if (q == p) {
-      if (to == Section::Entry && !w.open) {
-        w.open = true;
-        w.clean = others_in_remainder(q);
-        w.acc.reset(spill_);
-      } else if (to == Section::Remainder && w.open) {
-        PerPid& pp = per_pid_[static_cast<std::size_t>(q)];
-        if (w.clean && others_in_remainder(q)) {
-          pp.cf_session_max =
-              pp.cf_session_max.max_with(w.acc.report(spill_));
-          pp.cf_sessions_completed += 1;
-          refresh_max_hash(q);
-        }
-        w.open = false;
+  {
+    WindowState& w = pp.cf_session;
+    if (to == Section::Entry && !w.open) {
+      w.open = true;
+      w.clean = others_in_remainder(p);
+      w.acc.reset(spill_);
+      if (w.clean) {
+        clean_cf_open_.push_back(p);
       }
-    } else if (w.open && to != Section::Remainder) {
-      w.clean = false;  // interference: not a contention-free session
+    } else if (to == Section::Remainder && w.open) {
+      if (w.clean) {
+        drop(clean_cf_open_, p);
+        if (others_in_remainder(p)) {
+          pp.cf_session_max = pp.cf_session_max.max_with(w.acc.report(spill_));
+          pp.cf_sessions_completed += 1;
+          refresh_max_hash(p);
+        }
+      }
+      w.open = false;
+    }
+    if (to != Section::Remainder) {
+      // Interference: every other open session stops being contention-free.
+      spoil(clean_cf_open_, &PerPid::cf_session, p);
     }
   }
 
-  section_hash_ ^= section_slot(p, section_[static_cast<std::size_t>(p)]) ^
-                   section_slot(p, to);
-  section_[static_cast<std::size_t>(p)] = to;
+  section_hash_ ^= section_slot(p, sec) ^ section_slot(p, to);
+  not_in_remainder_ += (to != Section::Remainder ? 1 : 0) -
+                       (sec != Section::Remainder ? 1 : 0);
+  in_cs_or_exit_ += (in_cs_or_exit(to) ? 1 : 0) - (in_cs_or_exit(sec) ? 1 : 0);
+  sec = to;
 
   // --- Clean entry windows (measures.h clean_entry_windows): open at
   // Remainder->Entry, close at Entry->Critical, clean iff no process is in
   // its CS or exit code anywhere in the window. The trace-based code
   // applies the section update first, so this block runs after it.
-  for (Pid q = 0; q < process_count(); ++q) {
-    WindowState& w = per_pid_[static_cast<std::size_t>(q)].clean_entry;
-    if (q == p && to == Section::Entry) {
+  {
+    WindowState& w = pp.clean_entry;
+    if (to == Section::Entry) {
+      // A reopened window that was open and clean stays listed: nobody
+      // reached CS/exit since it opened, so it reopens clean.
+      const bool listed = w.open && w.clean;
       w.open = true;
       w.clean = nobody_in_cs_or_exit();
       w.acc.reset(spill_);
-    } else if (q == p && to == Section::Critical && w.open) {
-      if (w.clean) {
-        PerPid& pp = per_pid_[static_cast<std::size_t>(q)];
-        pp.clean_entry_max =
-            pp.clean_entry_max.max_with(w.acc.report(spill_));
-        refresh_max_hash(q);
+      if (w.clean && !listed) {
+        clean_entry_open_.push_back(p);
       }
-      w.open = false;
-    } else if (w.open &&
-               (to == Section::Critical || to == Section::Exit)) {
-      w.clean = false;  // someone reached CS/exit inside the window
+    } else if (in_cs_or_exit(to)) {
+      if (to == Section::Critical && w.open) {
+        if (w.clean) {
+          drop(clean_entry_open_, p);
+          pp.clean_entry_max =
+              pp.clean_entry_max.max_with(w.acc.report(spill_));
+          refresh_max_hash(p);
+        }
+        w.open = false;
+      }
+      // Someone reached CS/exit inside every window still open — p's own
+      // too, when p goes to Exit with its entry window open.
+      spoil(clean_entry_open_, &PerPid::clean_entry, kNoPid);
     }
   }
 
   // --- Exit windows (measures.h exit_windows): Critical->Exit to
   // ->Remainder, own transitions only, always counted.
   {
-    WindowState& w = at(p).exit;
+    WindowState& w = pp.exit;
     if (ev.from == Section::Critical && to == Section::Exit) {
       w.open = true;
       w.acc.reset(spill_);
     } else if (to == Section::Remainder && w.open) {
-      PerPid& pp = at(p);
       pp.exit_max = pp.exit_max.max_with(w.acc.report(spill_));
       refresh_max_hash(p);
       w.open = false;
     }
   }
 
-  // A section change can flip window/clean state for any process (the
-  // loops above observe every q); flag all contributions. Rare next to
-  // accesses, so even the eager alternative would be off the hot path.
-  for (PerPid& pp : per_pid_) {
-    pp.window_dirty = true;
+  // Only p's own windows and the spoiled ones changed; spoil() flagged
+  // the latter.
+  pp.window_dirty = true;
+}
+
+void MeasureAccumulator::spoil(std::vector<Pid>& open_clean,
+                               WindowState PerPid::*window, Pid keep) {
+  bool kept = false;
+  for (const Pid q : open_clean) {
+    if (q == keep) {
+      kept = true;
+      continue;
+    }
+    PerPid& pq = per_pid_[static_cast<std::size_t>(q)];
+    (pq.*window).clean = false;
+    pq.window_dirty = true;
+  }
+  open_clean.clear();
+  if (kept) {
+    open_clean.push_back(keep);
+  }
+}
+
+void MeasureAccumulator::drop(std::vector<Pid>& open_clean, Pid pid) {
+  const auto it = std::find(open_clean.begin(), open_clean.end(), pid);
+  if (it != open_clean.end()) {
+    open_clean.erase(it);
   }
 }
 

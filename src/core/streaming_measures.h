@@ -84,7 +84,8 @@ class RegIdSet {
 /// Copy-assignment is the explorer's per-node snapshot and restore. The
 /// per-process records are trivially copyable (RegIdSet), so a copy is one
 /// memmove plus the spill pool, which stays empty unless some register id
-/// reached RegIdSet::kInlineIds.
+/// reached RegIdSet::kInlineIds, and the two short lists of open clean
+/// windows.
 class MeasureAccumulator final : public EventSink {
  public:
   /// `nprocs` must cover every pid that will appear in the run.
@@ -179,11 +180,12 @@ class MeasureAccumulator final : public EventSink {
     /// XOR-combinable digest contributions, maintained lazily: the
     /// explorer hashes the accumulator at EVERY DFS node for its
     /// visited-state key, so digest()/window_digest() must be near-reads.
-    /// Event handlers only set the dirty flags (between two explorer
-    /// nodes exactly one access happened, so at most one pid is dirty);
-    /// the digest getters refresh flagged contributions and cache them.
-    /// max_hash covers the window maxima + session count and is refreshed
-    /// eagerly at window closes (rare).
+    /// Event handlers only set the dirty flags; the digest getters refresh
+    /// flagged contributions and cache them. An access dirties its own
+    /// pid. A section change dirties its own pid plus exactly the pids
+    /// whose open window it spoiled (a `clean` flag flipped) — no other
+    /// per-pid contribution can change. max_hash covers the window maxima
+    /// + session count and is refreshed eagerly at window closes (rare).
     mutable std::uint64_t window_contrib = 0;
     mutable std::uint64_t total_contrib = 0;
     std::uint64_t max_hash = 0;
@@ -192,7 +194,15 @@ class MeasureAccumulator final : public EventSink {
   };
 
   void on_access(const TraceEvent& ev);
+  /// O(1) amortized: the section counters answer the window predicates,
+  /// and an interfering transition walks only the open clean windows.
   void on_section_change(const TraceEvent& ev);
+  /// Marks every window in `open_clean` (the `window` member of each
+  /// listed pid) unclean and dirty, except `keep`'s, and empties the list
+  /// down to `keep` if it was listed.
+  void spoil(std::vector<Pid>& open_clean, WindowState PerPid::*window,
+             Pid keep);
+  static void drop(std::vector<Pid>& open_clean, Pid pid);
   void refresh_window_contrib(Pid pid) const;
   void refresh_total_contrib(Pid pid) const;
   void refresh_max_hash(Pid pid);
@@ -211,6 +221,13 @@ class MeasureAccumulator final : public EventSink {
   std::vector<Section> section_;
   RegIdSpill spill_;  ///< ids >= RegIdSet::kInlineIds of every set above
   std::uint64_t section_hash_ = 0;  ///< XOR of per-pid section slots
+  int not_in_remainder_ = 0;  ///< processes whose section != Remainder
+  int in_cs_or_exit_ = 0;     ///< processes in Critical or Exit
+  /// Pids whose cf-session / clean-entry window is open AND clean, each
+  /// once: the only windows an interfering transition can spoil. Plain
+  /// members, so a snapshot copy carries them.
+  std::vector<Pid> clean_cf_open_;
+  std::vector<Pid> clean_entry_open_;
   bool truncated_ = false;
 };
 

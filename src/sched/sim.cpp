@@ -593,18 +593,19 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
         "log");
   }
 
-  // Which processes acted past the mark? Only they diverged from it.
-  touched_buf_.assign(procs_.size(), 0);
+  // Which processes acted past the mark? Only they diverged from it, and
+  // only they get per-process work below, in ascending pid order.
+  touched_pids_.clear();
   for (std::size_t i = mark.prefix_len; i < sched_log_.size(); ++i) {
-    touched_buf_[static_cast<std::size_t>(sched_log_[i].pid)] = 1;
+    touched_pids_.push_back(sched_log_[i].pid);
   }
+  std::sort(touched_pids_.begin(), touched_pids_.end());
+  touched_pids_.erase(std::unique(touched_pids_.begin(), touched_pids_.end()),
+                      touched_pids_.end());
 
   // Reset every touched process to its pre-start state (frames recycle
   // through the arena) and value-replay it over its own prefix units.
-  for (Pid pid = 0; pid < process_count(); ++pid) {
-    if (touched_buf_[static_cast<std::size_t>(pid)] == 0) {
-      continue;
-    }
+  for (const Pid pid : touched_pids_) {
     Proc& pr = procs_[static_cast<std::size_t>(pid)];
     pr.root = Task<void>{};
     pr.resume_point = {};
@@ -629,9 +630,9 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     // shared memory, only the recorded values). mark.pid_units == 0 means
     // the process had not started at the mark: the reset above already put
     // it in that state.
-    for (Pid pid = 0; pid < process_count(); ++pid) {
+    for (const Pid pid : touched_pids_) {
       const auto up = static_cast<std::size_t>(pid);
-      if (touched_buf_[up] == 0 || mark.pid_units[up] == 0) {
+      if (mark.pid_units[up] == 0) {
         continue;
       }
       ++fed;  // the start unit
@@ -672,24 +673,21 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   // sees). Untouched processes already carry the mark's values.
   mem_.restore(mark.memory);
   next_seq_ = mark.seq;
-  for (Pid pid = 0; pid < process_count(); ++pid) {
+  for (const Pid pid : touched_pids_) {
     const auto up = static_cast<std::size_t>(pid);
-    if (touched_buf_[up] != 0) {
-      Proc& pr = procs_[up];
-      pr.digest = mark.digests[up];
-      pr.naccesses = mark.naccesses[up];
-      refresh_proc_fp(pid);  // batched: mark digest + replayed status
-      // The pid's suffix tape entries die with the suffix; untouched
-      // processes have none, so their tapes are already at mark length.
-      const std::uint32_t nu = mark.pid_units[up];
-      tape_[up].resize(nu == 0 ? 0 : nu - 1);
-      // A touched process was runnable at the mark; put it back in the
-      // runnable list if the suffix retired it.
-      const auto it =
-          std::lower_bound(runnable_.begin(), runnable_.end(), pid);
-      if (it == runnable_.end() || *it != pid) {
-        runnable_.insert(it, pid);
-      }
+    Proc& pr = procs_[up];
+    pr.digest = mark.digests[up];
+    pr.naccesses = mark.naccesses[up];
+    refresh_proc_fp(pid);  // batched: mark digest + replayed status
+    // The pid's suffix tape entries die with the suffix; untouched
+    // processes have none, so their tapes are already at mark length.
+    const std::uint32_t nu = mark.pid_units[up];
+    tape_[up].resize(nu == 0 ? 0 : nu - 1);
+    // A touched process was runnable at the mark; put it back in the
+    // runnable list if the suffix retired it.
+    const auto it = std::lower_bound(runnable_.begin(), runnable_.end(), pid);
+    if (it == runnable_.end() || *it != pid) {
+      runnable_.insert(it, pid);
     }
   }
   sched_log_.resize(mark.prefix_len);

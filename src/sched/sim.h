@@ -456,6 +456,11 @@ class Sim {
   /// value feeds a live suspension. Returns the number of units actually
   /// value-replayed (<= prefix units of touched processes; the traversal-
   /// observable state is identical to rewind_to(mark.prefix_len)).
+  ///
+  /// Cost: O(suffix units + touched processes' prefix units) for the
+  /// process work — untouched processes are never visited — plus
+  /// O(registers) for the memory restore and O(processes) for the
+  /// tape/log consistency check.
   std::size_t rewind_to_mark(const RewindMark& mark);
   [[nodiscard]] const RewindStats& rewind_stats() const {
     return rewind_stats_;
@@ -610,8 +615,9 @@ class Sim {
   /// re-executing accesses — and, because the tape is already per-pid, it
   /// never scans the global schedule prefix for the process's units.
   std::vector<std::vector<Value>> tape_;
-  /// Scratch for rewind_to_mark's touched-process scan (recycled).
-  std::vector<char> touched_buf_;
+  /// Scratch for rewind_to_mark: the ascending pids with units past the
+  /// mark (recycled).
+  std::vector<Pid> touched_pids_;
   /// Scratch for rewind_to's per-pid tape truncation (recycled).
   std::vector<std::uint32_t> unit_count_buf_;
   /// XOR accumulator behind proc_state_fp().

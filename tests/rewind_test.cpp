@@ -6,6 +6,7 @@
 // Explorer's mark restores must build zero Sims per restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -268,6 +269,73 @@ TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
     SCOPED_TRACE(e->info.name);
     mark_rewind_and_compare(e->factory, 4, {{0, 3}, {2, 1}}, 5);
   }
+}
+
+TEST(Rewind, MarkRestoreAtLargeNVisitsOnlyTheProcessesThatActed) {
+  // n=300, three processes act past the mark: one that had started before
+  // it, one that had not started at it, and one that finishes past it.
+  // The restore must leave exactly the state a full rewind_to() of the
+  // same prefix leaves, and value-replay only the actors' prefix units.
+  const int n = 300;
+  const Pid started = 17;    // started at the mark, steps past it
+  const Pid fresh = 151;     // not started at the mark
+  const Pid finisher = 299;  // mid-session at the mark, finishes past it
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("lamport-fast").factory;
+  const SimBuilder rebuild = mutex_builder(factory, n, 1, {});
+
+  // Both sims run the same units; `live` is restored from the mark,
+  // `reference` by rewind_to.
+  Sim live;
+  Sim reference;
+  const auto run_prefix = [&](Sim& sim) {
+    rebuild(sim);
+    sim.mark_rewind_base();
+    sim.step(finisher);
+    sim.step(finisher);
+    sim.ensure_started(started);
+  };
+  const auto run_suffix = [&](Sim& sim) {
+    for (int guard = 0; sim.runnable(finisher) && guard < 1'000; ++guard) {
+      sim.step(finisher);
+    }
+    sim.step(fresh);
+    sim.step(fresh);
+    sim.step(started);
+  };
+  run_prefix(live);
+  run_prefix(reference);
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  const std::size_t prefix_len = live.schedule_log().size();
+  run_suffix(live);
+  run_suffix(reference);
+  ASSERT_EQ(live.status(finisher), ProcStatus::Done);
+  ASSERT_EQ(live.schedule_log().size(), reference.schedule_log().size());
+
+  // The units a mark restore owes: the actors' own units in the prefix.
+  std::size_t owed = 0;
+  for (std::size_t i = 0; i < prefix_len; ++i) {
+    const Pid p = live.schedule_log()[i].pid;
+    owed += (p == started || p == fresh || p == finisher) ? 1 : 0;
+  }
+  ASSERT_GT(owed, 0u);
+
+  const std::size_t fed = live.rewind_to_mark(mark);
+  reference.rewind_to(prefix_len);
+  EXPECT_EQ(fed, owed);
+  ASSERT_EQ(live.schedule_log().size(), prefix_len);
+  EXPECT_EQ(live.runnable_pids(), reference.runnable_pids());
+  EXPECT_EQ(live.runnable_pids().size(), static_cast<std::size_t>(n));
+  expect_same_state(live, reference);
+
+  // Onward, the restored sim behaves like the reference.
+  RandomScheduler cont_a(23);
+  RandomScheduler cont_b(23);
+  drive(live, cont_a, RunLimits{400});
+  drive(reference, cont_b, RunLimits{400});
+  EXPECT_EQ(live.runnable_pids(), reference.runnable_pids());
+  expect_same_state(live, reference);
 }
 
 }  // namespace

@@ -3,10 +3,15 @@
 // functions in core/measures.h compute over the recorded trace — totals,
 // contention-free sessions, clean entry windows, and exit windows — on
 // randomized schedules across algorithm families, with and without crash
-// injection.
+// injection, and across the explorer's snapshot-and-restore by assignment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/algorithm_registry.h"
@@ -29,6 +34,13 @@ void expect_reports_equal(const ComplexityReport& streaming,
   EXPECT_EQ(streaming.read_registers, traced.read_registers) << what;
   EXPECT_EQ(streaming.write_registers, traced.write_registers) << what;
   EXPECT_EQ(streaming.atomicity, traced.atomicity) << what;
+}
+
+bool same_counts(const ComplexityReport& a, const ComplexityReport& b) {
+  return a.steps == b.steps && a.registers == b.registers &&
+         a.read_steps == b.read_steps && a.write_steps == b.write_steps &&
+         a.read_registers == b.read_registers &&
+         a.write_registers == b.write_registers && a.atomicity == b.atomicity;
 }
 
 /// Runs the sim (trace recording on AND accumulator attached) and compares
@@ -221,6 +233,256 @@ TEST(StreamingMeasures, AgreesWithTraceWhenRecordingDisabled) {
   for (Pid pid = 0; pid < n; ++pid) {
     expect_reports_equal(acc.total(pid), measure_all(traced.trace(), pid),
                          "recording-off pid=" + std::to_string(pid));
+  }
+}
+
+TEST(StreamingMeasures, RejectsOutOfRangePids) {
+  const int n = 3;
+  MeasureAccumulator acc(n);
+  const MeasureAccumulator fresh(n);
+  for (const Pid bad : {Pid{-1}, Pid{n}}) {
+    TraceEvent change;
+    change.kind = TraceEvent::Kind::SectionChange;
+    change.pid = bad;
+    change.from = Section::Remainder;
+    change.to = Section::Entry;
+    EXPECT_THROW(acc.on_event(change), std::out_of_range) << bad;
+    TraceEvent access;
+    access.kind = TraceEvent::Kind::Access;
+    access.pid = bad;
+    EXPECT_THROW(acc.on_event(access), std::out_of_range) << bad;
+  }
+  // A rejected event leaves no trace in the measurement state.
+  EXPECT_EQ(acc.digest(), fresh.digest());
+  EXPECT_EQ(acc.window_digest(), fresh.window_digest());
+}
+
+TEST(StreamingMeasures, ExitWithTheEntryWindowOpenSpoilsThatWindow) {
+  // Hand-fed events no registry algorithm emits: pid 0 goes from Entry
+  // straight to Exit, so its own clean entry window is no longer clean
+  // when it later reaches Critical; pid 1's window, open throughout, is
+  // spoiled too. Both must match the trace path.
+  const int n = 2;
+  Trace trace;
+  MeasureAccumulator acc(n);
+  Seq seq = 0;
+  const auto feed = [&](TraceEvent ev) {
+    ev.seq = seq++;
+    trace.push(ev);
+    acc.on_event(ev);
+  };
+  const auto change = [&](Pid pid, Section from, Section to) {
+    TraceEvent ev;
+    ev.kind = TraceEvent::Kind::SectionChange;
+    ev.pid = pid;
+    ev.from = from;
+    ev.to = to;
+    feed(ev);
+  };
+  const auto access = [&](Pid pid, RegId reg) {
+    TraceEvent ev;
+    ev.kind = TraceEvent::Kind::Access;
+    ev.pid = pid;
+    ev.access.reg = reg;
+    ev.access.kind = AccessKind::Read;
+    ev.access.width = 1;
+    feed(ev);
+  };
+  change(1, Section::Remainder, Section::Entry);
+  change(0, Section::Remainder, Section::Entry);
+  access(0, 3);
+  change(0, Section::Entry, Section::Exit);
+  access(0, 4);
+  change(0, Section::Exit, Section::Critical);
+  change(0, Section::Critical, Section::Remainder);
+  access(1, 5);
+  change(1, Section::Entry, Section::Critical);
+  for (Pid pid = 0; pid < n; ++pid) {
+    const auto windows = clean_entry_windows(trace, pid, n);
+    EXPECT_TRUE(windows.empty()) << pid;
+    expect_reports_equal(acc.clean_entry_max(pid),
+                         max_over_windows(trace, pid, windows),
+                         "pid=" + std::to_string(pid));
+  }
+  EXPECT_EQ(acc.clean_entry_max(0).steps, 0);
+}
+
+/// Runs one process at a time in bursts of random length, so at large n
+/// some sessions run contention-free and others overlap.
+class BurstScheduler final : public Scheduler {
+ public:
+  explicit BurstScheduler(std::uint64_t seed) : rng_(seed) {}
+  std::optional<Pid> next(const Sim& sim) override {
+    const std::vector<Pid>& runnable = sim.runnable_pids();
+    if (runnable.empty()) {
+      return std::nullopt;
+    }
+    if (!current_ || !sim.runnable(*current_) || rng_() % 8 == 0) {
+      current_ = runnable[rng_() % runnable.size()];
+    }
+    return current_;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+  std::optional<Pid> current_;
+};
+
+/// Follows a run event by event behind the accumulator under test: keeps
+/// the surviving event sequence, and after every event compares each
+/// pid's window maxima with the trace path of core/measures (recomputed
+/// for the pid that changed section: only its own windows can close) and
+/// hashes the accumulator, as the explorer does at every node, so a
+/// contribution whose dirty flag was missed stays stale in the cache.
+class WindowChecker final : public EventSink {
+ public:
+  WindowChecker(const MeasureAccumulator& acc, int n)
+      : acc_(acc), n_(n), ref_(static_cast<std::size_t>(n)) {
+    recompute_all();
+  }
+
+  void on_event(const TraceEvent& ev) override {
+    events_.push_back(ev);
+    trace_.push(ev);
+    if (ev.kind == TraceEvent::Kind::SectionChange) {
+      recompute(ev.pid);
+    }
+    compare("after seq " + std::to_string(ev.seq));
+    (void)acc_.digest();
+  }
+
+  /// Truncates the surviving sequence back to `events` events (the
+  /// restore point) and recomputes every reference from it.
+  void truncate(std::size_t events) {
+    events_.resize(events);
+    trace_.clear();
+    for (const TraceEvent& ev : events_) {
+      trace_.push(ev);
+    }
+    recompute_all();
+    compare("after restore");
+  }
+
+  [[nodiscard]] const std::vector<TraceEvent>& events() const {
+    return events_;
+  }
+  [[nodiscard]] const std::string& first_mismatch() const {
+    return mismatch_;
+  }
+
+ private:
+  struct Ref {
+    ComplexityReport cf_session;
+    ComplexityReport clean_entry;
+    ComplexityReport exit;
+    int cf_sessions = 0;
+  };
+
+  void recompute(Pid pid) {
+    const auto cf = contention_free_sessions(trace_, pid, n_);
+    Ref& r = ref_[static_cast<std::size_t>(pid)];
+    r.cf_session = max_over_windows(trace_, pid, cf);
+    r.cf_sessions = static_cast<int>(cf.size());
+    r.clean_entry = max_over_windows(trace_, pid,
+                                     clean_entry_windows(trace_, pid, n_));
+    r.exit = max_over_windows(trace_, pid, exit_windows(trace_, pid));
+  }
+
+  void recompute_all() {
+    for (Pid pid = 0; pid < n_; ++pid) {
+      recompute(pid);
+    }
+  }
+
+  void compare(const std::string& when) {
+    if (!mismatch_.empty()) {
+      return;  // report the first divergence only
+    }
+    for (Pid pid = 0; pid < n_; ++pid) {
+      const Ref& r = ref_[static_cast<std::size_t>(pid)];
+      if (!same_counts(acc_.contention_free_session_max(pid),
+                       r.cf_session) ||
+          !same_counts(acc_.clean_entry_max(pid), r.clean_entry) ||
+          !same_counts(acc_.exit_max(pid), r.exit) ||
+          acc_.contention_free_session_count(pid) != r.cf_sessions) {
+        mismatch_ = "pid " + std::to_string(pid) + " " + when;
+        return;
+      }
+    }
+  }
+
+  const MeasureAccumulator& acc_;
+  int n_;
+  std::vector<Ref> ref_;
+  std::vector<TraceEvent> events_;
+  Trace trace_;
+  std::string mismatch_;
+};
+
+TEST(StreamingMeasures, MatchesTraceAcrossSnapshotAndRestore) {
+  // The explorer's snapshot (copy) and restore (assignment) at random
+  // points of a run: the restored accumulator continues on a different
+  // schedule and must end equal — maxima and both digests — to a fresh
+  // accumulator fed only the events that survived the restores.
+  const auto& registry = AlgorithmRegistry::instance();
+  for (const int n : {3, 40, 130}) {
+    for (const MutexAlgorithmEntry* entry : registry.mutex_for_n(n)) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        const std::string what = entry->info.name + " n=" +
+                                 std::to_string(n) + " seed=" +
+                                 std::to_string(seed);
+        SCOPED_TRACE(what);
+        Sim sim;
+        sim.set_trace_recording(false);
+        MeasureAccumulator acc(n);
+        WindowChecker check(acc, n);
+        sim.add_sink(acc);
+        sim.add_sink(check);
+        auto alg = setup_mutex(sim, entry->factory, n, /*sessions=*/2);
+        sim.crash_after(static_cast<Pid>(seed % n), 2 + seed);
+        sim.crash_after(n - 1, 5);
+        sim.mark_rewind_base();
+
+        std::mt19937_64 rng(seed * 1'000 + static_cast<std::uint64_t>(n));
+        const auto units = static_cast<std::uint64_t>(10 * n);
+        for (int restore = 0; restore < 4; ++restore) {
+          BurstScheduler lead(rng());
+          drive(sim, lead, RunLimits{1 + rng() % units});
+          Sim::RewindMark mark;
+          sim.capture_mark(mark);
+          const MeasureAccumulator saved = acc;
+          const std::size_t saved_events = check.events().size();
+          BurstScheduler abandoned(rng());
+          drive(sim, abandoned, RunLimits{1 + rng() % units});
+          sim.rewind_to_mark(mark);
+          acc = saved;
+          check.truncate(saved_events);
+        }
+        BurstScheduler last(rng());
+        drive(sim, last, RunLimits{units});
+        ASSERT_EQ(check.first_mismatch(), "");
+
+        MeasureAccumulator fresh(n);
+        for (const TraceEvent& ev : check.events()) {
+          fresh.on_event(ev);
+        }
+        for (Pid pid = 0; pid < n; ++pid) {
+          const std::string who = what + " pid=" + std::to_string(pid);
+          expect_reports_equal(acc.total(pid), fresh.total(pid),
+                               who + " total");
+          expect_reports_equal(acc.contention_free_session_max(pid),
+                               fresh.contention_free_session_max(pid),
+                               who + " cf-session");
+          expect_reports_equal(acc.clean_entry_max(pid),
+                               fresh.clean_entry_max(pid),
+                               who + " clean-entry");
+          expect_reports_equal(acc.exit_max(pid), fresh.exit_max(pid),
+                               who + " exit");
+        }
+        EXPECT_EQ(acc.window_digest(), fresh.window_digest());
+        EXPECT_EQ(acc.digest(), fresh.digest());
+      }
+    }
   }
 }
 
