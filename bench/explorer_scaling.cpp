@@ -5,7 +5,7 @@
 // source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
 // stateful vs stateless source-dpor on the re-convergent peterson-tree
 // cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
-// (rewind vs fork vs from-scratch), thread scaling of the parallel
+// (rewind vs from-scratch), thread scaling of the parallel
 // source-DPOR path, and thread-count invariance checked
 // byte-for-byte on the canonical study JSON (also written to --study-out
 // for CI's cross-thread-count cmp gate). Writes BENCH_explorer_scaling.json
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
     cfc::obs::Tracer::start(opts.trace_out);
   }
   const auto runner = opts.make_runner();
-  // Wall-clock gates (states/sec band, rewind-vs-fork) assume the pool
+  // Wall-clock gates (states/sec band, rewind-vs-scratch) assume the pool
   // fits the host. When --threads asks for more workers than cores —
   // the CI determinism sweep runs --threads 4 on small runners — timing
   // comparisons measure scheduler thrash, not the code, so those gates
@@ -570,8 +570,8 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. Sim-level restore mechanics: reposition a measured run K times
-  // by recycled rewind, by fork-by-replay, and by from-scratch replay
-  // (rebuild + re-run with live measurement).
+  // by recycled rewind and by from-scratch replay (rebuild + re-run with
+  // live measurement).
   std::printf("Sim restore mechanics (peterson-tree, n=4):\n\n");
   {
     const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
@@ -579,7 +579,7 @@ int main(int argc, char** argv) {
     const int n = 4;
     auto keep =
         std::make_shared<std::vector<std::unique_ptr<MutexAlgorithm>>>();
-    const SimBuilder rebuild = [tree, n, keep](Sim& sim) {
+    const auto rebuild = [tree, n, keep](Sim& sim) {
       keep->push_back(setup_mutex(sim, tree, n, /*sessions=*/8));
       sim.set_trace_recording(false);
     };
@@ -591,10 +591,10 @@ int main(int argc, char** argv) {
     original.add_sink(acc);
     RandomScheduler rnd(opts.seed);
     drive(original, rnd, RunLimits{1200});
-    const SimCheckpoint cp = original.checkpoint();
-    const std::size_t prefix_len = cp.schedule.size();
-    const std::uint64_t fp = cp.memory_fingerprint;
-    const Seq seq = cp.next_seq;
+    const std::vector<ScheduleUnit> schedule = original.schedule_log();
+    const std::size_t prefix_len = schedule.size();
+    const std::uint64_t fp = original.memory().fingerprint();
+    const Seq seq = original.next_seq();
 
     const int iters = 100;
     const double ms_rewind = cfc::bench::min_ms_of(opts.repeat, [&] {
@@ -603,20 +603,13 @@ int main(int argc, char** argv) {
         MeasureAccumulator restored(acc);  // plain-data restore
       }
     });
-    const double ms_fork = cfc::bench::min_ms_of(opts.repeat, [&] {
-      for (int i = 0; i < iters; ++i) {
-        std::unique_ptr<Sim> forked = Sim::fork(cp, rebuild);
-        MeasureAccumulator restored(acc);
-        forked->add_sink(restored);
-      }
-    });
     const double ms_scratch = cfc::bench::min_ms_of(opts.repeat, [&] {
       for (int i = 0; i < iters; ++i) {
         Sim scratch;
         rebuild(scratch);
         MeasureAccumulator fresh(n);
         scratch.add_sink(fresh);
-        for (const SimCheckpoint::Unit& u : cp.schedule) {
+        for (const ScheduleUnit& u : schedule) {
           if (u.start_only) {
             scratch.ensure_started(u.pid);
           } else {
@@ -626,19 +619,16 @@ int main(int argc, char** argv) {
       }
     });
     std::printf(
-        "  prefix %zu picks x %d restores: rewind %.1f ms, fork %.1f ms, "
+        "  prefix %zu picks x %d restores: rewind %.1f ms, "
         "from-scratch %.1f ms (%.2fx rewind vs scratch)\n\n",
-        prefix_len, iters, ms_rewind, ms_fork, ms_scratch,
+        prefix_len, iters, ms_rewind, ms_scratch,
         ms_rewind > 0 ? ms_scratch / ms_rewind : 0.0);
     json.row({{"section", std::string("sim_restore")},
               {"prefix_picks",
                cfc::bench::jv(static_cast<long long>(prefix_len))},
               {"iters", cfc::bench::jv(iters)},
               {"rewind_ms", cfc::bench::jv(ms_rewind)},
-              {"fork_ms", cfc::bench::jv(ms_fork)},
               {"scratch_ms", cfc::bench::jv(ms_scratch)}});
-    verify.check(original.rewind_stats().rewinds > 0,
-                 "rewind stats populated");
     // Noise guard only: rewind must at least keep up with from-scratch.
     verify.check(ms_rewind <= ms_scratch * 1.25,
                  "recycled rewind not slower than from-scratch replay");

@@ -268,7 +268,7 @@ void BM_SimRewindToMark(benchmark::State& state) {
   Sim::RewindMark mark;
   sim.capture_mark(mark);
   step_random(sim, rnd, back);
-  const std::vector<SimCheckpoint::Unit> log = sim.schedule_log();
+  const std::vector<ScheduleUnit> log = sim.schedule_log();
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(sim.rewind_to_mark(mark));

@@ -35,9 +35,10 @@ struct MutexCfResult {
 };
 
 /// `max_pids` bounds how many processes get their own solo run (0 = all n).
-/// The measurement is otherwise O(n^2): one fresh n-process simulation per
-/// measured pid. Tree algorithms have uniform per-process cost, so sampling
-/// loses nothing there; pass 0 when exactness over every pid matters.
+/// Each block of up to 64 measured pids shares one n-process simulation,
+/// rewound to its post-setup state between pids. Tree algorithms have
+/// uniform per-process cost, so sampling loses nothing there; pass 0 when
+/// exactness over every pid matters.
 [[nodiscard]] MutexCfResult measure_mutex_contention_free(
     const MutexFactory& make, int n,
     AccessPolicy policy = AccessPolicy::Unrestricted, int max_pids = 0,
@@ -94,11 +95,8 @@ struct DetectorWcSearchResult {
   bool certified = false;
 };
 
-/// (The redundant seed-list overload — round-robin plus seeded randoms —
-/// was deprecated in PR 3 and removed per the ROADMAP deprecation plan.
-/// The battery shape is now a StudySpec option: Random strategy with
-/// WorstCaseSearchOptions::detector_round_robin, or fluently
-/// StudySpec::detector_battery().)
+/// The search `options` selects; the Random strategy runs one schedule per
+/// seed.
 [[nodiscard]] DetectorWcSearchResult search_detector_worst_case(
     const DetectorFactory& make, int n, const WorstCaseSearchOptions& options,
     ExperimentRunner* runner = nullptr);

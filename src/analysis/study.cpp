@@ -103,11 +103,6 @@ StudySpec& StudySpec::reduction(ReductionPolicy policy) {
   return *this;
 }
 
-StudySpec& StudySpec::detector_battery() {
-  search.detector_round_robin = true;
-  return *this;
-}
-
 StudySpec& StudySpec::seeds(std::vector<std::uint64_t> s) {
   search.seeds = std::move(s);
   return *this;
@@ -360,16 +355,14 @@ std::vector<MutexCfPid> measure_mutex_cf_block(const MutexFactory& make,
   sim.add_sink(acc);
   auto alg = setup_mutex(sim, make, n, /*sessions=*/1);
   sim.mark_rewind_base();
-  Sim::RewindMark base;
-  sim.capture_mark(base);
   std::vector<MutexCfPid> out;
   out.reserve(static_cast<std::size_t>(std::max(0, last - first)));
   for (Pid pid = first; pid < last; ++pid) {
     if (pid != first) {
-      // Only the pid that just ran acted past the base mark, so the rewind
+      // Only the pid that just ran acted past the base, so the rewind
       // value-replays nothing and resets just that process. The
       // accumulator needs no reset: see the header.
-      sim.rewind_to_mark(base);
+      sim.rewind_to(0);
     }
     SoloScheduler solo(pid);
     if (drive(sim, solo) == RunOutcome::BudgetExhausted) {
@@ -389,32 +382,35 @@ std::vector<MutexCfPid> measure_mutex_cf_block(const MutexFactory& make,
   return out;
 }
 
-ComplexityReport run_detector_cell(const DetectorFactory& make, int n,
-                                   Scheduler& sched,
-                                   std::optional<Pid> expect_solo_winner) {
+}  // namespace detail
+
+namespace {
+
+/// One solo detector run of `pid`, measured streaming: the max whole-run
+/// complexity over all processes, `truncated` set on budget exhaustion.
+/// Throws std::logic_error when the solo process does not output 1 (a
+/// broken detector).
+ComplexityReport run_detector_solo(const DetectorFactory& make, int n,
+                                   Pid pid) {
   Sim sim;
   sim.set_trace_recording(false);
   MeasureAccumulator acc(n);
   sim.add_sink(acc);
   auto det = setup_detection(sim, make, n);
-  if (drive(sim, sched) == RunOutcome::BudgetExhausted) {
+  SoloScheduler solo(pid);
+  if (drive(sim, solo) == RunOutcome::BudgetExhausted) {
     acc.mark_truncated();  // surfaced as ComplexityReport::truncated
   }
-  if (expect_solo_winner.has_value() &&
-      sim.output(*expect_solo_winner) != 1) {
+  if (sim.output(pid) != 1) {
     throw std::logic_error(
         "solo detector process did not output 1 (broken detector)");
   }
   ComplexityReport best;
-  for (Pid pid = 0; pid < n; ++pid) {
-    best = best.max_with(acc.total(pid));
+  for (Pid p = 0; p < n; ++p) {
+    best = best.max_with(acc.total(p));
   }
   return best;
 }
-
-}  // namespace detail
-
-namespace {
 
 /// Detector contention-free measurement: one solo run per process.
 class DetectorCfTask final : public MeasureTask {
@@ -428,10 +424,8 @@ class DetectorCfTask final : public MeasureTask {
   }
 
   void measure_cell(std::size_t i, ExperimentRunner&) override {
-    const Pid pid = static_cast<Pid>(i);
-    SoloScheduler solo(pid);
-    cells_[i] = detail::run_detector_cell(
-        make_, static_cast<int>(cells_.size()), solo, pid);
+    cells_[i] = run_detector_solo(make_, static_cast<int>(cells_.size()),
+                                  static_cast<Pid>(i));
   }
 
   void reduce() override {
@@ -489,14 +483,6 @@ class DetectorWcTask final : public MeasureTask {
     // covers the totals) is the sound pruning key, so leave it unset.
     const Explorer explorer(std::move(cfg));
     result_ = explorer.run(&runner);
-    if (options_.detector_round_robin &&
-        options_.strategy == SearchStrategy::Random) {
-      // The historical battery's deterministic round-robin schedule,
-      // folded into the spec (StudySpec::detector_battery).
-      RoundRobinScheduler rr;
-      round_robin_ = detail::run_detector_cell(make_, n_, rr, std::nullopt);
-      ran_round_robin_ = true;
-    }
   }
 
   void reduce() override {}
@@ -507,11 +493,6 @@ class DetectorWcTask final : public MeasureTask {
       out.wc = result_.best[0];
     }
     fill_search_stats(out, result_, options_);
-    if (ran_round_robin_) {
-      out.wc = out.wc.max_with(round_robin_);
-      out.schedules_tried += 1;
-      out.truncated = out.truncated || round_robin_.truncated;
-    }
   }
 
  private:
@@ -519,8 +500,6 @@ class DetectorWcTask final : public MeasureTask {
   int n_;
   WorstCaseSearchOptions options_;
   Explorer::Result result_;
-  ComplexityReport round_robin_;
-  bool ran_round_robin_ = false;
 };
 
 /// Naming measurement battery. Cell 0 is the sequential (contention-free)
@@ -725,7 +704,6 @@ std::string search_key(const WorstCaseSearchOptions& o) {
          "|states=" + std::to_string(o.limits.max_states) +
          "|prune=" + std::to_string(o.limits.prune_visited ? 1 : 0) +
          "|reduction=" + name(o.limits.reduction) +
-         "|rr=" + std::to_string(o.detector_round_robin ? 1 : 0) +
          "|crash=" + seeds_key(o.crash_after);
 }
 

@@ -2,7 +2,6 @@
 #define CFC_ANALYSIS_STUDY_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,7 @@ enum class StudyKind : std::uint8_t { Mutex, Naming, Detector };
 
 /// How to search for worst cases: the strategy plus its budgets. The
 /// Exhaustive/Bounded strategies run the schedule-space Explorer (DFS with
-/// checkpoint-based backtracking and visited-state pruning); Random is the
+/// mark-based backtracking and visited-state pruning); Random is the
 /// legacy seeded sampler. (Naming studies instead run the fixed adversary
 /// battery — sequential, round-robin, the Theorem 6 lockstep adversary —
 /// plus one random schedule per seed; strategy and limits are ignored.)
@@ -50,11 +49,6 @@ struct WorstCaseSearchOptions {
   /// partial-order-reduction policy). Bounded additionally requires
   /// limits.max_preemptions >= 0 (Exhaustive ignores it).
   ExploreLimits limits;
-  /// Detector studies under the Random strategy: additionally run the
-  /// deterministic round-robin schedule as part of the battery (the
-  /// historical search_detector_worst_case seeds-overload semantics,
-  /// folded into the spec). Ignored by other kinds and strategies.
-  bool detector_round_robin = false;
   /// Crash injection, applied after the subject's setup: process p crashes
   /// at its crash_after[p]-th access attempt (Sim::crash_after). An empty
   /// vector injects nothing; entries past n-1 are ignored by the sim.
@@ -123,9 +117,6 @@ struct StudySpec {
   StudySpec& worst_case(const WorstCaseSearchOptions& options);
   /// The partial-order-reduction policy of the DFS strategies.
   StudySpec& reduction(ReductionPolicy policy);
-  /// Detector + Random only: include the round-robin schedule in the
-  /// battery (the legacy detector worst-case battery shape).
-  StudySpec& detector_battery();
   StudySpec& seeds(std::vector<std::uint64_t> s);
   /// Crash injection for the worst-case search (per-pid access thresholds;
   /// see WorstCaseSearchOptions::crash_after).
@@ -327,8 +318,8 @@ struct MutexCfPid {
 /// Internal: one contention-free mutex cell — the solo sessions of pids
 /// [first, last) on ONE Sim and ONE streaming accumulator. The Sim is
 /// built once and marked as its rewind base; before each later pid it is
-/// rewound to the base mark (Sim::rewind_to_mark resets just the pid that
-/// ran), so every pid sees exactly the fresh-Sim solo run.
+/// rewound to it (Sim::rewind_to(0) resets just the pid that ran), so
+/// every pid sees exactly the fresh-Sim solo run.
 ///
 /// The accumulator is never reset or copied, and its values are still
 /// those of a fresh one: a solo session touches no other process's record,
@@ -341,16 +332,6 @@ struct MutexCfPid {
 [[nodiscard]] std::vector<MutexCfPid> measure_mutex_cf_block(
     const MutexFactory& make, int n, AccessPolicy policy, Pid first,
     Pid last);
-
-/// Internal: one detector run under `sched`, measured streaming — the max
-/// whole-run complexity over all processes, `truncated` set on budget
-/// exhaustion. The single definition shared by the Study engine's detector
-/// tasks and the legacy fixed-schedule battery in experiment.cpp.
-/// `expect_solo_winner` additionally verifies the solo process's output
-/// (throws std::logic_error on a broken detector).
-[[nodiscard]] ComplexityReport run_detector_cell(
-    const DetectorFactory& make, int n, Scheduler& sched,
-    std::optional<Pid> expect_solo_winner);
 
 }  // namespace detail
 

@@ -1,6 +1,7 @@
 #include "core/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -255,18 +256,32 @@ const Node& member(const Node& obj, const char* key) {
   return it->second;
 }
 
-int to_int(const Node& n) {
+namespace {
+
+/// The whole number token as a decimal integer of type T. A fraction, an
+/// exponent, a sign T cannot hold, or a value outside T's range is
+/// malformed input, never a truncated or wrapped value.
+template <typename T>
+T to_integer(const Node& n, const char* expected) {
   if (n.type != Node::Type::Number) {
     fail_type("a number");
   }
-  return static_cast<int>(std::strtol(n.text.c_str(), nullptr, 10));
+  const char* first = n.text.data();
+  const char* last = first + n.text.size();
+  T v{};
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc{} || end != last) {
+    fail_type(expected);
+  }
+  return v;
 }
 
+}  // namespace
+
+int to_int(const Node& n) { return to_integer<int>(n, "an int"); }
+
 std::uint64_t to_u64(const Node& n) {
-  if (n.type != Node::Type::Number) {
-    fail_type("a number");
-  }
-  return std::strtoull(n.text.c_str(), nullptr, 10);
+  return to_integer<std::uint64_t>(n, "an unsigned 64-bit integer");
 }
 
 double to_double(const Node& n) {

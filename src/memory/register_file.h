@@ -12,7 +12,7 @@ namespace cfc {
 
 /// A copy of every register's current value, in register-id order. Cheap to
 /// take and restore (one Value per register); the backbone of the simulator
-/// checkpoints used by the schedule-space explorer.
+/// restore marks used by the schedule-space explorer.
 using MemorySnapshot = std::vector<Value>;
 
 /// The shared memory of a simulated system: a set of named registers, each
@@ -69,7 +69,7 @@ class RegisterFile {
   /// 64-bit incremental hash of the current (register, value) set,
   /// maintained O(1) per mutation. Two register files with the same layout
   /// and the same values have equal fingerprints; used for visited-state
-  /// pruning and checkpoint-replay verification, not for equality proofs.
+  /// pruning and restore verification, not for equality proofs.
   [[nodiscard]] std::uint64_t fingerprint() const { return fp_; }
 
   /// Largest value representable in register r.

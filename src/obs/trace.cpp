@@ -163,11 +163,6 @@ bool check_trace_json(const std::string& payload,
       const auto tid =
           static_cast<std::int64_t>(json::to_u64(json::member(ev, "tid")));
       (void)json::to_u64(json::member(ev, "pid"));
-      if (dur < 0) {
-        note(at + ": negative dur");
-        ok = false;
-        continue;
-      }
       by_tid[tid].push_back(Span{ts, ts + dur});
     } catch (const std::invalid_argument& e) {
       note(at + ": " + e.what());

@@ -17,7 +17,7 @@ constexpr std::size_t round_up(std::size_t n) {
 }
 
 // Blocks grow geometrically from small (a Sim that only ever runs a few
-// coroutines — forks, one-shot drivers — should not reserve more than a
+// coroutines — a one-shot driver — should not reserve more than a
 // page) to large (a long-lived explorer cell amortizes block boundaries
 // away). Oversized requests bypass the arena (stats().fallback) rather
 // than dedicating a block.

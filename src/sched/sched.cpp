@@ -18,16 +18,6 @@ RunOutcome drive(Sim& sim, Scheduler& sched, RunLimits limits) {
   return RunOutcome::BudgetExhausted;
 }
 
-RunOutcome drive_from(const SimCheckpoint& cp, const SimBuilder& rebuild,
-                      Scheduler& sched, std::unique_ptr<Sim>& out,
-                      RunLimits limits, const SimBuilder& attach) {
-  out = Sim::fork(cp, rebuild);
-  if (attach) {
-    attach(*out);
-  }
-  return drive(*out, sched, limits);
-}
-
 std::optional<Pid> SoloScheduler::next(const Sim& sim) {
   if (sim.runnable(pid_)) {
     return pid_;

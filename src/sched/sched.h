@@ -39,17 +39,6 @@ struct RunLimits {
 /// simulation's runnable list, so a pick costs no scan of all n processes.
 RunOutcome drive(Sim& sim, Scheduler& sched, RunLimits limits = {});
 
-/// drive(), resumable from a checkpoint: forks a fresh simulation from `cp`
-/// (see Sim::fork — `rebuild` reconstructs the static setup, the prefix is
-/// replayed with sinks suppressed), then continues driving it with `sched`.
-/// `attach` (optional) runs between the fork and the first new step — the
-/// place to re-attach event sinks or restore streaming accumulators.
-/// `limits` budgets only the post-checkpoint steps. The driven simulation
-/// is handed back through `out` for inspection.
-RunOutcome drive_from(const SimCheckpoint& cp, const SimBuilder& rebuild,
-                      Scheduler& sched, std::unique_ptr<Sim>& out,
-                      RunLimits limits = {}, const SimBuilder& attach = {});
-
 /// Contention-free scheduler for a single process: runs only `pid`; all
 /// other processes never start (they stay in their remainder region), which
 /// is exactly the paper's contention-free run condition.

@@ -1,7 +1,6 @@
 #include "sched/sim.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "memory/fingerprint.h"
@@ -18,7 +17,7 @@ constexpr std::uint64_t kDigestCrash = 0xc4a51fd2387b6e09ULL;
 constexpr std::uint64_t kDigestFinish = 0xf1f0c2d9e8b7a6c5ULL;
 
 /// A process's observation digest before it observes anything; spawn and
-/// rewind_to must agree on it.
+/// rewind_to_mark must agree on it.
 std::uint64_t initial_digest(Pid pid) {
   return fp_mix(0x5eedULL ^ static_cast<std::uint64_t>(pid));
 }
@@ -47,7 +46,7 @@ void Sim::remove_sink(EventSink& sink) {
 
 void Sim::emit(const TraceEvent& ev) {
   if (quiet_replay_) {
-    return;  // checkpoint replay: the events were already published once
+    return;  // restore replay: the events were already published once
   }
   if (record_trace_) {
     recorder_.on_event(ev);
@@ -133,11 +132,9 @@ void Sim::ensure_started(Pid pid) {
   // simulations skip the arena: their frames never get a second life, so
   // the global heap is the better allocator for them.
   const FrameArena::Scope frame_scope(rewind_base_set_ ? &arena_ : nullptr);
-  if (!bulk_replay_) {
-    // Start units deliver no value, so they have no tape entry: a pid's
-    // tape holds exactly its non-start units.
-    sched_log_.push_back({pid, /*start_only=*/true});
-  }
+  // Start units deliver no value, so they have no tape entry: a pid's
+  // tape holds exactly its non-start units.
+  sched_log_.push_back({pid, /*start_only=*/true});
   pr.digest = fp_push(pr.digest, kDigestStart);
   pr.status = ProcStatus::Runnable;
   pr.root = pr.factory(pr.ctx);
@@ -177,15 +174,13 @@ Sim::StepResult Sim::step(Pid pid) {
     }
   }
 
-  if (!bulk_replay_) {
-    sched_log_.push_back({pid, /*start_only=*/false});
-    if (rewind_base_set_) {
-      // Tape placeholder, filled after the delivered value is known. Crash
-      // units and units that throw before delivering keep the 0 — both
-      // only ever occupy suffixes a rewind discards (a crashed process
-      // never acts again; a violating unit is backtracked past).
-      tape_[static_cast<std::size_t>(pid)].push_back(0);
-    }
+  sched_log_.push_back({pid, /*start_only=*/false});
+  if (rewind_base_set_) {
+    // Tape placeholder, filled after the delivered value is known. Crash
+    // units and units that throw before delivering keep the 0 — both only
+    // ever occupy suffixes a rewind discards (a crashed process never acts
+    // again; a violating unit is backtracked past).
+    tape_[static_cast<std::size_t>(pid)].push_back(0);
   }
 
   // Crash injection fires when the process attempts one access too many.
@@ -208,7 +203,7 @@ Sim::StepResult Sim::step(Pid pid) {
     pr.digest = fp_push(pr.digest, kDigestYield);
   }
   pr.last_result = req.local_yield ? 0 : execute(pr, pid, req);
-  if (!bulk_replay_ && rewind_base_set_) {
+  if (rewind_base_set_) {
     // Before the resume: a unit that throws during its local run (e.g. a
     // mutual-exclusion violation at a section change) still records the
     // value it delivered.
@@ -372,73 +367,19 @@ void Sim::on_section_change(Pid pid, Section s) {
 
 void Sim::on_output(Pid pid, int value) { proc(pid).output = value; }
 
-SimCheckpoint Sim::checkpoint(bool with_memory) const {
-  SimCheckpoint cp;
-  cp.schedule = sched_log_;
-  if (with_memory) {
-    cp.memory = mem_.snapshot();
-  }
-  cp.memory_fingerprint = mem_.fingerprint();
-  cp.next_seq = next_seq_;
-  return cp;
-}
-
-std::unique_ptr<Sim> Sim::fork(const SimCheckpoint& cp,
-                               const SimBuilder& rebuild) {
-  return fork(cp.schedule, cp.memory_fingerprint, cp.next_seq, rebuild,
-              cp.memory.empty() ? nullptr : &cp.memory);
-}
-
-std::unique_ptr<Sim> Sim::fork(std::span<const SimCheckpoint::Unit> schedule,
-                               std::uint64_t expect_fingerprint,
-                               Seq expect_seq, const SimBuilder& rebuild,
-                               const MemorySnapshot* expect_memory) {
-  if (!rebuild) {
-    throw std::invalid_argument("Sim::fork needs a rebuild callback");
-  }
-  auto sim = std::make_unique<Sim>();
-  rebuild(*sim);
-  sim->quiet_replay_ = true;
-  try {
-    for (const SimCheckpoint::Unit& u : schedule) {
-      if (u.start_only) {
-        sim->ensure_started(u.pid);
-      } else {
-        sim->step(u.pid);
-      }
-    }
-  } catch (...) {
-    sim->quiet_replay_ = false;
-    throw;
-  }
-  sim->quiet_replay_ = false;
-  const bool diverged =
-      (expect_fingerprint != 0 &&
-       (sim->next_seq_ != expect_seq ||
-        sim->mem_.fingerprint() != expect_fingerprint)) ||
-      (expect_memory != nullptr && sim->mem_.snapshot() != *expect_memory);
-  if (diverged) {
-    throw std::logic_error(
-        "Sim::fork: replay diverged from the checkpoint (non-deterministic "
-        "SimBuilder?)");
-  }
-  return sim;
-}
-
 void Sim::mark_rewind_base() {
   if (!sched_log_.empty()) {
     throw std::logic_error(
         "Sim::mark_rewind_base: must be called before any unit executes "
         "(right after setup)");
   }
-  base_memory_ = mem_.snapshot();
-  base_seq_ = next_seq_;
   base_crash_.clear();
   base_crash_.reserve(procs_.size());
   for (const Proc& pr : procs_) {
     base_crash_.push_back(pr.crash_after);
   }
   rewind_base_set_ = true;
+  capture_mark(base_mark_);
 }
 
 void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
@@ -450,51 +391,17 @@ void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
     throw std::out_of_range(
         "Sim::rewind_to: prefix exceeds the schedule log");
   }
-  if (quiet_replay_) {
-    throw std::logic_error("Sim::rewind_to: already replaying");
-  }
-  if (procs_.size() != base_crash_.size()) {
-    throw std::logic_error(
-        "Sim::rewind_to: processes were spawned after mark_rewind_base");
-  }
+  // The base restore truncates the log, so keep the units to re-step.
+  replay_buf_.assign(sched_log_.begin(),
+                     sched_log_.begin() +
+                         static_cast<std::ptrdiff_t>(prefix_len));
+  rewind_to_mark(base_mark_);
 
-  // Borrow the previous run's log as the replay source: swap it into the
-  // scratch buffer (no copy; both vectors keep their capacity). The log is
-  // bulk-restored from the buffer after the replay instead of re-appending
-  // unit by unit.
-  replay_buf_.swap(sched_log_);
-  sched_log_.clear();
-
-  // Reset every process to its pre-start state. Destroying the root task
-  // frees the whole coroutine frame chain into the per-Sim arena, where
-  // the replay's recreations will recycle it.
-  for (Pid pid = 0; pid < process_count(); ++pid) {
-    Proc& pr = procs_[static_cast<std::size_t>(pid)];
-    pr.root = Task<void>{};
-    pr.resume_point = {};
-    pr.pending.reset();
-    pr.last_result = 0;
-    pr.status = ProcStatus::NotStarted;
-    pr.section = Section::Remainder;
-    pr.output.reset();
-    pr.naccesses = 0;
-    pr.crash_after = base_crash_[static_cast<std::size_t>(pid)];
-    pr.digest = initial_digest(pid);
-    refresh_proc_fp(pid);  // replayed units re-refresh; unstepped pids
-                           // need the reset folded in here
-  }
-  // Everyone is NotStarted again; the replay retires what the prefix ends.
-  runnable_.resize(procs_.size());
-  std::iota(runnable_.begin(), runnable_.end(), Pid{0});
-  mem_.restore(base_memory_);
-  next_seq_ = base_seq_;
-  recorder_.clear();  // like a fork, the rewound run's trace starts empty
-
+  // Re-step through the ordinary unit path, which rebuilds the log and the
+  // value tapes as it goes.
   quiet_replay_ = true;
-  bulk_replay_ = true;
   try {
-    for (std::size_t i = 0; i < prefix_len; ++i) {
-      const SimCheckpoint::Unit u = replay_buf_[i];
+    for (const ScheduleUnit u : replay_buf_) {
       if (u.start_only) {
         ensure_started(u.pid);
       } else {
@@ -503,30 +410,9 @@ void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
     }
   } catch (...) {
     quiet_replay_ = false;
-    bulk_replay_ = false;
     throw;
   }
   quiet_replay_ = false;
-  bulk_replay_ = false;
-  sched_log_.assign(replay_buf_.begin(),
-                    replay_buf_.begin() +
-                        static_cast<std::ptrdiff_t>(prefix_len));
-  // Truncate each pid's value tape to its unit count within the prefix
-  // (a per-pid subsequence of a log prefix is a prefix of the pid's tape,
-  // so the surviving values are unchanged).
-  unit_count_buf_.assign(procs_.size(), 0);
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    const SimCheckpoint::Unit u = replay_buf_[i];
-    if (!u.start_only) {
-      ++unit_count_buf_[static_cast<std::size_t>(u.pid)];
-    }
-  }
-  for (std::size_t p = 0; p < procs_.size(); ++p) {
-    tape_[p].resize(unit_count_buf_[p]);
-  }
-
-  rewind_stats_.rewinds += 1;
-  rewind_stats_.replayed_units += prefix_len;
 
   const bool diverged =
       (expect_fingerprint != 0 &&
@@ -621,7 +507,6 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
 
   std::size_t fed = 0;
   quiet_replay_ = true;
-  bulk_replay_ = true;
   try {
     const FrameArena::Scope frame_scope(&arena_);
     // Per-pid replay off each touched process's own value tape: the units
@@ -662,11 +547,9 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     }
   } catch (...) {
     quiet_replay_ = false;
-    bulk_replay_ = false;
     throw;
   }
   quiet_replay_ = false;
-  bulk_replay_ = false;
 
   // Shared state comes from the mark by assignment; per-process digests
   // and access counts too (they fold memory values the value replay never
@@ -690,11 +573,10 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
       runnable_.insert(it, pid);
     }
   }
+  // Also drops the start units the value replay's ensure_started() calls
+  // appended past the old log end.
   sched_log_.resize(mark.prefix_len);
-  recorder_.clear();  // like any rewind, the restored run's trace is empty
-
-  rewind_stats_.rewinds += 1;
-  rewind_stats_.replayed_units += fed;
+  recorder_.clear();  // the restored run's trace starts empty
 
   if (mem_.fingerprint() != mark.fingerprint) {
     throw std::logic_error(

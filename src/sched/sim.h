@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -26,42 +25,14 @@ namespace cfc {
 
 class Sim;
 
-/// Rebuilds a simulation's static configuration from scratch: registers,
-/// processes, access policy/model, crash injection, invariant checks —
-/// everything that is set up *before* the first scheduler pick. Must be
-/// deterministic: Sim::fork() replays a schedule prefix against a rebuilt
-/// simulation and verifies the result against the checkpoint's memory
-/// fingerprint.
-using SimBuilder = std::function<void(Sim&)>;
-
-/// A resumable point in a run. Coroutine frames cannot be copied, so a
-/// checkpoint is *not* a deep copy of the simulator: it is the schedule
-/// prefix that led here (every scheduler pick, in order) plus a snapshot of
-/// shared memory for verification. Restoring = rebuilding a fresh simulation
-/// with the same SimBuilder and replaying the prefix (fork-by-replay).
-///
-/// What a fork restores exactly: register values, per-process coroutine
-/// positions, sections, outputs, access counts, pending accesses, crash
-/// status, and the event sequence counter — everything the original run
-/// observed, because replay re-executes the same deterministic accesses.
-/// What it does NOT restore: the materialized trace (replayed events are
-/// suppressed — the fork's trace starts empty) and event-sink history
-/// (sinks attach after the replay and see only post-fork events; streaming
-/// consumers like MeasureAccumulator are plain data, so checkpoint them by
-/// copy and re-attach alongside the fork).
-struct SimCheckpoint {
-  /// One replay unit: a scheduler pick (`start_only == false`, replayed via
-  /// step()) or a bare body start (`start_only == true`, replayed via
-  /// ensure_started() — the adversary constructions use it).
-  struct Unit {
-    Pid pid = -1;
-    bool start_only = false;
-  };
-
-  std::vector<Unit> schedule;    ///< every unit executed so far, in order
-  MemorySnapshot memory;         ///< register values at capture (verification)
-  std::uint64_t memory_fingerprint = 0;  ///< RegisterFile::fingerprint()
-  Seq next_seq = 0;              ///< event counter at capture (verification)
+/// One schedule unit: a scheduler pick (`start_only == false`, executed
+/// via step()) or a bare body start (`start_only == true`, executed via
+/// ensure_started() — the adversary constructions use it). A run's
+/// schedule log (Sim::schedule_log) is the sequence of its units; stepping
+/// a freshly built simulation along it reproduces the run.
+struct ScheduleUnit {
+  Pid pid = -1;
+  bool start_only = false;
 };
 
 /// Thrown when two processes are simultaneously in their critical sections
@@ -291,10 +262,10 @@ class Sim {
   /// runnable list below.
   [[nodiscard]] bool any_runnable() const { return !runnable_.empty(); }
   /// The pids for which runnable() holds, in ascending order. Maintained
-  /// incrementally — spawn appends, a finish or crash erases, rewind_to
-  /// resets it to every pid and rewind_to_mark re-inserts the processes it
-  /// restores — so a scheduler picks among the runnable processes without
-  /// scanning all n (RandomScheduler indexes it).
+  /// incrementally — spawn appends, a finish or crash erases, and
+  /// rewind_to_mark re-inserts the processes it restores — so a scheduler
+  /// picks among the runnable processes without scanning all n
+  /// (RandomScheduler indexes it).
   [[nodiscard]] const std::vector<Pid>& runnable_pids() const {
     return runnable_;
   }
@@ -333,82 +304,14 @@ class Sim {
   /// The materialized run (empty when trace recording is disabled).
   [[nodiscard]] const Trace& trace() const { return recorder_.trace(); }
 
-  /// --- Checkpointing (fork-by-replay). ---
+  /// --- In-place restore (the explorer's hot path). ---
 
-  /// Captures the current point of the run: the full schedule log plus (by
-  /// default) a memory snapshot. O(picks + registers). See SimCheckpoint for
-  /// the exact restore semantics. `with_memory = false` skips the deep copy
-  /// of the register values and leaves `cp.memory` empty — fork() then
-  /// verifies the replay by fingerprint and event counter only, which is
-  /// what fingerprint-tracking callers (the explorer) need; keep the
-  /// default when the checkpoint should be self-verifying value-for-value.
-  [[nodiscard]] SimCheckpoint checkpoint(bool with_memory = true) const;
-
-  /// Restores a checkpoint into a fresh simulation: `rebuild` reconstructs
-  /// the static setup, then the schedule prefix is replayed with event
-  /// sinks, trace materialization, and the mutual-exclusion invariant check
-  /// suppressed (the prefix was already observed/validated when it first
-  /// ran). After the replay the memory fingerprint, event counter, and (when
-  /// present) the memory snapshot values are verified against the
-  /// checkpoint; a mismatch (non-deterministic rebuild) throws
-  /// std::logic_error. Attach sinks to the returned simulation afterwards —
-  /// they see only post-fork events.
-  ///
-  /// `cp.memory_fingerprint == 0 && cp.memory.empty()` skips verification.
-  [[nodiscard]] static std::unique_ptr<Sim> fork(const SimCheckpoint& cp,
-                                                 const SimBuilder& rebuild);
-
-  /// Zero-copy fork: replays a borrowed schedule span (typically a prefix
-  /// of a live simulation's own schedule_log(), which must stay alive and
-  /// unmodified until this returns) without materializing a SimCheckpoint.
-  /// `expect_fingerprint == 0` skips verification; `expect_memory`, when
-  /// non-null, additionally compares the full register values (debug).
-  [[nodiscard]] static std::unique_ptr<Sim> fork(
-      std::span<const SimCheckpoint::Unit> schedule,
-      std::uint64_t expect_fingerprint, Seq expect_seq,
-      const SimBuilder& rebuild, const MemorySnapshot* expect_memory = nullptr);
-
-  /// checkpoint() + fork(): a second simulation positioned exactly here.
-  [[nodiscard]] std::unique_ptr<Sim> fork(const SimBuilder& rebuild) const {
-    return fork(checkpoint(), rebuild);
-  }
-
-  /// --- In-place rewind (recycled restore; the explorer's hot path). ---
-
-  /// Captures the post-setup baseline rewind_to() restores: the register
-  /// values, the event counter, and each process's crash plan. Must be
-  /// called before any unit executes (schedule log empty) — i.e. right
-  /// after the static setup — and marks this simulation as rewindable.
+  /// Captures the post-setup baseline: each process's crash plan and the
+  /// base RewindMark rewind_to() restores. Must be called before any unit
+  /// executes (schedule log empty) — i.e. right after the static setup —
+  /// and marks this simulation as rewindable.
   void mark_rewind_base();
   [[nodiscard]] bool rewind_base_marked() const { return rewind_base_set_; }
-
-  /// Repositions THIS simulation at `prefix_len` units of its own schedule
-  /// log, in place: destroys every coroutine frame (recycled through the
-  /// per-Sim frame arena), resets processes and registers to the
-  /// mark_rewind_base() baseline, and quietly re-executes the first
-  /// `prefix_len` units of the previous run — the schedule log is reused
-  /// where it sits, never copied. Equivalent to fork()-ing a checkpoint
-  /// taken at that point, but with zero Sim construction, zero setup
-  /// re-execution, and (steady-state) zero heap allocation.
-  ///
-  /// Like fork(), the replay runs with sinks, trace materialization, and
-  /// invariant checks suppressed; any materialized trace is cleared.
-  /// Attached sinks stay attached and see only post-rewind events — reset
-  /// their state alongside (the explorer restores its accumulator by
-  /// assignment). Verification: `expect_fingerprint == 0` skips it;
-  /// otherwise the memory fingerprint and event counter must match or the
-  /// rewind throws std::logic_error. `expect_memory`, when non-null, also
-  /// compares full register values (debug; costs a snapshot per call).
-  void rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint = 0,
-                 Seq expect_seq = 0,
-                 const MemorySnapshot* expect_memory = nullptr);
-
-  struct RewindStats {
-    std::uint64_t rewinds = 0;         ///< rewind/rewind-to-mark calls completed
-    std::uint64_t replayed_units = 0;  ///< schedule units re-executed by them
-  };
-
-  /// --- Mark-based partial rewind (the explorer's restore round 3). ---
 
   /// A restore point along the current run: shared memory, the event
   /// counter, and each process's observation digest and access count at a
@@ -417,8 +320,7 @@ class Sim {
   /// processes that executed units past the mark, feeding each unit the
   /// Value the original execution delivered (its per-pid value tape) so the
   /// coroutine re-reaches its suspension point without touching memory.
-  /// Processes with no units past the mark are left entirely alone — the
-  /// savings over rewind_to(), which resets and replays every process.
+  /// Processes with no units past the mark are left entirely alone.
   struct RewindMark {
     MemorySnapshot memory;
     std::uint64_t fingerprint = 0;  ///< RegisterFile::fingerprint() at capture
@@ -443,28 +345,46 @@ class Sim {
   /// rewind past the mark happened in between; the explorer's DFS restores
   /// only to ancestors of the current path, which guarantees it). Touched
   /// processes — those with schedule units in [mark.prefix_len, log size)
-  /// — are reset to their pre-start state and value-replayed over their
-  /// own units of the prefix: each access is fed the recorded delivered
-  /// value instead of re-executing against memory, so shared memory is
-  /// restored by assignment from the mark and untouched processes keep
-  /// their live coroutines as-is. Digests and access counts of touched
-  /// processes are restored from the mark (they fold memory values a
-  /// value-replay cannot see). Sinks/trace semantics match rewind_to().
+  /// — are reset to their pre-start state (frames recycle through the
+  /// per-Sim arena) and value-replayed over their own units of the prefix:
+  /// each access is fed the recorded delivered value instead of
+  /// re-executing against memory, so shared memory is restored by
+  /// assignment from the mark and untouched processes keep their live
+  /// coroutines as-is. Digests and access counts of touched processes are
+  /// restored from the mark (they fold memory values a value-replay cannot
+  /// see).
+  ///
+  /// The replay runs with sinks, trace materialization, and invariant
+  /// checks suppressed; any materialized trace is cleared. Attached sinks
+  /// stay attached and see only post-restore events — reset their state
+  /// alongside (the explorer restores its accumulator by assignment).
   ///
   /// Sound because a process with units past the mark was runnable at the
   /// mark, so its prefix units contain no crash/finish and every recorded
   /// value feeds a live suspension. Returns the number of units actually
-  /// value-replayed (<= prefix units of touched processes; the traversal-
-  /// observable state is identical to rewind_to(mark.prefix_len)).
+  /// value-replayed (<= prefix units of touched processes); the traversal-
+  /// observable state is that of a fresh simulation stepped along the
+  /// same prefix.
   ///
   /// Cost: O(suffix units + touched processes' prefix units) for the
   /// process work — untouched processes are never visited — plus
   /// O(registers) for the memory restore and O(processes) for the
   /// tape/log consistency check.
   std::size_t rewind_to_mark(const RewindMark& mark);
-  [[nodiscard]] const RewindStats& rewind_stats() const {
-    return rewind_stats_;
-  }
+
+  /// Repositions THIS simulation at `prefix_len` units of its own schedule
+  /// log, in place: rewind_to_mark() back to the mark_rewind_base()
+  /// baseline, then a quiet re-step of the first `prefix_len` units of the
+  /// previous run through step()/ensure_started() — zero Sim construction,
+  /// zero setup re-execution, and (steady-state) zero heap allocation.
+  /// Sinks/trace semantics are rewind_to_mark()'s. Verification:
+  /// `expect_fingerprint == 0` skips it; otherwise the memory fingerprint
+  /// and event counter must match or the rewind throws std::logic_error.
+  /// `expect_memory`, when non-null, also compares full register values
+  /// (debug; costs a snapshot per call).
+  void rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint = 0,
+                 Seq expect_seq = 0,
+                 const MemorySnapshot* expect_memory = nullptr);
 
   /// Allocation counters of the per-Sim coroutine frame arena.
   [[nodiscard]] const FrameArena::Stats& frame_arena_stats() const {
@@ -478,15 +398,11 @@ class Sim {
     return pr.crash_after.has_value() && pr.naccesses >= *pr.crash_after;
   }
 
-  /// The schedule log backing checkpoint(): every step()/ensure_started()
-  /// unit executed so far, in order.
-  [[nodiscard]] const std::vector<SimCheckpoint::Unit>& schedule_log() const {
+  /// The schedule log: every step()/ensure_started() unit executed so far,
+  /// in order.
+  [[nodiscard]] const std::vector<ScheduleUnit>& schedule_log() const {
     return sched_log_;
   }
-
-  /// True while this simulation is replaying a checkpoint prefix inside
-  /// fork() (sinks/trace/invariant checks suppressed).
-  [[nodiscard]] bool in_replay() const { return quiet_replay_; }
 
   /// 64-bit digest of everything process `pid` has observed: its access
   /// history including returned values, plus start/yield/crash/finish
@@ -603,11 +519,11 @@ class Sim {
   std::vector<Pid> runnable_;
   TraceRecorder recorder_;
   std::vector<EventSink*> sinks_;
-  std::vector<SimCheckpoint::Unit> sched_log_;
-  /// Recycled scratch for rewind_to: the old schedule log is swapped here
-  /// and replayed from, so the log is never copied and both buffers keep
-  /// their capacity across rewinds (steady-state allocation-free).
-  std::vector<SimCheckpoint::Unit> replay_buf_;
+  std::vector<ScheduleUnit> sched_log_;
+  /// Recycled scratch for rewind_to: the units to re-step, copied out of
+  /// the log before the base restore truncates it (steady-state
+  /// allocation-free).
+  std::vector<ScheduleUnit> replay_buf_;
   /// Per-pid value tapes (rewindable simulations only): for each process,
   /// the Value each of its non-start units delivered (Proc::last_result
   /// after the unit; 0 for yield/crash units), in its own program order.
@@ -618,21 +534,17 @@ class Sim {
   /// Scratch for rewind_to_mark: the ascending pids with units past the
   /// mark (recycled).
   std::vector<Pid> touched_pids_;
-  /// Scratch for rewind_to's per-pid tape truncation (recycled).
-  std::vector<std::uint32_t> unit_count_buf_;
   /// XOR accumulator behind proc_state_fp().
   std::uint64_t procs_fp_ = 0;
-  /// mark_rewind_base() baseline.
+  /// mark_rewind_base() baseline: the crash plans touched processes get
+  /// back, and the mark rewind_to() restores before re-stepping.
   bool rewind_base_set_ = false;
-  MemorySnapshot base_memory_;
-  Seq base_seq_ = 0;
   std::vector<std::optional<std::uint64_t>> base_crash_;
-  RewindStats rewind_stats_;
+  RewindMark base_mark_;
   /// last_step_summary(): rebuilt by every step()/ensure_started() unit.
   StepSummary last_step_;
-  /// True only inside rewind_to's replay: step/ensure_started skip the
-  /// per-unit log append (the log is bulk-restored from replay_buf_ after).
-  bool bulk_replay_ = false;
+  /// True inside a restore's replay: sinks, trace materialization and the
+  /// mutual-exclusion check are suppressed.
   bool quiet_replay_ = false;
   bool record_trace_ = true;
   Seq next_seq_ = 0;

@@ -149,6 +149,10 @@ TEST(Trace, ValidatorRejectsMalformedPayloads) {
   EXPECT_FALSE(check_trace_json(
       R"({"traceEvents": [{"ph": "B", "name": "x", "ts": 0, "dur": 1, "pid": 1, "tid": 1}]})",
       nullptr));
+  // A negative duration is not an unsigned integer.
+  EXPECT_FALSE(check_trace_json(
+      R"({"traceEvents": [{"ph": "X", "name": "x", "ts": 0, "dur": -1, "pid": 1, "tid": 1}]})",
+      nullptr));
   // Partial overlap within one tid: [0,10) vs [5,15) cannot nest.
   EXPECT_FALSE(check_trace_json(
       R"({"traceEvents": [

@@ -114,22 +114,18 @@ TEST(ParallelDeterminism, MutexContentionFreeIsThreadCountInvariant) {
 }
 
 TEST(ParallelDeterminism, DetectorSearchIsThreadCountInvariant) {
-  // The historical round-robin + seeded-randoms battery, now a StudySpec
-  // option (detector_battery; the deprecated seeds overload is gone per
-  // the ROADMAP deprecation plan).
   const std::vector<std::uint64_t> seeds = {3, 1, 4, 1, 5};
   const StudySpec spec = StudySpec::of("splitter-tree-l2")
                              .kind(StudyKind::Detector)
                              .n(16)
                              .worst_case(SearchStrategy::Random)
-                             .seeds(seeds)
-                             .detector_battery();
+                             .seeds(seeds);
   ExperimentRunner seq(1);
   ExperimentRunner pool(3);
   const StudyResult a = run_study(spec, &seq);
   const StudyResult b = run_study(spec, &pool);
   expect_reports_equal(a.wc, b.wc, "detector wc");
-  EXPECT_EQ(a.schedules_tried, seeds.size() + 1);  // round-robin + seeds
+  EXPECT_EQ(a.schedules_tried, seeds.size());  // one schedule per seed
   EXPECT_EQ(a.schedules_tried, b.schedules_tried);
   EXPECT_EQ(a.truncated, b.truncated);
   const DetectorFactory factory =

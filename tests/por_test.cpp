@@ -10,8 +10,10 @@
 
 #include <array>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -260,6 +262,72 @@ TEST(PorDifferential, Kessels2pDepth20MatchesUnreduced) {
     SCOPED_TRACE(what);
     expect_source_dpor_matches_unreduced(mutex_setup(kessels, 2), 2, 20,
                                          runner, what);
+  }
+}
+
+/// The measured fields of a report, in one comparable tuple.
+std::array<int, 7> values_of(const ComplexityReport& r) {
+  return {r.steps,          r.registers,       r.read_steps,
+          r.write_steps,    r.read_registers,  r.write_registers,
+          r.atomicity};
+}
+
+bool at_most(const ComplexityReport& a, const ComplexityReport& b) {
+  const std::array<int, 7> va = values_of(a);
+  const std::array<int, 7> vb = values_of(b);
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    if (va[i] > vb[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PorDifferential, N2DefaultUnderCertifiesOnlyTheKnownCells) {
+  // Pins the known n=2 gap: under one global depth budget every pair of
+  // units is dependent through the budget, so the source-dpor default can
+  // miss a spinning waiter's longer entry. The oracle is the unreduced
+  // search without the visited cache; Off with its cache must equal it.
+  // The default must never over-claim, and its under-claims must be
+  // exactly the known cells — a new mismatch fails, and so does a fix
+  // (then shrink the expected sets).
+  const std::map<int, std::set<std::string>> known = {
+      {14, {"lamport-fast", "lamport-packed", "thm3-exact-l2",
+            "thm3-paper-l1"}},
+      {16, {"lamport-fast", "lamport-packed", "thm3-exact-l2",
+            "thm3-paper-l1", "thm3-paper-l2"}},
+  };
+  ExperimentRunner pool(4);
+  for (const auto& [depth, expected] : known) {
+    std::set<std::string> mismatched;
+    for (const MutexAlgorithmEntry* e :
+         AlgorithmRegistry::instance().mutex_for_n(2)) {
+      const std::string what =
+          e->info.name + " n=2 d" + std::to_string(depth);
+      SCOPED_TRACE(what);
+      const StudySpec exhaustive = StudySpec::of(e->info.name)
+                                       .kind(StudyKind::Mutex)
+                                       .n(2)
+                                       .worst_case(SearchStrategy::Exhaustive)
+                                       .depth(depth);
+      const StudySpec off_spec =
+          StudySpec(exhaustive).reduction(ReductionPolicy::Off);
+      StudySpec oracle_spec = off_spec;
+      oracle_spec.search.limits.prune_visited = false;
+      const StudyResult def = run_study(exhaustive, &pool);
+      const StudyResult off = run_study(off_spec, &pool);
+      const StudyResult oracle = run_study(oracle_spec, &pool);
+
+      EXPECT_EQ(values_of(off.wc_entry), values_of(oracle.wc_entry));
+      EXPECT_EQ(values_of(off.wc_exit), values_of(oracle.wc_exit));
+      EXPECT_TRUE(at_most(def.wc_entry, oracle.wc_entry)) << "over-claim";
+      EXPECT_TRUE(at_most(def.wc_exit, oracle.wc_exit)) << "over-claim";
+      if (values_of(def.wc_entry) != values_of(oracle.wc_entry) ||
+          values_of(def.wc_exit) != values_of(oracle.wc_exit)) {
+        mismatched.insert(e->info.name);
+      }
+    }
+    EXPECT_EQ(mismatched, expected) << "d" << depth;
   }
 }
 

@@ -1,13 +1,15 @@
-// Recycled-rewind fidelity: Sim::rewind_to and Sim::rewind_to_mark must
-// reposition the LIVE simulation at any prefix of its own schedule log
-// indistinguishably from Sim::fork of a checkpoint taken there — across
-// every registry algorithm, including crash injection — with frame
-// recreation served entirely from the arena pool after warm-up, and the
-// Explorer's mark restores must build zero Sims per restore.
+// Restore fidelity: Sim::rewind_to and Sim::rewind_to_mark must reposition
+// the LIVE simulation at any prefix of its own schedule log
+// indistinguishably from a freshly built simulation stepped live along the
+// same units — across every registry algorithm, including crash injection,
+// multi-grain field writes and branches diverging from one restore point —
+// with frame recreation served entirely from the arena pool after warm-up,
+// and the Explorer's mark restores must build zero Sims per restore.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,8 +28,13 @@ struct CrashPlan {
   std::uint64_t after_accesses;
 };
 
-SimBuilder mutex_builder(const MutexFactory& factory, int n, int sessions,
-                         std::vector<CrashPlan> crashes) {
+/// A deterministic mutex setup with crash injection; every call builds an
+/// identical configuration. `keep` holds every built algorithm alive for
+/// the sims' sake.
+using Build = std::function<void(Sim&)>;
+
+Build mutex_builder(const MutexFactory& factory, int n, int sessions,
+                    std::vector<CrashPlan> crashes) {
   auto keep =
       std::make_shared<std::vector<std::unique_ptr<MutexAlgorithm>>>();
   return [factory, n, sessions, crashes, keep](Sim& sim) {
@@ -38,12 +45,34 @@ SimBuilder mutex_builder(const MutexFactory& factory, int n, int sessions,
   };
 }
 
+/// The oracle: a freshly built simulation stepped live (sinks and
+/// invariant checks on) along `units`. It shares no restore code with
+/// the simulations under test.
+std::unique_ptr<Sim> scratch_replay(const Build& build,
+                                    std::span<const ScheduleUnit> units) {
+  auto sim = std::make_unique<Sim>();
+  build(*sim);
+  for (const ScheduleUnit& u : units) {
+    if (u.start_only) {
+      sim->ensure_started(u.pid);
+    } else {
+      sim->step(u.pid);
+    }
+  }
+  return sim;
+}
+
+std::span<const ScheduleUnit> log_prefix(const Sim& sim, std::size_t len) {
+  return {sim.schedule_log().data(), len};
+}
+
 void expect_same_state(const Sim& a, const Sim& b) {
   ASSERT_EQ(a.process_count(), b.process_count());
   EXPECT_EQ(a.next_seq(), b.next_seq());
   EXPECT_EQ(a.memory().fingerprint(), b.memory().fingerprint());
   EXPECT_EQ(a.memory().snapshot(), b.memory().snapshot());
   EXPECT_EQ(state_fingerprint(a), state_fingerprint(b));
+  EXPECT_EQ(a.runnable_pids(), b.runnable_pids());
   for (Pid p = 0; p < a.process_count(); ++p) {
     EXPECT_EQ(a.status(p), b.status(p)) << "pid " << p;
     EXPECT_EQ(a.section(p), b.section(p)) << "pid " << p;
@@ -53,18 +82,28 @@ void expect_same_state(const Sim& a, const Sim& b) {
   }
 }
 
+/// Drives both simulations onward with identical schedulers and compares
+/// again: a restored sim must behave like the oracle forever after, crash
+/// plans included.
+void continue_and_compare(Sim& live, Sim& oracle, std::uint64_t seed,
+                          std::uint64_t steps) {
+  RandomScheduler cont_a(seed);
+  RandomScheduler cont_b(seed);
+  drive(live, cont_a, RunLimits{steps});
+  drive(oracle, cont_b, RunLimits{steps});
+  expect_same_state(live, oracle);
+}
+
 /// Runs a random schedule on a rewindable live sim, rewinds it to a
-/// prefix, and differential-tests the result against a fork of the same
-/// prefix — then drives both onward with identical schedulers and
-/// compares again (the rewound sim must behave like the fork forever
-/// after, crash plans included).
+/// prefix, and differential-tests the result against a scratch replay of
+/// the same prefix.
 void rewind_and_compare(const MutexFactory& factory, int n,
                         const std::vector<CrashPlan>& crashes,
                         std::uint64_t seed) {
-  const SimBuilder rebuild = mutex_builder(factory, n, 1, crashes);
+  const Build build = mutex_builder(factory, n, 1, crashes);
 
   Sim live;
-  rebuild(live);
+  build(live);
   live.mark_rewind_base();
   RandomScheduler rnd(seed);
   drive(live, rnd, RunLimits{60});
@@ -72,21 +111,15 @@ void rewind_and_compare(const MutexFactory& factory, int n,
   ASSERT_GT(full_len, 0u);
   const std::size_t prefix_len = full_len / 2;
 
-  const std::unique_ptr<Sim> reference =
-      Sim::fork(std::span(live.schedule_log().data(), prefix_len),
-                /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
+  const std::unique_ptr<Sim> oracle =
+      scratch_replay(build, log_prefix(live, prefix_len));
   live.rewind_to(prefix_len);
   ASSERT_EQ(live.schedule_log().size(), prefix_len);
-  expect_same_state(live, *reference);
-
-  RandomScheduler cont_a(seed + 17);
-  RandomScheduler cont_b(seed + 17);
-  drive(live, cont_a, RunLimits{40});
-  drive(*reference, cont_b, RunLimits{40});
-  expect_same_state(live, *reference);
+  expect_same_state(live, *oracle);
+  continue_and_compare(live, *oracle, seed + 17, 40);
 }
 
-TEST(Rewind, MatchesForkAcrossAllRegistryMutexAlgorithms) {
+TEST(Rewind, MatchesScratchReplayAcrossAllRegistryMutexAlgorithms) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -96,7 +129,7 @@ TEST(Rewind, MatchesForkAcrossAllRegistryMutexAlgorithms) {
   }
 }
 
-TEST(Rewind, MatchesForkUnderCrashInjection) {
+TEST(Rewind, MatchesScratchReplayUnderCrashInjection) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(4)) {
     SCOPED_TRACE(e->info.name);
@@ -107,20 +140,23 @@ TEST(Rewind, MatchesForkUnderCrashInjection) {
 TEST(Rewind, RewindToZeroAndFullLengthAreExact) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
+  const Build build = mutex_builder(factory, 2, 1, {});
   Sim live;
-  rebuild(live);
+  build(live);
   live.mark_rewind_base();
   RandomScheduler rnd(9);
   drive(live, rnd, RunLimits{30});
   const std::size_t full_len = live.schedule_log().size();
   const std::uint64_t fp = live.memory().fingerprint();
   const Seq seq = live.next_seq();
+  const std::unique_ptr<Sim> whole =
+      scratch_replay(build, log_prefix(live, full_len));
 
   // Full-length rewind: a complete in-place re-execution of the same run.
   live.rewind_to(full_len, fp, seq);
   EXPECT_EQ(live.memory().fingerprint(), fp);
   EXPECT_EQ(live.next_seq(), seq);
+  expect_same_state(live, *whole);
 
   // Rewind to zero: back to the post-setup baseline.
   live.rewind_to(0);
@@ -128,14 +164,16 @@ TEST(Rewind, RewindToZeroAndFullLengthAreExact) {
   for (Pid p = 0; p < live.process_count(); ++p) {
     EXPECT_EQ(live.status(p), ProcStatus::NotStarted);
   }
+  const std::unique_ptr<Sim> fresh = scratch_replay(build, {});
+  expect_same_state(live, *fresh);
 }
 
 TEST(Rewind, VerifiesFingerprintAndSeq) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
+  const Build build = mutex_builder(factory, 2, 1, {});
   Sim live;
-  rebuild(live);
+  build(live);
   live.mark_rewind_base();
   RandomScheduler rnd(3);
   drive(live, rnd, RunLimits{20});
@@ -145,18 +183,25 @@ TEST(Rewind, VerifiesFingerprintAndSeq) {
 
   live.rewind_to(len, fp, seq);  // correct expectation: accepted
   EXPECT_THROW(live.rewind_to(len, fp ^ 1, seq), std::logic_error);
+
+  // A mark whose fingerprint disagrees with its memory is refused too.
+  live.rewind_to(len / 2);
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  mark.fingerprint ^= 1;
+  EXPECT_THROW(live.rewind_to_mark(mark), std::logic_error);
 }
 
 TEST(Rewind, RequiresBaselineAndValidPrefix) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
+  const Build build = mutex_builder(factory, 2, 1, {});
   Sim unmarked;
-  rebuild(unmarked);
+  build(unmarked);
   EXPECT_THROW(unmarked.rewind_to(0), std::logic_error);
 
   Sim live;
-  rebuild(live);
+  build(live);
   live.mark_rewind_base();
   RandomScheduler rnd(4);
   drive(live, rnd, RunLimits{10});
@@ -165,7 +210,7 @@ TEST(Rewind, RequiresBaselineAndValidPrefix) {
 
   // The baseline must be captured before any unit executes.
   Sim late;
-  rebuild(late);
+  build(late);
   RandomScheduler rnd2(4);
   drive(late, rnd2, RunLimits{2});
   EXPECT_THROW(late.mark_rewind_base(), std::logic_error);
@@ -174,9 +219,9 @@ TEST(Rewind, RequiresBaselineAndValidPrefix) {
 TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("lamport-fast").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 3, 1, {});
+  const Build build = mutex_builder(factory, 3, 1, {});
   Sim live;
-  rebuild(live);
+  build(live);
   live.mark_rewind_base();
   RandomScheduler rnd(11);
   drive(live, rnd, RunLimits{40});
@@ -217,16 +262,15 @@ TEST(Rewind, RestoresValueReplayFromMarks) {
 }
 
 /// Mark-based partial restore, sim level: capture a RewindMark mid-run,
-/// run on, rewind back to the mark, and differential-test against a fork
-/// of the same prefix — then drive both onward identically (the restored
-/// sim must behave like the fork forever after, crash plans included).
+/// run on, rewind back to the mark, and differential-test against a
+/// scratch replay of the same prefix.
 void mark_rewind_and_compare(const MutexFactory& factory, int n,
                              const std::vector<CrashPlan>& crashes,
                              std::uint64_t seed) {
-  const SimBuilder rebuild = mutex_builder(factory, n, 1, crashes);
+  const Build build = mutex_builder(factory, n, 1, crashes);
 
   Sim live;
-  rebuild(live);
+  build(live);
   live.mark_rewind_base();
   RandomScheduler rnd(seed);
   drive(live, rnd, RunLimits{30});
@@ -236,24 +280,18 @@ void mark_rewind_and_compare(const MutexFactory& factory, int n,
   RandomScheduler more(seed + 99);
   drive(live, more, RunLimits{30});
 
-  const std::unique_ptr<Sim> reference =
-      Sim::fork(std::span(live.schedule_log().data(), prefix_len),
-                /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
+  const std::unique_ptr<Sim> oracle =
+      scratch_replay(build, log_prefix(live, prefix_len));
   const std::size_t fed = live.rewind_to_mark(mark);
   ASSERT_EQ(live.schedule_log().size(), prefix_len);
   // Only processes that acted past the mark are value-replayed, so the
   // fed-unit count never exceeds the full-replay cost.
   EXPECT_LE(fed, prefix_len);
-  expect_same_state(live, *reference);
-
-  RandomScheduler cont_a(seed + 17);
-  RandomScheduler cont_b(seed + 17);
-  drive(live, cont_a, RunLimits{40});
-  drive(*reference, cont_b, RunLimits{40});
-  expect_same_state(live, *reference);
+  expect_same_state(live, *oracle);
+  continue_and_compare(live, *oracle, seed + 17, 40);
 }
 
-TEST(Rewind, MarkRestoreMatchesForkAcrossAllRegistryMutexAlgorithms) {
+TEST(Rewind, MarkRestoreMatchesScratchReplayAcrossAllRegistryMutexAlgorithms) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -263,7 +301,7 @@ TEST(Rewind, MarkRestoreMatchesForkAcrossAllRegistryMutexAlgorithms) {
   }
 }
 
-TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
+TEST(Rewind, MarkRestoreMatchesScratchReplayUnderCrashInjection) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(4)) {
     SCOPED_TRACE(e->info.name);
@@ -274,44 +312,32 @@ TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
 TEST(Rewind, MarkRestoreAtLargeNVisitsOnlyTheProcessesThatActed) {
   // n=300, three processes act past the mark: one that had started before
   // it, one that had not started at it, and one that finishes past it.
-  // The restore must leave exactly the state a full rewind_to() of the
-  // same prefix leaves, and value-replay only the actors' prefix units.
+  // The restore must leave exactly the state of a scratch replay of the
+  // same prefix, and value-replay only the actors' prefix units.
   const int n = 300;
   const Pid started = 17;    // started at the mark, steps past it
   const Pid fresh = 151;     // not started at the mark
   const Pid finisher = 299;  // mid-session at the mark, finishes past it
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("lamport-fast").factory;
-  const SimBuilder rebuild = mutex_builder(factory, n, 1, {});
+  const Build build = mutex_builder(factory, n, 1, {});
 
-  // Both sims run the same units; `live` is restored from the mark,
-  // `reference` by rewind_to.
   Sim live;
-  Sim reference;
-  const auto run_prefix = [&](Sim& sim) {
-    rebuild(sim);
-    sim.mark_rewind_base();
-    sim.step(finisher);
-    sim.step(finisher);
-    sim.ensure_started(started);
-  };
-  const auto run_suffix = [&](Sim& sim) {
-    for (int guard = 0; sim.runnable(finisher) && guard < 1'000; ++guard) {
-      sim.step(finisher);
-    }
-    sim.step(fresh);
-    sim.step(fresh);
-    sim.step(started);
-  };
-  run_prefix(live);
-  run_prefix(reference);
+  build(live);
+  live.mark_rewind_base();
+  live.step(finisher);
+  live.step(finisher);
+  live.ensure_started(started);
   Sim::RewindMark mark;
   live.capture_mark(mark);
   const std::size_t prefix_len = live.schedule_log().size();
-  run_suffix(live);
-  run_suffix(reference);
+  for (int guard = 0; live.runnable(finisher) && guard < 1'000; ++guard) {
+    live.step(finisher);
+  }
+  live.step(fresh);
+  live.step(fresh);
+  live.step(started);
   ASSERT_EQ(live.status(finisher), ProcStatus::Done);
-  ASSERT_EQ(live.schedule_log().size(), reference.schedule_log().size());
 
   // The units a mark restore owes: the actors' own units in the prefix.
   std::size_t owed = 0;
@@ -321,21 +347,112 @@ TEST(Rewind, MarkRestoreAtLargeNVisitsOnlyTheProcessesThatActed) {
   }
   ASSERT_GT(owed, 0u);
 
+  const std::unique_ptr<Sim> oracle =
+      scratch_replay(build, log_prefix(live, prefix_len));
   const std::size_t fed = live.rewind_to_mark(mark);
-  reference.rewind_to(prefix_len);
   EXPECT_EQ(fed, owed);
   ASSERT_EQ(live.schedule_log().size(), prefix_len);
-  EXPECT_EQ(live.runnable_pids(), reference.runnable_pids());
   EXPECT_EQ(live.runnable_pids().size(), static_cast<std::size_t>(n));
-  expect_same_state(live, reference);
+  expect_same_state(live, *oracle);
+  continue_and_compare(live, *oracle, 23, 400);
+}
 
-  // Onward, the restored sim behaves like the reference.
-  RandomScheduler cont_a(23);
-  RandomScheduler cont_b(23);
-  drive(live, cont_a, RunLimits{400});
-  drive(reference, cont_b, RunLimits{400});
-  EXPECT_EQ(live.runnable_pids(), reference.runnable_pids());
-  expect_same_state(live, reference);
+/// Two branches diverging from one restore point: run a prefix, capture a
+/// mark, and for each branch restore to the mark, run on under the
+/// branch's own scheduler, and differential-test the whole run against a
+/// scratch replay of its schedule log.
+void branches_from_one_mark(const MutexFactory& factory, int n, int sessions,
+                            const std::vector<CrashPlan>& crashes,
+                            std::uint64_t prefix_seed) {
+  const Build build = mutex_builder(factory, n, sessions, crashes);
+
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  RandomScheduler prefix_rnd(prefix_seed);
+  drive(live, prefix_rnd, RunLimits{40});
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+
+  for (const std::uint64_t branch_seed :
+       {prefix_seed + 100, prefix_seed + 200}) {
+    live.rewind_to_mark(mark);
+    RandomScheduler branch_rnd(branch_seed);
+    drive(live, branch_rnd, RunLimits{60});
+
+    const std::unique_ptr<Sim> oracle =
+        scratch_replay(build, live.schedule_log());
+    expect_same_state(live, *oracle);
+  }
+}
+
+TEST(Rewind, BranchesFromOneMarkMatchScratchReplay) {
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("thm3-exact-l2").factory;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    branches_from_one_mark(factory, 4, 2, {}, seed);
+  }
+}
+
+TEST(Rewind, BranchesFromOneMarkUnderCrashInjection) {
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("lamport-fast").factory;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    branches_from_one_mark(factory, 4, 2, {{0, seed % 5}, {2, 1 + seed % 3}},
+                           seed);
+  }
+}
+
+TEST(Rewind, BranchesFromOneMarkWithMultiGrainFieldWrites) {
+  // lamport-packed stores several logical registers in one word via
+  // write_field: sub-word stores must fingerprint and restore exactly.
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("lamport-packed").factory;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    branches_from_one_mark(factory, 4, 2, {{1, 2 + seed % 4}}, seed);
+  }
+}
+
+TEST(Rewind, SinksSeeOnlyEventsAfterTheRestore) {
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Build build = mutex_builder(factory, 2, 1, {});
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  RandomScheduler rnd(3);
+  drive(live, rnd, RunLimits{8});
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  const Seq at_mark = live.next_seq();
+  const std::size_t prefix_len = live.schedule_log().size();
+  RandomScheduler more(5);
+  drive(live, more, RunLimits{6});
+  ASSERT_GT(live.next_seq(), at_mark);
+
+  // Attached before the restore: the replay must not reach it, and the
+  // materialized trace starts empty.
+  TraceRecorder post;
+  live.add_sink(post);
+  live.rewind_to_mark(mark);
+  EXPECT_TRUE(post.trace().empty());
+  EXPECT_TRUE(live.trace().empty());
+  EXPECT_EQ(live.next_seq(), at_mark);
+
+  // rewind_to re-steps the prefix through step(): just as quiet.
+  live.rewind_to(prefix_len);
+  EXPECT_TRUE(post.trace().empty());
+  EXPECT_TRUE(live.trace().empty());
+  EXPECT_EQ(live.next_seq(), at_mark);
+
+  // Onward, the sink sees exactly the post-restore events, numbered
+  // continuously after the prefix.
+  RandomScheduler cont(4);
+  drive(live, cont, RunLimits{5});
+  ASSERT_FALSE(post.trace().empty());
+  EXPECT_EQ(post.trace().events().front().seq, at_mark);
+  EXPECT_EQ(post.trace().events().size(), live.trace().events().size());
+  live.remove_sink(post);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "../bench/bench_util.h"
 #include "analysis/study.h"
@@ -324,6 +325,24 @@ TEST(StudyJson, RejectsMalformedInput) {
   std::string mistyped = to_json(golden_fixture());
   mistyped.replace(mistyped.find("\"n\": 2"), 6, "\"n\": \"two\"");
   EXPECT_THROW((void)study_from_json(mistyped), std::invalid_argument);
+  // Integer fields take the whole token as a decimal integer in range: no
+  // wrapped negatives, no truncated fractions or exponents, no overflow.
+  for (const auto& [key, bad] : {std::pair<std::string, std::string>{
+                                     "\"states_visited\": ", "-1"},
+                                 {"\"states_visited\": ",
+                                  "18446744073709551616"},
+                                 {"\"n\": ", "4294967296"},
+                                 {"\"steps\": ", "1.5"},
+                                 {"\"steps\": ", "1e3"}}) {
+    std::string malformed = to_json(golden_fixture());
+    const std::size_t at = malformed.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t value = at + key.size();
+    malformed.replace(value, malformed.find_first_of(",}\n", value) - value,
+                      bad);
+    EXPECT_THROW((void)study_from_json(malformed), std::invalid_argument)
+        << key << bad;
+  }
   // Retired reduction policies are unknown policies.
   for (const char* retired : {"hybrid", "sleep-lite"}) {
     std::string old_policy = to_json(golden_fixture());

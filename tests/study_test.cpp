@@ -592,54 +592,5 @@ TEST(StudyReduction, ExhaustiveDefaultsToSourceDporAndSurfacesCounters) {
   EXPECT_EQ(reordered.search.limits.reduction, ReductionPolicy::SourceDpor);
 }
 
-// --- The detector round-robin battery, folded into the StudySpec
-// (ROADMAP deprecation-plan step 2: the deprecated seeds overload is
-// deleted; this option is its replacement). ---
-
-TEST(DetectorBattery, RoundRobinOptionReproducesTheLegacyBattery) {
-  const std::vector<std::uint64_t> seeds = {1, 2, 3};
-  const StudyResult r = run_study(StudySpec::of("splitter-tree-l2")
-                                      .kind(StudyKind::Detector)
-                                      .n(8)
-                                      .worst_case(SearchStrategy::Random)
-                                      .seeds(seeds)
-                                      .detector_battery());
-  EXPECT_GT(r.wc.steps, 0);
-  EXPECT_EQ(r.schedules_tried, seeds.size() + 1);  // round-robin + seeds
-  EXPECT_FALSE(r.truncated);   // splitter runs terminate within budget
-  EXPECT_FALSE(r.certified);   // a sampled battery certifies nothing
-  EXPECT_EQ(r.violations, 0u);
-
-  // The battery's maximum dominates the plain Random study's (one more
-  // schedule), and the round-robin cell is what the option adds: the
-  // same spec without it tries exactly one fewer schedule.
-  const StudyResult plain = run_study(StudySpec::of("splitter-tree-l2")
-                                          .kind(StudyKind::Detector)
-                                          .n(8)
-                                          .worst_case(SearchStrategy::Random)
-                                          .seeds(seeds));
-  EXPECT_EQ(plain.schedules_tried + 1, r.schedules_tried);
-  EXPECT_GE(r.wc.steps, plain.wc.steps);
-
-  // Battery and non-battery specs must not deduplicate into one task.
-  Campaign campaign;
-  campaign.add(StudySpec::of("splitter-tree-l2")
-                   .kind(StudyKind::Detector)
-                   .n(8)
-                   .worst_case(SearchStrategy::Random)
-                   .seeds(seeds)
-                   .detector_battery());
-  campaign.add(StudySpec::of("splitter-tree-l2")
-                   .kind(StudyKind::Detector)
-                   .n(8)
-                   .worst_case(SearchStrategy::Random)
-                   .seeds(seeds));
-  CampaignStats stats;
-  const std::vector<StudyResult> results = campaign.run(nullptr, &stats);
-  EXPECT_EQ(stats.tasks_planned, 2u);
-  EXPECT_EQ(stats.tasks_deduplicated, 0u);
-  EXPECT_EQ(results[0].schedules_tried, results[1].schedules_tried + 1);
-}
-
 }  // namespace
 }  // namespace cfc
