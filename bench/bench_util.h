@@ -17,6 +17,7 @@
 #include "analysis/experiment_runner.h"
 #include "analysis/study.h"
 #include "core/algorithm_registry.h"
+#include "core/json.h"
 
 namespace cfc::bench {
 
@@ -419,43 +420,16 @@ class JsonReport {
   }
 
  private:
-  static void append_escaped(std::string& out, const std::string& s) {
-    for (const char c : s) {
-      switch (c) {
-        case '"':
-          out += "\\\"";
-          break;
-        case '\\':
-          out += "\\\\";
-          break;
-        case '\n':
-          out += "\\n";
-          break;
-        case '\t':
-          out += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-  }
-
   static void append_row(std::string& out, const std::vector<Field>& fields) {
     out += '{';
     for (std::size_t f = 0; f < fields.size(); ++f) {
       const auto& [key, value] = fields[f];
       out += '"';
-      append_escaped(out, key);
+      json::append_escaped(out, key);
       out += "\": ";
       if (const auto* s = std::get_if<std::string>(&value)) {
         out += '"';
-        append_escaped(out, *s);
+        json::append_escaped(out, *s);
         out += '"';
       } else if (const auto* i = std::get_if<long long>(&value)) {
         out += std::to_string(*i);
@@ -473,7 +447,7 @@ class JsonReport {
 
   bool write_file(const Verifier& verify, long long elapsed_ms) const {
     std::string out = "{\n  \"schema\": \"cfc.bench.v1\",\n  \"bench\": \"";
-    append_escaped(out, name_);
+    json::append_escaped(out, name_);
     out += "\",\n  \"context\": ";
     append_row(out, context_);
     out += ",\n  \"studies\": [";

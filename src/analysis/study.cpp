@@ -979,33 +979,6 @@ StudyResult run_study(const StudySpec& spec, ExperimentRunner* runner) {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_report(std::string& out, const ComplexityReport& r) {
   out += "{\"steps\": " + std::to_string(r.steps) +
          ", \"registers\": " + std::to_string(r.registers) +
@@ -1021,7 +994,7 @@ void append_report(std::string& out, const ComplexityReport& r) {
 
 std::string to_json(const StudyResult& r, const StudyJsonOptions& opts) {
   std::string out = "{\n  \"schema\": \"cfc.study.v1\",\n  \"subject\": \"";
-  append_escaped(out, r.subject);
+  json::append_escaped(out, r.subject);
   out += "\",\n  \"kind\": \"";
   out += name(r.kind);
   out += "\",\n  \"n\": " + std::to_string(r.n) +

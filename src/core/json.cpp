@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -55,9 +56,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than json::kMaxDepth");
+        }
+        ++depth_;
+        Node node = c == '{' ? object() : array();
+        --depth_;
+        return node;
+      }
       case '"':
         return string_node();
       case 't':
@@ -229,6 +236,7 @@ class Parser {
 
   const std::string& src_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open around the current position
 };
 
 [[noreturn]] void fail_type(const char* expected) {
@@ -246,6 +254,33 @@ const Node* Node::find(const char* key) const {
 }
 
 Node parse(const std::string& src) { return Parser(src).parse(); }
+
+void append_escaped(std::string& out, const std::string& s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
 
 const Node& member(const Node& obj, const char* key) {
   const auto it = obj.object.find(key);

@@ -13,7 +13,8 @@ namespace cfc::json {
 /// and the trace validator (obs/trace.cpp). Numbers keep their raw text so
 /// 64-bit counters round-trip exactly; \u escapes are supported up to
 /// \u00ff (the canonical serializers only emit control-code escapes).
-/// parse() throws std::invalid_argument on malformed input.
+/// parse() throws std::invalid_argument on malformed input, including
+/// arrays and objects nested deeper than kMaxDepth.
 struct Node {
   enum class Type { Object, Array, String, Number, Bool, Null };
   Type type = Type::Null;
@@ -29,7 +30,17 @@ struct Node {
   [[nodiscard]] const Node* find(const char* key) const;
 };
 
+/// Deepest array/object nesting parse() accepts. The reader recurses once
+/// per level, so the cap keeps hostile input from exhausting the stack;
+/// the canonical payloads nest at most 6 deep.
+inline constexpr int kMaxDepth = 64;
+
 [[nodiscard]] Node parse(const std::string& src);
+
+/// Appends `s` to `out` as the body of a JSON string literal: quotes,
+/// backslashes and control bytes escaped (control bytes other than \n and
+/// \t as \u00xx, which parse() reads back), every other byte verbatim.
+void append_escaped(std::string& out, const std::string& s);
 
 /// Typed accessors: a mistyped field (a string where a number belongs, a
 /// number where a bool belongs) is malformed input and throws

@@ -8,17 +8,21 @@
 
 namespace cfc {
 
-/// --- Registry linter (sa/): structured diagnostics over the static
-/// model. ---
+/// --- Registry linter (sa/): structured diagnostics over observed runs. ---
 ///
-/// Each registered algorithm is dry-run through the footprint pass
-/// (sa/static_summary.h) at a small probe size and its static summary is
-/// checked against the metadata the implementation declares: its
-/// AlgorithmInfo entry, its capacity()/atomicity() accessors, and the
-/// section protocol its driver is supposed to follow. The rules:
+/// Each registered algorithm is instantiated at probe size n=2 and run on
+/// fresh simulations: one solo run per pid, then a battery of two-process
+/// runs in which one pid's solo prefix is followed by the two pids in
+/// alternation (the contended branches — spin loops, fast-path fallbacks —
+/// that solo runs never reach). One event sink records which registers
+/// the runs touched, their write_field windows and the solo runs' section
+/// changes, and the rules check those facts against the metadata the
+/// implementation declares: its AlgorithmInfo entry, its
+/// capacity()/atomicity() accessors, and the section protocol its driver
+/// is supposed to follow. The rules:
 ///
 ///   dead-register (Warning)      a register the factory allocated that no
-///                                collected unit ever touched — dead
+///                                run ever touched — dead
 ///                                weight in the complexity measures'
 ///                                denominator, usually a refactor leftover.
 ///   atomicity-mismatch (Error)   some access touched a register wider
@@ -67,14 +71,9 @@ struct LintDiagnostic {
   [[nodiscard]] std::string format() const;
 };
 
-/// Lints one registered algorithm. `probe_n` <= 0 picks the default probe
-/// size (2, clamped into the entry's declared capacity metadata).
+/// Lints one registered mutual-exclusion algorithm.
 [[nodiscard]] std::vector<LintDiagnostic> lint_mutex(
-    const MutexAlgorithmEntry& entry, int probe_n = 0);
-[[nodiscard]] std::vector<LintDiagnostic> lint_naming(
-    const NamingAlgorithmEntry& entry, int probe_n = 0);
-[[nodiscard]] std::vector<LintDiagnostic> lint_detector(
-    const DetectorAlgorithmEntry& entry, int probe_n = 0);
+    const MutexAlgorithmEntry& entry);
 
 /// Lints every entry of the global registry, in registry (name) order per
 /// kind: mutex, then naming, then detector.

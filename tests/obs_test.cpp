@@ -149,6 +149,13 @@ TEST(Trace, ValidatorRejectsMalformedPayloads) {
   EXPECT_FALSE(check_trace_json(
       R"({"traceEvents": [{"ph": "B", "name": "x", "ts": 0, "dur": 1, "pid": 1, "tid": 1}]})",
       nullptr));
+  // Nesting past json::kMaxDepth is rejected, not a stack overflow.
+  std::string deep_object;
+  for (int i = 0; i < 100000; ++i) {
+    deep_object += "{\"a\":";
+  }
+  EXPECT_FALSE(check_trace_json(std::string(100000, '['), &errors));
+  EXPECT_FALSE(check_trace_json(deep_object, &errors));
   // A negative duration is not an unsigned integer.
   EXPECT_FALSE(check_trace_json(
       R"({"traceEvents": [{"ph": "X", "name": "x", "ts": 0, "dur": -1, "pid": 1, "tid": 1}]})",

@@ -2,9 +2,14 @@
 // full round-trip (serialize -> parse -> serialize, byte-identical). The
 // golden file freezes the "cfc.study.v1" schema — an intentional schema
 // change must update tests/golden/study_result.json in the same commit.
+// The shared JSON reader (core/json.h) must reject hostile input cleanly:
+// a nesting cap, an escaper that round-trips every byte, and a seeded
+// mutation test over the study and trace parsers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,6 +17,8 @@
 
 #include "../bench/bench_util.h"
 #include "analysis/study.h"
+#include "core/json.h"
+#include "obs/trace.h"
 
 namespace cfc {
 namespace {
@@ -343,6 +350,16 @@ TEST(StudyJson, RejectsMalformedInput) {
     EXPECT_THROW((void)study_from_json(malformed), std::invalid_argument)
         << key << bad;
   }
+  // Nesting past json::kMaxDepth is rejected before the recursive reader
+  // can exhaust the stack.
+  std::string deep_object;
+  for (int i = 0; i < 100000; ++i) {
+    deep_object += "{\"a\":";
+  }
+  for (const std::string& deep : {std::string(100000, '['), deep_object}) {
+    EXPECT_THROW((void)json::parse(deep), std::invalid_argument);
+    EXPECT_THROW((void)study_from_json(deep), std::invalid_argument);
+  }
   // Retired reduction policies are unknown policies.
   for (const char* retired : {"hybrid", "sleep-lite"}) {
     std::string old_policy = to_json(golden_fixture());
@@ -350,6 +367,119 @@ TEST(StudyJson, RejectsMalformedInput) {
     EXPECT_THROW((void)study_from_json(old_policy), std::invalid_argument)
         << retired;
   }
+}
+
+TEST(Json, NestingCapIsExact) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW((void)json::parse(nested(json::kMaxDepth + 1)),
+               std::invalid_argument);
+  // Depth counts open containers, not containers seen: long flat arrays of
+  // shallow members stay well inside the cap.
+  std::string wide = "[";
+  for (int i = 0; i < 1000; ++i) {
+    wide += i == 0 ? "[[]]" : ",[[]]";
+  }
+  wide += "]";
+  EXPECT_EQ(json::parse(wide).array.size(), 1000u);
+}
+
+TEST(Json, EscaperRoundTripsEveryByte) {
+  std::string all;
+  for (int b = 0x01; b <= 0xff; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    std::string literal = "\"";
+    json::append_escaped(literal, one);
+    literal += '"';
+    EXPECT_EQ(json::parse(literal).text, one) << "byte " << b;
+  }
+  std::string literal = "\"";
+  json::append_escaped(literal, all);
+  literal += '"';
+  EXPECT_EQ(json::parse(literal).text, all);
+}
+
+/// One seeded edit of `text`: replace a byte, delete a short run, insert a
+/// byte, or truncate. New bytes come half from JSON's structural alphabet
+/// (so edits reach past the first syntax check) and half from all bytes.
+void mutate(std::string& text, std::mt19937_64& rng) {
+  static const std::string kAlphabet = "{}[]\":,\\-+.eE0123456789 tfnul";
+  const auto below = [&rng](std::size_t bound) {
+    return std::uniform_int_distribution<std::size_t>(0, bound - 1)(rng);
+  };
+  const auto fresh = [&]() {
+    return below(2) == 0 ? kAlphabet[below(kAlphabet.size())]
+                         : static_cast<char>(below(256));
+  };
+  if (text.empty()) {
+    text += fresh();
+    return;
+  }
+  const std::size_t at = below(text.size());
+  switch (below(4)) {
+    case 0:
+      text[at] = fresh();
+      break;
+    case 1:
+      text.erase(at, 1 + below(8));
+      break;
+    case 2:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), fresh());
+      break;
+    default:
+      text.resize(at);
+      break;
+  }
+}
+
+TEST(Json, SeededMutantsParseOrReject) {
+  // Every mutant of a valid payload parses, throws std::invalid_argument,
+  // or (trace payloads) fails validation; any other exception is a bug.
+  const std::string study = read_file(std::string(CFC_SOURCE_DIR) +
+                                      "/tests/golden/study_result.json");
+  ASSERT_NO_THROW((void)study_from_json(study));
+  const std::string trace = R"({"traceEvents": [
+    {"name": "a", "cat": "c", "ph": "X", "ts": 0, "dur": 10, "pid": 1, "tid": 1},
+    {"name": "b", "cat": "c", "ph": "X", "ts": 2, "dur": 3, "pid": 1, "tid": 1}
+  ]})";
+  ASSERT_TRUE(obs::check_trace_json(trace, nullptr));
+
+  constexpr int kMutants = 10000;  // per payload
+  int study_parsed = 0;
+  int trace_parsed = 0;
+  std::mt19937_64 rng(21);
+  for (int i = 0; i < kMutants; ++i) {
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    std::string mutant = study;
+    for (int e = 0; e < edits; ++e) {
+      mutate(mutant, rng);
+    }
+    try {
+      (void)study_from_json(mutant);
+      ++study_parsed;
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << "study mutant " << i << " threw " << ex.what();
+    }
+    mutant = trace;
+    for (int e = 0; e < edits; ++e) {
+      mutate(mutant, rng);
+    }
+    try {
+      trace_parsed += obs::check_trace_json(mutant, nullptr) ? 1 : 0;
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << "trace mutant " << i << " threw " << ex.what();
+    }
+  }
+  // Both outcomes occur: the edits neither all miss nor all break parsing.
+  EXPECT_GT(study_parsed, 0);
+  EXPECT_LT(study_parsed, kMutants);
+  EXPECT_GT(trace_parsed, 0);
+  EXPECT_LT(trace_parsed, kMutants);
 }
 
 TEST(StudyJsonDeathTest, BenchReductionFlagRejectsRetiredPolicies) {

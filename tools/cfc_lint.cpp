@@ -1,6 +1,6 @@
-// cfc_lint: the sa/ registry linter as a CLI. Dry-runs every registered
-// algorithm through the static footprint pass (src/sa/static_summary.h)
-// and reports metadata/protocol contradictions as structured diagnostics
+// cfc_lint: the sa/ registry linter as a CLI. Runs every registered
+// algorithm solo and pairwise at n=2 and reports metadata/protocol
+// contradictions in what those runs touched as structured diagnostics
 // (src/sa/lint.h). Exit status 0 when no Error-severity diagnostic fired,
 // 1 otherwise — warnings print but do not fail the run, so CI can gate on
 // the exit status alone.
@@ -19,43 +19,17 @@
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "sa/lint.h"
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_field(std::string& out, const char* key, const std::string& v,
                   bool last = false) {
   out += '"';
   out += key;
   out += "\": \"";
-  append_escaped(out, v);
+  cfc::json::append_escaped(out, v);
   out += last ? "\"" : "\", ";
 }
 
