@@ -40,9 +40,9 @@ StudySpec peterson_exhaustive(int depth) {
       .depth(depth);
 }
 
-/// The MutexWcTask objective (clean-entry + exit window maxima), stated
-/// directly so this bench can drive the Explorer itself and read the
-/// restore-cost counters that StudyResult does not carry.
+/// The mutex worst-case study objective (clean-entry + exit window
+/// maxima), stated directly so this bench can drive the Explorer itself
+/// and read the restore-cost counters that StudyResult does not carry.
 Explorer::Config peterson_config(
     int depth, ReductionPolicy reduction = ReductionPolicy::Off) {
   const MutexFactory make =
@@ -464,7 +464,7 @@ int main(int argc, char** argv) {
                 {"backtrack_points",
                  cfc::bench::jv(dpor.stats.backtrack_points)},
                 {"sleep_blocked", cfc::bench::jv(dpor.stats.sleep_blocked)},
-                {"cache_hits", cfc::bench::jv(dpor.stats.pruned_visited)},
+                {"cache_hits", cfc::bench::jv(dpor.stats.cache_hits)},
                 {"ms_unreduced", cfc::bench::jv(ms_off)},
                 {"ms_source_dpor", cfc::bench::jv(ms_dpor)}});
       verify.check(same_best(off.best, dpor.best),
@@ -536,7 +536,7 @@ int main(int argc, char** argv) {
                     std::to_string(factor).substr(0, 5),
                     std::to_string(stateless.stats.sleep_blocked),
                     std::to_string(stateful.stats.sleep_blocked),
-                    std::to_string(stateful.stats.pruned_visited)});
+                    std::to_string(stateful.stats.cache_hits)});
       json.row({{"section", std::string("tree_reduction")},
                 {"depth", cfc::bench::jv(depth)},
                 {"states_stateless",
@@ -549,7 +549,7 @@ int main(int argc, char** argv) {
                 {"sleep_blocked_stateful",
                  cfc::bench::jv(stateful.stats.sleep_blocked)},
                 {"cache_hits",
-                 cfc::bench::jv(stateful.stats.pruned_visited)},
+                 cfc::bench::jv(stateful.stats.cache_hits)},
                 {"ms_stateless", cfc::bench::jv(ms_less)},
                 {"ms_stateful", cfc::bench::jv(ms_ful)}});
       verify.check(same_best(stateless.best, stateful.best),

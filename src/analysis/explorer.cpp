@@ -50,9 +50,10 @@ std::optional<ReductionPolicy> reduction_policy_from(std::string_view s) {
 }
 
 std::span<const ExploreStatsField> explore_stats_fields() {
-#define CFC_STATS_FIELD(field) ExploreStatsField{#field, &ExploreStats::field},
+#define CFC_STATS_FIELD(id) \
+  ExploreStatsField{&ExploreStats::id, obs::Metric::id},
   static constexpr ExploreStatsField kFields[] = {
-      CFC_EXPLORE_STATS_COUNTERS(CFC_STATS_FIELD)};
+      CFC_SEARCH_COUNTERS(CFC_STATS_FIELD)};
 #undef CFC_STATS_FIELD
   return kFields;
 }
@@ -61,6 +62,8 @@ void ExploreStats::merge(const ExploreStats& o) {
   for (const ExploreStatsField& f : explore_stats_fields()) {
     this->*f.member += o.*f.member;
   }
+  visited_bytes += o.visited_bytes;
+  visited_live_bytes += o.visited_live_bytes;
   truncated = truncated || o.truncated;
   state_budget_hit = state_budget_hit || o.state_budget_hit;
 }
@@ -83,16 +86,6 @@ void merge_best(std::vector<ComplexityReport>& best,
     best[i] = best[i].max_with(leaf[i]);
   }
 }
-
-/// Planner / per-work-item result slot; reduced in index order afterwards.
-struct CellResult {
-  ExploreStats stats;
-  std::vector<ComplexityReport> best;
-
-  void take_leaf(const std::vector<ComplexityReport>& leaf) {
-    merge_best(best, leaf);
-  }
-};
 
 /// One unit of the parallel execution: a realizable, violation-free
 /// schedule prefix of planner picks (`len` pids at `offset` in the plan's
@@ -156,7 +149,7 @@ class CellExplorer {
   /// reordering of the prefix a subtree race could demand is already a
   /// planner branch, or asleep and therefore covered by a same-length
   /// explored reordering (the classic sleep-set argument).
-  void plan(Plan& into, CellResult& out) {
+  void plan(Plan& into, Explorer::Result& out) {
     out_ = &out;
     plan_ = &into;
     begin_metrics();
@@ -181,7 +174,7 @@ class CellExplorer {
   /// claiming the item, not a sibling backtrack, so it counts into neither
   /// restores nor value_replayed_steps.
   void run_item(const WorkItem& item, std::span<const Pid> prefix,
-                CellResult& out) {
+                Explorer::Result& out) {
     out_ = &out;
     begin_metrics();
     if (!sim_) {
@@ -286,7 +279,7 @@ class CellExplorer {
   }
 
   /// Looks the node up in the visited cache and records the visit; true
-  /// (counted in pruned_visited) when a stored visit subsumes it — one
+  /// (counted in cache_hits) when a stored visit subsumes it — one
   /// whose mask is a subset of this one's explored every behavior this
   /// visit could (SleepCache). The mask is the sleep set (always 0 under
   /// Off exhaustive), or under a preemption bound the budget already spent,
@@ -300,7 +293,7 @@ class CellExplorer {
     if (!cache_.check_and_insert(cache_key(last), mask)) {
       return false;
     }
-    ++out_->stats.pruned_visited;
+    ++out_->stats.cache_hits;
     return true;
   }
 
@@ -311,7 +304,7 @@ class CellExplorer {
     if (truncated) {
       acc_.mark_truncated();  // cleared by the next backtrack restore
     }
-    out_->take_leaf(cfg_.objective.eval(*sim_, acc_));
+    merge_best(out_->best, cfg_.objective.eval(*sim_, acc_));
   }
 
   void leaf_completed() {
@@ -591,22 +584,15 @@ class CellExplorer {
       return;
     }
     const ExploreStats& s = out_->stats;
-    const auto bump = [&](obs::Metric id, std::uint64_t ExploreStats::*f) {
-      m.add(id, s.*f - flushed_.*f);
-      flushed_.*f = s.*f;
-    };
-    bump(obs::Metric::states_visited, &ExploreStats::states_visited);
-    bump(obs::Metric::cache_hits, &ExploreStats::pruned_visited);
-    bump(obs::Metric::sleep_blocked, &ExploreStats::sleep_blocked);
-    bump(obs::Metric::restores, &ExploreStats::restores);
-    bump(obs::Metric::races_detected, &ExploreStats::races_detected);
-    bump(obs::Metric::backtrack_points, &ExploreStats::backtrack_points);
-    bump(obs::Metric::restore_marks, &ExploreStats::restore_marks);
+    for (const ExploreStatsField& f : explore_stats_fields()) {
+      m.add(f.metric, s.*f.member - flushed_.*f.member);
+    }
+    flushed_ = s;
     m.set_max(obs::Metric::visited_live_bytes, cache_.live_bytes());
   }
 
   const Explorer::Config& cfg_;
-  CellResult* out_ = nullptr;
+  Explorer::Result* out_ = nullptr;
   Plan* plan_ = nullptr;  ///< set while plan() walks; null in workers
   std::unique_ptr<Sim> sim_;
   std::shared_ptr<void> owner_;
@@ -721,19 +707,13 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   // emitting one self-contained work item per horizon node. Everything the
   // planner counts is thread-count invariant because only the calling
   // thread runs it.
-  CellResult planner_slot;
+  Result planner_slot;
   {
     const obs::TraceSpan plan_span("explorer.plan");
     CellExplorer planner(cfg_);
     planner.plan(plan, planner_slot);
   }
   const std::vector<WorkItem>& items = plan.items;
-  {
-    obs::MetricRegistry& m = obs::MetricRegistry::global();
-    if (m.enabled()) {
-      m.add(obs::Metric::work_items, items.size());
-    }
-  }
 
   // Phase 2 — execution: each worker claims item indices from one shared
   // counter until it runs dry. A worker owns one private Sim +
@@ -742,7 +722,7 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   // end (per-node writes through the adjacent slots false-shared cache
   // lines and cost more than the parallelism bought back). The slot merge
   // runs in item index order, so no report depends on the scheduling.
-  std::vector<CellResult> slots(items.size());
+  std::vector<Result> slots(items.size());
   if (!items.empty()) {
     ExperimentRunner& eng = runner_or_shared(runner);
     const std::size_t workers = std::min(
@@ -751,7 +731,7 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
     std::atomic<std::size_t> next{0};
     eng.parallel_for(workers, [&](std::size_t) {
       CellExplorer cell(cfg_);
-      CellResult local;  // worker-local: one hot cache line per worker
+      Result local;  // worker-local: one hot cache line per worker
       for (std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
            idx < items.size();
            idx = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -772,7 +752,7 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
     const obs::TraceSpan merge_span("explorer.merge");
     res.stats.merge(planner_slot.stats);
     merge_best(res.best, planner_slot.best);
-    for (const CellResult& slot : slots) {  // item index order: deterministic
+    for (const Result& slot : slots) {  // item index order: deterministic
       res.stats.merge(slot.stats);
       merge_best(res.best, slot.best);
     }
@@ -782,7 +762,7 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
 
 Explorer::Result Explorer::run_random_strategy(
     ExperimentRunner* runner) const {
-  std::vector<CellResult> slots(cfg_.seeds.size());
+  std::vector<Result> slots(cfg_.seeds.size());
   runner_or_shared(runner).parallel_for(
       cfg_.seeds.size(), [&](std::size_t i) {
         Sim sim;
@@ -793,7 +773,7 @@ Explorer::Result Explorer::run_random_strategy(
         RandomScheduler rnd(cfg_.seeds[i]);
         const RunOutcome out =
             drive(sim, rnd, RunLimits{cfg_.random_budget});
-        CellResult& slot = slots[i];
+        Result& slot = slots[i];
         slot.stats.states_visited += sim.schedule_log().size();
         if (out == RunOutcome::BudgetExhausted) {
           acc.mark_truncated();
@@ -803,12 +783,12 @@ Explorer::Result Explorer::run_random_strategy(
           slot.stats.runs_completed += 1;
         }
         if (cfg_.objective.eval) {
-          slot.take_leaf(cfg_.objective.eval(sim, acc));
+          merge_best(slot.best, cfg_.objective.eval(sim, acc));
         }
       });
 
   Result res;
-  for (const CellResult& slot : slots) {
+  for (const Result& slot : slots) {
     res.stats.merge(slot.stats);
     merge_best(res.best, slot.best);
   }

@@ -11,6 +11,7 @@
 
 #include "analysis/experiment_runner.h"
 #include "core/streaming_measures.h"
+#include "obs/metrics.h"
 #include "sched/sched.h"
 #include "sched/sim.h"
 
@@ -69,8 +70,9 @@ struct ExploreLimits {
   /// Context switches per path; -1 = unlimited (Exhaustive).
   int max_preemptions = -1;
   /// DFS node budget *per engine run* — per planner walk and per work
-  /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
-  /// certified; ExploreStats::truncated).
+  /// item; 0 = unlimited. Reaching it cuts the search
+  /// (ExploreStats::state_budget_hit and truncated; a study reports it as
+  /// truncated and not certified).
   std::uint64_t max_states = 0;
   /// Visited-state pruning (on by default): one sleep-set-aware cache
   /// (SleepCache) keyed on core/state_fingerprint x the objective digest
@@ -93,54 +95,22 @@ struct ExploreLimits {
   ReductionPolicy reduction = ReductionPolicy::Off;
 };
 
-/// Every u64 counter of ExploreStats, one row each — the single
-/// enumeration behind the table-driven ExploreStats::merge and the
-/// name/member table the observability layer reads
-/// (explore_stats_fields()). A counter added here merges and exports
-/// without further edits; whether it joins the study JSON stays a
-/// separate, deliberate decision (CFC_STUDY_REDUCTION_COUNTERS in
-/// study.h).
-#define CFC_EXPLORE_STATS_COUNTERS(X) \
-  X(states_visited)                   \
-  X(runs_completed)                   \
-  X(runs_truncated)                   \
-  X(pruned_visited)                   \
-  X(violations)                       \
-  X(races_detected)                   \
-  X(backtrack_points)                 \
-  X(sleep_blocked)                    \
-  X(restores)                         \
-  X(value_replayed_steps)             \
-  X(restore_marks)                    \
-  X(work_items)                       \
-  X(visited_bytes)                    \
-  X(visited_live_bytes)
-
+/// The statistics of one search. The counters are generated from
+/// CFC_SEARCH_COUNTERS (obs/metrics.h), which documents each one; an
+/// Exhaustive or Bounded search with the metric registry enabled exports
+/// the same counters to it, in deltas, under the same names.
 struct ExploreStats {
-  std::uint64_t states_visited = 0;  ///< DFS nodes entered (planner + items)
-  std::uint64_t runs_completed = 0;  ///< leaves with no runnable process
-  std::uint64_t runs_truncated = 0;  ///< leaves cut by depth/preemption/state budget
-  std::uint64_t pruned_visited = 0;  ///< subtrees skipped by the state cache
-  std::uint64_t violations = 0;      ///< MutualExclusionViolations found
-  /// --- Reduction counters (zero when reduction == Off). ---
-  std::uint64_t races_detected = 0;   ///< SourceDpor: races found in traces
-  std::uint64_t backtrack_points = 0; ///< SourceDpor: source-set insertions
-  std::uint64_t sleep_blocked = 0;    ///< enabled branches skipped asleep
-  std::uint64_t restores = 0;        ///< sibling backtracks performed
-  /// Units re-fed from the recorded value log by restores
-  /// (Sim::rewind_to_mark): coroutine resumption with recorded values, no
-  /// register traffic, no measurement events. No unit re-executes live.
-  std::uint64_t value_replayed_steps = 0;
-  std::uint64_t restore_marks = 0;   ///< RewindMarks captured at branching nodes
-  /// Work items the planner emitted (horizon subtrees run by the pool's
-  /// workers), under every DFS policy. A count of the search's shape:
-  /// every counter in ExploreStats is thread-count invariant.
-  std::uint64_t work_items = 0;
-  std::uint64_t visited_bytes = 0;   ///< bytes reserved by the planner's cache
-  /// Bytes of *live* planner-cache entries (occupied slots + live spill
-  /// nodes); visited_bytes reports reserved capacity, including the spill
-  /// freelist — the bench memory column shows both. Worker caches are
-  /// cleared per item and not counted (their capacity is thread-dependent).
+#define CFC_EXPLORE_STATS_MEMBER(id) std::uint64_t id = 0;
+  CFC_SEARCH_COUNTERS(CFC_EXPLORE_STATS_MEMBER)
+#undef CFC_EXPLORE_STATS_MEMBER
+  /// Sizes, not counters, so they are not in the list: the bytes the
+  /// planner's cache reserved, and the bytes of its *live* entries
+  /// (occupied slots + live spill nodes; visited_bytes also counts the
+  /// spill freelist). Worker caches are cleared per item and not counted
+  /// (their capacity is thread-dependent). The registry's
+  /// visited_live_bytes gauge is a different figure: the largest live
+  /// cache of any engine run.
+  std::uint64_t visited_bytes = 0;
   std::uint64_t visited_live_bytes = 0;
   /// True iff some path was cut off before terminating: the objective max
   /// is certified only over the explored bounded space. (For waiting
@@ -154,15 +124,15 @@ struct ExploreStats {
   void merge(const ExploreStats& o);
 };
 
-/// Name + member-pointer row for one u64 counter of ExploreStats.
+/// One search counter: its ExploreStats member and its registry row (whose
+/// metric_desc() carries the name).
 struct ExploreStatsField {
-  const char* name;
   std::uint64_t ExploreStats::*member;
+  obs::Metric metric;
 };
 
-/// The counter table generated from CFC_EXPLORE_STATS_COUNTERS, in
-/// declaration order. Backs merge() and lets tooling iterate the counters
-/// by name without hand-maintained lists.
+/// The counter table generated from CFC_SEARCH_COUNTERS, in list order.
+/// Backs merge() and the explorer's metric flush.
 [[nodiscard]] std::span<const ExploreStatsField> explore_stats_fields();
 
 /// The measurement fields an exploration maximizes.

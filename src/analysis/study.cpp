@@ -193,24 +193,22 @@ class MeasureTask {
   std::atomic<std::int64_t> ns_{0};
 };
 
-/// Copies the Explorer run statistics shared by every worst-case task —
+/// Copies a worst-case search's statistics into the study result —
 /// including the single definition of the `certified` invariant.
 void fill_search_stats(StudyResult& out, const Explorer::Result& r,
-                       const WorstCaseSearchOptions& options) {
-  out.wc_strategy = options.strategy;
+                       const Explorer::Config& cfg) {
+  out.wc_strategy = cfg.strategy;
   // Random runs no DFS and hence no reduction.
-  out.wc_reduction = options.strategy == SearchStrategy::Random
+  out.wc_reduction = cfg.strategy == SearchStrategy::Random
                          ? ReductionPolicy::Off
-                         : options.limits.reduction;
-#define CFC_COPY_COUNTER(field, json_key, stats_member, required) \
-  out.field = r.stats.stats_member;
+                         : cfg.limits.reduction;
+#define CFC_COPY_COUNTER(field, ...) out.field = r.stats.field;
   CFC_STUDY_REDUCTION_COUNTERS(CFC_COPY_COUNTER)
+  CFC_STUDY_WC_COUNTERS(CFC_COPY_COUNTER)
 #undef CFC_COPY_COUNTER
   out.schedules_tried = r.stats.runs_completed + r.stats.runs_truncated;
-  out.states_visited = r.stats.states_visited;
-  out.violations = r.stats.violations;
   out.truncated = out.truncated || r.stats.truncated;
-  out.certified = options.strategy != SearchStrategy::Random &&
+  out.certified = cfg.strategy != SearchStrategy::Random &&
                   !r.stats.state_budget_hit;
 }
 
@@ -267,78 +265,6 @@ class MutexCfTask final : public MeasureTask {
   ComplexityReport entry_;
   ComplexityReport exit_;
   int atomicity_ = 0;
-};
-
-/// Mutex worst-case search: one cell running the schedule-space Explorer
-/// (which fans its own frontier/seed cells over the same runner — the
-/// ExperimentRunner is nestable and caller-participating).
-class MutexWcTask final : public MeasureTask {
- public:
-  MutexWcTask(MutexFactory make, int n, int sessions,
-              WorstCaseSearchOptions options)
-      : make_(std::move(make)),
-        n_(n),
-        sessions_(sessions),
-        options_(std::move(options)) {}
-
-  [[nodiscard]] std::size_t cell_count() const override { return 1; }
-
-  void measure_cell(std::size_t, ExperimentRunner& runner) override {
-    Explorer::Config cfg;
-    cfg.nprocs = n_;
-    cfg.strategy = options_.strategy;
-    cfg.limits = options_.limits;
-    cfg.seeds = options_.seeds;
-    cfg.random_budget = options_.budget_per_run;
-    const MutexFactory make = make_;
-    const int n = n_;
-    const int sessions = sessions_;
-    const std::vector<std::uint64_t> crash = options_.crash_after;
-    cfg.setup = [make, n, sessions, crash](Sim& sim) -> std::shared_ptr<void> {
-      auto alg = setup_mutex(sim, make, n, sessions);
-      for (std::size_t p = 0; p < crash.size(); ++p) {
-        sim.crash_after(static_cast<Pid>(p), crash[p]);
-      }
-      return alg;
-    };
-    // Objective: maximize the clean-entry and exit window maxima over all
-    // processes. Monotone along a run (window maxima never decrease); its
-    // pruning digest is the window digest — whole-run totals are
-    // irrelevant to it.
-    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-      ComplexityReport entry;
-      ComplexityReport exit;
-      for (Pid pid = 0; pid < n; ++pid) {
-        entry = entry.max_with(acc.clean_entry_max(pid));
-        exit = exit.max_with(acc.exit_max(pid));
-      }
-      return std::vector<ComplexityReport>{entry, exit};
-    };
-    cfg.objective.digest = [](const MeasureAccumulator& acc) {
-      return acc.window_digest();
-    };
-    const Explorer explorer(std::move(cfg));
-    result_ = explorer.run(&runner);
-  }
-
-  void reduce() override {}
-
-  void apply(StudyResult& out) const override {
-    out.has_wc = true;
-    if (result_.best.size() >= 2) {
-      out.wc_entry = result_.best[0];
-      out.wc_exit = result_.best[1];
-    }
-    out.wc = out.wc_entry.plus(out.wc_exit);
-    fill_search_stats(out, result_, options_);
-  }
-
- private:
-  MutexFactory make_;
-  int n_;
-  int sessions_;
-  WorstCaseSearchOptions options_;
-  Explorer::Result result_;
 };
 
 }  // namespace
@@ -447,58 +373,41 @@ class DetectorCfTask final : public MeasureTask {
   ComplexityReport best_;
 };
 
-/// Detector worst-case search: one Explorer cell over whole-run totals.
-class DetectorWcTask final : public MeasureTask {
+/// Mutex or detector worst-case search: one cell running the
+/// schedule-space Explorer (which fans its own work items or seeds over the
+/// same runner — the ExperimentRunner is nestable and
+/// caller-participating). The kind's setup and objective are fixed in the
+/// Explorer::Config when the campaign is planned (wc_search_config).
+class WcTask final : public MeasureTask {
  public:
-  DetectorWcTask(DetectorFactory make, int n, WorstCaseSearchOptions options)
-      : make_(std::move(make)), n_(n), options_(std::move(options)) {}
+  WcTask(StudyKind kind, Explorer::Config cfg)
+      : kind_(kind), cfg_(std::move(cfg)) {}
 
   [[nodiscard]] std::size_t cell_count() const override { return 1; }
 
   void measure_cell(std::size_t, ExperimentRunner& runner) override {
-    Explorer::Config cfg;
-    cfg.nprocs = n_;
-    cfg.strategy = options_.strategy;
-    cfg.limits = options_.limits;
-    cfg.seeds = options_.seeds;
-    cfg.random_budget = options_.budget_per_run;
-    const DetectorFactory make = make_;
-    const int n = n_;
-    const std::vector<std::uint64_t> crash = options_.crash_after;
-    cfg.setup = [make, n, crash](Sim& sim) -> std::shared_ptr<void> {
-      auto alg = setup_detection(sim, make, n);
-      for (std::size_t p = 0; p < crash.size(); ++p) {
-        sim.crash_after(static_cast<Pid>(p), crash[p]);
-      }
-      return alg;
-    };
-    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-      ComplexityReport best;
-      for (Pid pid = 0; pid < n; ++pid) {
-        best = best.max_with(acc.total(pid));
-      }
-      return std::vector<ComplexityReport>{best};
-    };
-    // Whole-run totals objective: the default accumulator digest (which
-    // covers the totals) is the sound pruning key, so leave it unset.
-    const Explorer explorer(std::move(cfg));
-    result_ = explorer.run(&runner);
+    result_ = Explorer(cfg_).run(&runner);
   }
 
   void reduce() override {}
 
   void apply(StudyResult& out) const override {
     out.has_wc = true;
-    if (!result_.best.empty()) {
+    if (kind_ == StudyKind::Mutex) {
+      if (result_.best.size() >= 2) {
+        out.wc_entry = result_.best[0];
+        out.wc_exit = result_.best[1];
+      }
+      out.wc = out.wc_entry.plus(out.wc_exit);
+    } else if (!result_.best.empty()) {
       out.wc = result_.best[0];
     }
-    fill_search_stats(out, result_, options_);
+    fill_search_stats(out, result_, cfg_);
   }
 
  private:
-  DetectorFactory make_;
-  int n_;
-  WorstCaseSearchOptions options_;
+  StudyKind kind_;
+  Explorer::Config cfg_;
   Explorer::Result result_;
 };
 
@@ -627,64 +536,113 @@ struct ResolvedSubject {
   bool from_registry = false;  ///< dedup-eligible across campaign specs
 };
 
-/// Resolves the spec's subject (ad-hoc factory or registry lookup) and
-/// validates capacity on the calling thread, so misconfiguration surfaces
-/// as the documented exception rather than through the pool. The probe
-/// allocates the algorithm's registers once but spawns no processes.
+/// Resolves one kind's factory: the spec's ad-hoc `adhoc` when set, else
+/// the registry entry `lookup` finds under the subject name. Validates
+/// capacity on the calling thread, so misconfiguration surfaces as the
+/// documented exception rather than through the pool; the probe allocates
+/// the algorithm's registers once but spawns no processes. Fills in the
+/// subject's name and dedup eligibility.
+template <typename Factory, typename Entry>
+Factory resolve_factory(const StudySpec& spec, const Factory& adhoc,
+                        const Entry& (AlgorithmRegistry::*lookup)(
+                            std::string_view) const,
+                        ResolvedSubject& r) {
+  r.from_registry = !adhoc;
+  const Factory make =
+      adhoc ? adhoc
+            : (AlgorithmRegistry::instance().*lookup)(spec.subject_name)
+                  .factory;
+  Sim probe;
+  const auto alg = make(probe.memory(), spec.procs);
+  if (alg->capacity() < spec.procs) {
+    throw std::invalid_argument(std::string(name(spec.study_kind)) +
+                                " capacity below process count");
+  }
+  r.name =
+      spec.subject_name.empty() ? alg->algorithm_name() : spec.subject_name;
+  return make;
+}
+
+/// Resolves the spec's subject (ad-hoc factory or registry lookup).
 ResolvedSubject resolve(const StudySpec& spec) {
   ResolvedSubject r;
-  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   switch (spec.study_kind) {
-    case StudyKind::Mutex: {
-      if (spec.adhoc_mutex) {
-        r.mutex = spec.adhoc_mutex;
-      } else {
-        r.mutex = registry.mutex(spec.subject_name).factory;
-        r.from_registry = true;
-      }
-      Sim probe;
-      auto alg = r.mutex(probe.memory(), spec.procs);
-      if (alg->capacity() < spec.procs) {
-        throw std::invalid_argument("mutex capacity below process count");
-      }
-      r.name = spec.subject_name.empty() ? alg->algorithm_name()
-                                         : spec.subject_name;
+    case StudyKind::Mutex:
+      r.mutex =
+          resolve_factory(spec, spec.adhoc_mutex, &AlgorithmRegistry::mutex, r);
       break;
-    }
-    case StudyKind::Naming: {
-      if (spec.adhoc_naming) {
-        r.naming = spec.adhoc_naming;
-      } else {
-        r.naming = registry.naming(spec.subject_name).factory;
-        r.from_registry = true;
-      }
-      Sim probe;
-      auto alg = r.naming(probe.memory(), spec.procs);
-      if (alg->capacity() < spec.procs) {
-        throw std::invalid_argument("naming capacity below process count");
-      }
-      r.name = spec.subject_name.empty() ? alg->algorithm_name()
-                                         : spec.subject_name;
+    case StudyKind::Naming:
+      r.naming = resolve_factory(spec, spec.adhoc_naming,
+                                 &AlgorithmRegistry::naming, r);
       break;
-    }
-    case StudyKind::Detector: {
-      if (spec.adhoc_detector) {
-        r.detector = spec.adhoc_detector;
-      } else {
-        r.detector = registry.detector(spec.subject_name).factory;
-        r.from_registry = true;
-      }
-      Sim probe;
-      auto alg = r.detector(probe.memory(), spec.procs);
-      if (alg->capacity() < spec.procs) {
-        throw std::invalid_argument("detector capacity below process count");
-      }
-      r.name = spec.subject_name.empty() ? alg->algorithm_name()
-                                         : spec.subject_name;
+    case StudyKind::Detector:
+      r.detector = resolve_factory(spec, spec.adhoc_detector,
+                                   &AlgorithmRegistry::detector, r);
       break;
-    }
   }
   return r;
+}
+
+/// The worst-case search of a mutex or detector spec: the spec's strategy
+/// and budgets, the kind's setup followed by the crash injection, and the
+/// kind's objective.
+Explorer::Config wc_search_config(const StudySpec& spec,
+                                  const ResolvedSubject& subject) {
+  const WorstCaseSearchOptions& o = spec.search;
+  const int n = spec.procs;
+  Explorer::Config cfg;
+  cfg.nprocs = n;
+  cfg.strategy = o.strategy;
+  cfg.limits = o.limits;
+  cfg.seeds = o.seeds;
+  cfg.random_budget = o.budget_per_run;
+  Explorer::SetupFn setup;
+  if (spec.study_kind == StudyKind::Mutex) {
+    const MutexFactory make = subject.mutex;
+    const int sessions = spec.mutex_sessions;
+    setup = [make, n, sessions](Sim& sim) -> std::shared_ptr<void> {
+      return setup_mutex(sim, make, n, sessions);
+    };
+    // Objective: maximize the clean-entry and exit window maxima over all
+    // processes. Monotone along a run (window maxima never decrease); its
+    // pruning digest is the window digest — whole-run totals are
+    // irrelevant to it.
+    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+      ComplexityReport entry;
+      ComplexityReport exit;
+      for (Pid pid = 0; pid < n; ++pid) {
+        entry = entry.max_with(acc.clean_entry_max(pid));
+        exit = exit.max_with(acc.exit_max(pid));
+      }
+      return std::vector<ComplexityReport>{entry, exit};
+    };
+    cfg.objective.digest = [](const MeasureAccumulator& acc) {
+      return acc.window_digest();
+    };
+  } else {
+    const DetectorFactory make = subject.detector;
+    setup = [make, n](Sim& sim) -> std::shared_ptr<void> {
+      return setup_detection(sim, make, n);
+    };
+    // Whole-run totals objective: the default accumulator digest (which
+    // covers the totals) is the sound pruning key, so leave it unset.
+    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+      ComplexityReport best;
+      for (Pid pid = 0; pid < n; ++pid) {
+        best = best.max_with(acc.total(pid));
+      }
+      return std::vector<ComplexityReport>{best};
+    };
+  }
+  cfg.setup = [setup = std::move(setup),
+               crash = o.crash_after](Sim& sim) -> std::shared_ptr<void> {
+    std::shared_ptr<void> owner = setup(sim);
+    for (std::size_t p = 0; p < crash.size(); ++p) {
+      sim.crash_after(static_cast<Pid>(p), crash[p]);
+    }
+    return owner;
+  };
+  return cfg;
 }
 
 std::string seeds_key(const std::vector<std::uint64_t>& seeds) {
@@ -830,9 +788,8 @@ std::vector<StudyResult> Campaign::run(ExperimentRunner* runner,
               keyed("wc|sessions=" + std::to_string(spec.mutex_sessions) +
                     '|' + search_key(spec.search)),
               [&] {
-                return std::make_unique<MutexWcTask>(
-                    subject.mutex, spec.procs, spec.mutex_sessions,
-                    spec.search);
+                return std::make_unique<WcTask>(
+                    spec.study_kind, wc_search_config(spec, subject));
               });
         }
         break;
@@ -860,12 +817,10 @@ std::vector<StudyResult> Campaign::run(ExperimentRunner* runner,
           });
         }
         if (spec.want_wc) {
-          bindings[i].wc = intern(keyed("wc|" + search_key(spec.search)),
-                                  [&] {
-                                    return std::make_unique<DetectorWcTask>(
-                                        subject.detector, spec.procs,
-                                        spec.search);
-                                  });
+          bindings[i].wc = intern(keyed("wc|" + search_key(spec.search)), [&] {
+            return std::make_unique<WcTask>(spec.study_kind,
+                                            wc_search_config(spec, subject));
+          });
         }
         break;
       }
@@ -1017,10 +972,10 @@ std::string to_json(const StudyResult& r, const StudyJsonOptions& opts) {
     out += "\",\n    \"reduction\": {\"policy\": \"";
     out += name(r.wc_reduction);
     out += "\"";
-    // The counter list (and its emission order) comes from the one table
-    // in study.h, so serializer/parser/engine can never disagree.
-#define CFC_EMIT_COUNTER(field, json_key, stats_member, required) \
-  out += ", \"" json_key "\": " + std::to_string(r.field);
+    // The counter lists (and their emission order) come from study.h, so
+    // serializer/parser/engine can never disagree.
+#define CFC_EMIT_COUNTER(field, ...) \
+  out += ", \"" #field "\": " + std::to_string(r.field);
     CFC_STUDY_REDUCTION_COUNTERS(CFC_EMIT_COUNTER)
 #undef CFC_EMIT_COUNTER
     out += "}";
@@ -1030,11 +985,12 @@ std::string to_json(const StudyResult& r, const StudyJsonOptions& opts) {
     append_report(out, r.wc_entry);
     out += ",\n    \"exit\": ";
     append_report(out, r.wc_exit);
-    out += ",\n    \"schedules_tried\": " +
-           std::to_string(r.schedules_tried) +
-           ",\n    \"states_visited\": " + std::to_string(r.states_visited) +
-           ",\n    \"violations\": " + std::to_string(r.violations) +
-           ",\n    \"truncated\": " +
+    out += ",\n    \"schedules_tried\": " + std::to_string(r.schedules_tried);
+#define CFC_EMIT_WC_COUNTER(field) \
+  out += ",\n    \"" #field "\": " + std::to_string(r.field);
+    CFC_STUDY_WC_COUNTERS(CFC_EMIT_WC_COUNTER)
+#undef CFC_EMIT_WC_COUNTER
+    out += std::string(",\n    \"truncated\": ") +
            (r.truncated ? "true" : "false") +
            ",\n    \"certified\": " + (r.certified ? "true" : "false") +
            "\n  }";
@@ -1160,10 +1116,15 @@ StudyResult study_from_json(const std::string& payload) {
       }
       r.wc_reduction =
           reduction_from(json::to_string_field(json::member(*red, "policy")));
-      // The counters come from the one table in study.h. Required keys
+      // The counters come from the list in study.h. Required keys
       // date back to the first POR payloads; the rest were added later
       // and stay optional so older payloads keep parsing as zero.
-#define CFC_PARSE_COUNTER(field, json_key, stats_member, required)       if (required) {                                                          r.field = json::to_u64(json::member(*red, json_key));                } else if (const json::Node* node = red->find(json_key)) {               r.field = json::to_u64(*node);                                       }
+#define CFC_PARSE_COUNTER(field, required)                  \
+  if (required) {                                           \
+    r.field = json::to_u64(json::member(*red, #field));     \
+  } else if (const json::Node* node = red->find(#field)) {  \
+    r.field = json::to_u64(*node);                          \
+  }
       CFC_STUDY_REDUCTION_COUNTERS(CFC_PARSE_COUNTER)
 #undef CFC_PARSE_COUNTER
       // Members this reader does not know are ignored, so older payloads
@@ -1174,8 +1135,10 @@ StudyResult study_from_json(const std::string& payload) {
     r.wc_entry = report_from(json::member(wc, "entry"));
     r.wc_exit = report_from(json::member(wc, "exit"));
     r.schedules_tried = json::to_u64(json::member(wc, "schedules_tried"));
-    r.states_visited = json::to_u64(json::member(wc, "states_visited"));
-    r.violations = json::to_u64(json::member(wc, "violations"));
+#define CFC_PARSE_WC_COUNTER(field) \
+  r.field = json::to_u64(json::member(wc, #field));
+    CFC_STUDY_WC_COUNTERS(CFC_PARSE_WC_COUNTER)
+#undef CFC_PARSE_WC_COUNTER
     r.truncated = json::to_bool(json::member(wc, "truncated"));
     r.certified = json::to_bool(json::member(wc, "certified"));
     // Members this reader does not know are ignored here too, so payloads

@@ -143,20 +143,28 @@ struct StudySpec {
   StudySpec& factory(DetectorFactory f);
 };
 
-/// The reduction counters of a worst-case search, as one table: X(field,
-/// "json_key", stats_member, required). The StudyResult fields, the
-/// canonical JSON emission order inside the "reduction" object (after
-/// the policy), the parser (non-required keys are optional, so
-/// payloads written before a counter existed keep parsing as zero), and
-/// the ExploreStats copy in the study engine are all generated from this
-/// list — adding a counter is one line here plus its ExploreStats source.
-#define CFC_STUDY_REDUCTION_COUNTERS(X)                                   \
-  X(races_detected, "races_detected", races_detected, true)               \
-  X(backtrack_points, "backtrack_points", backtrack_points, true)         \
-  X(sleep_blocked, "sleep_blocked", sleep_blocked, true)                  \
-  X(cache_hits, "cache_hits", pruned_visited, false)                      \
-  X(work_items, "work_items", work_items, false)                          \
-  X(restore_marks, "restore_marks", restore_marks, false)
+/// The search counters (CFC_SEARCH_COUNTERS in obs/metrics.h) a
+/// StudyResult carries, each under its ExploreStats name, which is also
+/// its JSON key. Generated from these lists: the copy from ExploreStats in
+/// the study engine, the canonical JSON emission, and the parser.
+///
+/// X(field, required): the counters inside the "wc" object's "reduction"
+/// object, after the policy, in this order. Non-required keys are
+/// optional, so payloads written before a counter existed keep parsing as
+/// zero.
+#define CFC_STUDY_REDUCTION_COUNTERS(X) \
+  X(races_detected, true)               \
+  X(backtrack_points, true)             \
+  X(sleep_blocked, true)                \
+  X(cache_hits, false)                  \
+  X(work_items, false)                  \
+  X(restore_marks, false)
+
+/// X(field): the counters of the "wc" object itself, after
+/// schedules_tried, in this order. All required.
+#define CFC_STUDY_WC_COUNTERS(X) \
+  X(states_visited)              \
+  X(violations)
 
 /// The uniform result of one study. Absent measurements are flagged off and
 /// zero-valued. Semantics per kind:
@@ -184,36 +192,29 @@ struct StudyResult {
   bool has_wc = false;
   SearchStrategy wc_strategy = SearchStrategy::Random;
   /// The partial-order-reduction policy the search ran under (DFS
-  /// strategies; Random reports Off). Counters: races the source-DPOR
-  /// race detector found over executed traces, backtrack points it
-  /// inserted (source-set + cut-point placements), enabled branches the
-  /// sleep sets skipped, and subtrees the visited caches pruned (under
-  /// SourceDpor: the sleep-set-aware SleepCache hits of stateful DPOR).
+  /// strategies; Random reports Off).
   ReductionPolicy wc_reduction = ReductionPolicy::Off;
-  std::uint64_t races_detected = 0;
-  std::uint64_t backtrack_points = 0;
-  std::uint64_t sleep_blocked = 0;
-  std::uint64_t cache_hits = 0;
-  /// Work items the planner emitted and rewind marks the engines captured
-  /// at branching nodes. Thread-count invariant, like every counter here,
-  /// so the canonical JSON stays byte-identical at every thread count.
-  std::uint64_t work_items = 0;
-  std::uint64_t restore_marks = 0;
+  /// The search's counters (the two lists above; CFC_SEARCH_COUNTERS
+  /// documents each). Thread-count invariant, so the canonical JSON stays
+  /// byte-identical at every thread count. Nonzero violations means the
+  /// algorithm is unsafe: violating schedules are excluded from the
+  /// maxima, so the certification is over the safe schedules only.
+#define CFC_STUDY_COUNTER_MEMBER(field, ...) std::uint64_t field = 0;
+  CFC_STUDY_REDUCTION_COUNTERS(CFC_STUDY_COUNTER_MEMBER)
+  CFC_STUDY_WC_COUNTERS(CFC_STUDY_COUNTER_MEMBER)
+#undef CFC_STUDY_COUNTER_MEMBER
   ComplexityReport wc;
   ComplexityReport wc_entry;
   ComplexityReport wc_exit;
+  /// Leaves evaluated (completed + truncated runs), or for a naming
+  /// battery the schedules run.
   std::uint64_t schedules_tried = 0;
-  std::uint64_t states_visited = 0;
-  /// Mutual-exclusion violations found (DFS strategies; violating
-  /// schedules are excluded from the maxima). Nonzero means the algorithm
-  /// is unsafe — the complexity certification is then over the safe
-  /// schedules only.
-  std::uint64_t violations = 0;
   /// Some run was cut off (budget/depth/preemption bound): the values may
   /// under-report anything beyond the explored space.
   bool truncated = false;
   /// Exhaustive/Bounded only: the whole bounded schedule space was covered
-  /// (no max_states cut) — the values are the exact maxima over it.
+  /// (no max_states cut, i.e. ExploreStats::state_budget_hit unset) — the
+  /// values are the exact maxima over it.
   bool certified = false;
 
   /// Wall-clock measurement time attributed to this study: the summed

@@ -5,10 +5,12 @@ namespace cfc::obs {
 namespace {
 
 constexpr std::array<MetricDesc, kMetricCount> kDescs = {{
-#define CFC_OBS_METRIC_DESC(id, name, kind) \
-  MetricDesc{name, MetricKind::kind},
+#define CFC_SEARCH_COUNTER_DESC(id) MetricDesc{#id, MetricKind::Counter},
+#define CFC_OBS_METRIC_DESC(id, kind) MetricDesc{#id, MetricKind::kind},
+    CFC_SEARCH_COUNTERS(CFC_SEARCH_COUNTER_DESC)
     CFC_OBS_METRICS(CFC_OBS_METRIC_DESC)
 #undef CFC_OBS_METRIC_DESC
+#undef CFC_SEARCH_COUNTER_DESC
 }};
 
 }  // namespace

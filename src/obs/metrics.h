@@ -8,31 +8,62 @@
 
 namespace cfc::obs {
 
+/// The search counters: the one definition of every count an Explorer
+/// search keeps, X(name). From this list come the ExploreStats u64
+/// members and their merge/flush table (analysis/explorer.h), and the
+/// first Metric enumerators below, so a search's registry totals and its
+/// ExploreStats are the same counters under the same names. All of them
+/// are thread-count invariant.
+///
+///  * states_visited: DFS nodes entered (planner + work items); Random:
+///    units stepped.
+///  * runs_completed / runs_truncated: leaves with no runnable process /
+///    leaves cut by the depth, preemption or state budget.
+///  * cache_hits: subtrees the visited cache skipped (SleepCache).
+///  * violations: MutualExclusionViolations found.
+///  * races_detected / backtrack_points: source-DPOR races found in
+///    traces, and the source-set and cut-point insertions they caused
+///    (zero when the reduction is Off).
+///  * sleep_blocked: enabled branches skipped asleep.
+///  * restores: sibling backtracks performed.
+///  * value_replayed_steps: units re-fed from the recorded value log by
+///    restores (Sim::rewind_to_mark) — no register traffic, no events.
+///  * restore_marks: RewindMarks captured at branching nodes.
+///  * work_items: horizon subtrees the planner emitted.
+#define CFC_SEARCH_COUNTERS(X) \
+  X(states_visited)            \
+  X(runs_completed)            \
+  X(runs_truncated)            \
+  X(cache_hits)                \
+  X(violations)                \
+  X(races_detected)            \
+  X(backtrack_points)          \
+  X(sleep_blocked)             \
+  X(restores)                  \
+  X(value_replayed_steps)      \
+  X(restore_marks)             \
+  X(work_items)
+
+/// The registry rows that are not search counters, X(name, kind): the
+/// Campaign's cell accounting, and the visited cache's live bytes — a
+/// size, not a count: the largest live cache of any engine run (the
+/// planner or one work item), max-updated at every flush; certbench's
+/// `cache.live_bytes` row reads it. `steals` has no producer; it stays
+/// (reading 0) because certbench's `explorer.steals` row reads it.
+#define CFC_OBS_METRICS(X) \
+  X(cells_total, Gauge)    \
+  X(cells_done, Counter)   \
+  X(steals, Counter)       \
+  X(visited_live_bytes, Gauge)
+
 /// The one enumeration every live counter flows through: the explorer's
 /// hot-path flushes, the Campaign's cell accounting, and the progress
-/// reporter all speak Metric — adding a counter here makes it visible to
-/// the heartbeat (and to anything else snapshotting the registry) without
-/// touching the intermediate layers. Counters are monotonic sums over
-/// per-shard cells; gauges are last-write point-in-time values.
-///
-/// X-macro: X(enumerator, "json_name", kind). `steals` has no producer;
-/// it stays (reading 0) because certbench's `explorer.steals` row reads it.
-#define CFC_OBS_METRICS(X)                       \
-  X(states_visited, "states_visited", Counter)   \
-  X(cells_total, "cells_total", Gauge)           \
-  X(cells_done, "cells_done", Counter)           \
-  X(cache_hits, "cache_hits", Counter)           \
-  X(sleep_blocked, "sleep_blocked", Counter)     \
-  X(races_detected, "races_detected", Counter)   \
-  X(backtrack_points, "backtrack_points", Counter) \
-  X(restore_marks, "restore_marks", Counter)     \
-  X(work_items, "work_items", Counter)           \
-  X(steals, "steals", Counter)                   \
-  X(restores, "restores", Counter)               \
-  X(visited_live_bytes, "visited_live_bytes", Gauge)
-
+/// reporter all speak Metric. Counters are monotonic sums over per-shard
+/// cells; gauges are last-write point-in-time values. A row's JSON name
+/// is its enumerator's name.
 enum class Metric : std::uint32_t {
-#define CFC_OBS_METRIC_ENUM(id, name, kind) id,
+#define CFC_OBS_METRIC_ENUM(id, ...) id,
+  CFC_SEARCH_COUNTERS(CFC_OBS_METRIC_ENUM)
   CFC_OBS_METRICS(CFC_OBS_METRIC_ENUM)
 #undef CFC_OBS_METRIC_ENUM
       kCount

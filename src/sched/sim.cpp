@@ -373,17 +373,12 @@ void Sim::mark_rewind_base() {
         "Sim::mark_rewind_base: must be called before any unit executes "
         "(right after setup)");
   }
-  base_crash_.clear();
-  base_crash_.reserve(procs_.size());
-  for (const Proc& pr : procs_) {
-    base_crash_.push_back(pr.crash_after);
-  }
   rewind_base_set_ = true;
   capture_mark(base_mark_);
 }
 
 void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
-                    Seq expect_seq, const MemorySnapshot* expect_memory) {
+                    Seq expect_seq) {
   if (!rewind_base_set_) {
     throw std::logic_error("Sim::rewind_to: mark_rewind_base was not called");
   }
@@ -414,11 +409,8 @@ void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
   }
   quiet_replay_ = false;
 
-  const bool diverged =
-      (expect_fingerprint != 0 &&
-       (next_seq_ != expect_seq || mem_.fingerprint() != expect_fingerprint)) ||
-      (expect_memory != nullptr && mem_.snapshot() != *expect_memory);
-  if (diverged) {
+  if (expect_fingerprint != 0 &&
+      (next_seq_ != expect_seq || mem_.fingerprint() != expect_fingerprint)) {
     throw std::logic_error(
         "Sim::rewind_to: replay diverged from the expected state "
         "(non-deterministic process body?)");
@@ -463,8 +455,7 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     throw std::logic_error("Sim::rewind_to_mark: already replaying");
   }
   if (mark.digests.size() != procs_.size() ||
-      mark.pid_units.size() != procs_.size() ||
-      procs_.size() != base_crash_.size()) {
+      mark.pid_units.size() != procs_.size()) {
     throw std::logic_error(
         "Sim::rewind_to_mark: process set changed since the mark/base");
   }
@@ -501,7 +492,6 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     pr.section = Section::Remainder;
     pr.output.reset();
     pr.naccesses = 0;
-    pr.crash_after = base_crash_[static_cast<std::size_t>(pid)];
     pr.digest = initial_digest(pid);
   }
 

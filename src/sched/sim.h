@@ -306,12 +306,11 @@ class Sim {
 
   /// --- In-place restore (the explorer's hot path). ---
 
-  /// Captures the post-setup baseline: each process's crash plan and the
-  /// base RewindMark rewind_to() restores. Must be called before any unit
-  /// executes (schedule log empty) — i.e. right after the static setup —
+  /// Captures the post-setup baseline: the base RewindMark rewind_to()
+  /// restores. Must be called before any unit executes (schedule log
+  /// empty) — i.e. right after the static setup, crash plans included —
   /// and marks this simulation as rewindable.
   void mark_rewind_base();
-  [[nodiscard]] bool rewind_base_marked() const { return rewind_base_set_; }
 
   /// A restore point along the current run: shared memory, the event
   /// counter, and each process's observation digest and access count at a
@@ -380,11 +379,8 @@ class Sim {
   /// Sinks/trace semantics are rewind_to_mark()'s. Verification:
   /// `expect_fingerprint == 0` skips it; otherwise the memory fingerprint
   /// and event counter must match or the rewind throws std::logic_error.
-  /// `expect_memory`, when non-null, also compares full register values
-  /// (debug; costs a snapshot per call).
   void rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint = 0,
-                 Seq expect_seq = 0,
-                 const MemorySnapshot* expect_memory = nullptr);
+                 Seq expect_seq = 0);
 
   /// Allocation counters of the per-Sim coroutine frame arena.
   [[nodiscard]] const FrameArena::Stats& frame_arena_stats() const {
@@ -454,8 +450,15 @@ class Sim {
   [[nodiscard]] std::optional<Model> model() const { return model_; }
 
   /// Injects a stopping failure: the process crashes when it attempts its
-  /// (`accesses`+1)-th shared-memory access.
+  /// (`accesses`+1)-th shared-memory access. Part of the setup: throws
+  /// std::logic_error once mark_rewind_base() has run, since restores keep
+  /// every process's crash plan as it is (stepping never changes one).
   void crash_after(Pid pid, std::uint64_t accesses) {
+    if (rewind_base_set_) {
+      throw std::logic_error(
+          "Sim::crash_after: crash plans are fixed once mark_rewind_base() "
+          "has run");
+    }
     proc(pid).crash_after = accesses;
   }
 
@@ -536,10 +539,9 @@ class Sim {
   std::vector<Pid> touched_pids_;
   /// XOR accumulator behind proc_state_fp().
   std::uint64_t procs_fp_ = 0;
-  /// mark_rewind_base() baseline: the crash plans touched processes get
-  /// back, and the mark rewind_to() restores before re-stepping.
+  /// mark_rewind_base() baseline: the mark rewind_to() restores before
+  /// re-stepping.
   bool rewind_base_set_ = false;
-  std::vector<std::optional<std::uint64_t>> base_crash_;
   RewindMark base_mark_;
   /// last_step_summary(): rebuilt by every step()/ensure_started() unit.
   StepSummary last_step_;

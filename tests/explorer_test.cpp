@@ -299,7 +299,7 @@ TEST(Explorer, BoundedCacheKeepsTheBudgetDimension) {
     EXPECT_EQ(a.best[i].registers, b.best[i].registers) << "field " << i;
     EXPECT_EQ(a.best[i].truncated, b.best[i].truncated) << "field " << i;
   }
-  EXPECT_GT(a.stats.pruned_visited, 0u);
+  EXPECT_GT(a.stats.cache_hits, 0u);
 }
 
 TEST(Explorer, BoundedMarksPreemptionStarvedLeavesInsideFrontier) {

@@ -387,7 +387,7 @@ TEST(PorCounters, PopulatedAndThreadInvariant) {
   EXPECT_EQ(a.stats.backtrack_points, b.stats.backtrack_points);
   EXPECT_EQ(a.stats.sleep_blocked, b.stats.sleep_blocked);
   EXPECT_EQ(a.stats.states_visited, b.stats.states_visited);
-  EXPECT_EQ(a.stats.pruned_visited, b.stats.pruned_visited);
+  EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);
 
   // Sleep sets earn their keep where three processes give an inserted
   // sibling a genuinely independent third party: the blocked-branch

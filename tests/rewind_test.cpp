@@ -216,6 +216,27 @@ TEST(Rewind, RequiresBaselineAndValidPrefix) {
   EXPECT_THROW(late.mark_rewind_base(), std::logic_error);
 }
 
+TEST(Rewind, CrashPlansAreFixedOnceTheBaselineIsMarked) {
+  // Restores keep each process's crash plan as it is, so a plan set after
+  // the baseline would survive a rewind past the point it was set: the
+  // simulator refuses it. A plan set during setup holds across rewinds.
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Build build = mutex_builder(factory, 2, 1, {{0, 1}});
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  EXPECT_THROW(live.crash_after(1, 0), std::logic_error);
+  SoloScheduler solo(0);
+  drive(live, solo, RunLimits{50});
+  EXPECT_EQ(live.status(0), ProcStatus::Crashed);
+  live.rewind_to(0);
+  EXPECT_THROW(live.crash_after(0, 5), std::logic_error);
+  drive(live, solo, RunLimits{50});
+  EXPECT_EQ(live.status(0), ProcStatus::Crashed);
+  EXPECT_EQ(live.access_count(0), 1u);
+}
+
 TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("lamport-fast").factory;

@@ -592,5 +592,70 @@ TEST(StudyReduction, ExhaustiveDefaultsToSourceDporAndSurfacesCounters) {
   EXPECT_EQ(reordered.search.limits.reduction, ReductionPolicy::SourceDpor);
 }
 
+// --- The state budget (ExploreLimits::max_states). ---
+
+/// A certified Exhaustive detector study whose uncapped search completes
+/// every run within the depth, so `truncated` can only come from the cap.
+StudySpec capped_detector_study(std::uint64_t max_states) {
+  ExploreLimits limits;
+  limits.max_depth = 40;
+  limits.max_states = max_states;
+  return StudySpec::of("splitter-tree-l2")
+      .kind(StudyKind::Detector)
+      .n(3)
+      .worst_case(SearchStrategy::Exhaustive)
+      .limits(limits);
+}
+
+void expect_report_le(const ComplexityReport& capped,
+                      const ComplexityReport& full, const char* what) {
+  EXPECT_LE(capped.steps, full.steps) << what;
+  EXPECT_LE(capped.registers, full.registers) << what;
+  EXPECT_LE(capped.read_steps, full.read_steps) << what;
+  EXPECT_LE(capped.write_steps, full.write_steps) << what;
+  EXPECT_LE(capped.read_registers, full.read_registers) << what;
+  EXPECT_LE(capped.write_registers, full.write_registers) << what;
+  EXPECT_LE(capped.atomicity, full.atomicity) << what;
+}
+
+TEST(StudyStateBudget, CappedSearchIsTruncatedAndUncertified) {
+  // max_states caps every engine run (the planner's walk and each work
+  // item). A run that hits it sets ExploreStats::state_budget_hit, which a
+  // study reports as truncated and not certified: the bounded space was
+  // not covered. What it did explore is a part of the uncapped search, so
+  // no value exceeds the uncapped one.
+  const StudyResult full = run_study(capped_detector_study(0));
+  ASSERT_TRUE(full.certified);
+  ASSERT_FALSE(full.truncated);
+  const StudyResult capped = run_study(capped_detector_study(25));
+  EXPECT_TRUE(capped.truncated);
+  EXPECT_FALSE(capped.certified);
+  EXPECT_LT(capped.states_visited, full.states_visited);
+  expect_report_le(capped.wc, full.wc, "wc");
+  expect_report_le(capped.wc_entry, full.wc_entry, "wc entry");
+  expect_report_le(capped.wc_exit, full.wc_exit, "wc exit");
+
+  const std::string json = to_json(capped);
+  EXPECT_NE(json.find("\"truncated\": true,\n    \"certified\": false"),
+            std::string::npos)
+      << json;
+  const StudyResult parsed = study_from_json(json);
+  EXPECT_TRUE(parsed.truncated);
+  EXPECT_FALSE(parsed.certified);
+}
+
+TEST(StudyStateBudget, CapAboveTheSearchSizeChangesNothing) {
+  // A cap larger than the whole uncapped search never binds any engine
+  // run: the study certifies with identical values and counts.
+  const StudyResult full = run_study(capped_detector_study(0));
+  ASSERT_TRUE(full.certified);
+  const StudyResult roomy =
+      run_study(capped_detector_study(full.states_visited + 1));
+  EXPECT_TRUE(roomy.certified);
+  EXPECT_EQ(roomy.states_visited, full.states_visited);
+  const StudyJsonOptions canonical{/*include_timing=*/false};
+  EXPECT_EQ(to_json(roomy, canonical), to_json(full, canonical));
+}
+
 }  // namespace
 }  // namespace cfc
