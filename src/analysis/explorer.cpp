@@ -121,8 +121,9 @@ struct Plan {
 /// backtracks to per-depth RewindMarks (Sim::rewind_to_mark).
 ///
 /// Two entry points over the one dfs(): plan() walks the top levels and
-/// emits work items, run_item() executes one item. A worker reuses one
-/// CellExplorer — and its Sim — across every item it claims.
+/// emits work items, run_item() executes one item. run_seed() is the
+/// Random strategy's item: one seeded schedule, no DFS. A worker reuses
+/// one CellExplorer — and its Sim — across every item it claims.
 class CellExplorer {
  public:
   explicit CellExplorer(const Explorer::Config& cfg)
@@ -166,23 +167,13 @@ class CellExplorer {
     flush_metrics();
   }
 
-  /// Phase 2: executes one work item. The first item builds the worker's
-  /// private Sim; later items rewind it to the run start in place and
-  /// re-step the prefix live (the planner proved it realizable and
-  /// violation-free). Under SourceDpor, prefix units join the race
-  /// detector's trace with foreign-node masks. Repositioning is part of
-  /// claiming the item, not a sibling backtrack, so it counts into neither
-  /// restores nor value_replayed_steps.
+  /// Phase 2: executes one work item. Repositions the worker's Sim at the
+  /// run start (claim()), then re-steps the prefix live (the planner
+  /// proved it realizable and violation-free). Under SourceDpor, prefix
+  /// units join the race detector's trace with foreign-node masks.
   void run_item(const WorkItem& item, std::span<const Pid> prefix,
                 Explorer::Result& out) {
-    out_ = &out;
-    begin_metrics();
-    if (!sim_) {
-      reset_sim();
-    } else {
-      sim_->rewind_to(0);
-      acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
-    }
+    claim(out);
     if (dpor_) {
       dpor_->clear();
     } else if (sleep_sets_) {
@@ -222,7 +213,41 @@ class CellExplorer {
     flush_metrics();
   }
 
+  /// The Random strategy's work item: one seeded random schedule of at
+  /// most random_budget picks from the run start, on the same worker Sim
+  /// (claim()). A lower bound only: it evaluates the objective at its one
+  /// leaf and counts its picks as states.
+  void run_seed(std::uint64_t seed, Explorer::Result& out) {
+    claim(out);
+    RandomScheduler rnd(seed);
+    const RunOutcome outcome =
+        drive(*sim_, rnd, RunLimits{cfg_.random_budget});
+    out.stats.states_visited += sim_->schedule_log().size();
+    if (outcome == RunOutcome::BudgetExhausted) {
+      leaf_truncated();
+    } else {
+      leaf_completed();
+    }
+    flush_metrics();
+  }
+
  private:
+  /// Starts one work item or seed: the first builds the worker's private
+  /// Sim; later ones rewind it to the run start in place with a fresh
+  /// accumulator. Repositioning is part of claiming the item, not a
+  /// sibling backtrack, so it counts into neither restores nor
+  /// value_replayed_steps.
+  void claim(Explorer::Result& out) {
+    out_ = &out;
+    begin_metrics();
+    if (!sim_) {
+      reset_sim();
+    } else {
+      sim_->rewind_to(0);
+      acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
+    }
+  }
+
   void reset_sim() {
     sim_ = std::make_unique<Sim>();
     owner_ = cfg_.setup(*sim_);
@@ -697,23 +722,22 @@ int frontier_split_depth(int nprocs, int max_depth) {
 }  // namespace
 
 Explorer::Result Explorer::run(ExperimentRunner* runner) const {
-  if (cfg_.strategy == SearchStrategy::Random) {
-    return run_random_strategy(runner);
-  }
+  const bool random = cfg_.strategy == SearchStrategy::Random;
   Plan plan;
-  plan.horizon = frontier_split_depth(cfg_.nprocs, cfg_.limits.max_depth);
 
   // Phase 1 — sequential planner: full-branching walk of the top levels,
   // emitting one self-contained work item per horizon node. Everything the
   // planner counts is thread-count invariant because only the calling
-  // thread runs it.
+  // thread runs it. Random plans nothing: its items are the seeds.
   Result planner_slot;
-  {
+  if (!random) {
     const obs::TraceSpan plan_span("explorer.plan");
+    plan.horizon = frontier_split_depth(cfg_.nprocs, cfg_.limits.max_depth);
     CellExplorer planner(cfg_);
     planner.plan(plan, planner_slot);
   }
   const std::vector<WorkItem>& items = plan.items;
+  const std::size_t count = random ? cfg_.seeds.size() : items.size();
 
   // Phase 2 — execution: each worker claims item indices from one shared
   // counter until it runs dry. A worker owns one private Sim +
@@ -722,24 +746,26 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   // end (per-node writes through the adjacent slots false-shared cache
   // lines and cost more than the parallelism bought back). The slot merge
   // runs in item index order, so no report depends on the scheduling.
-  std::vector<Result> slots(items.size());
-  if (!items.empty()) {
+  std::vector<Result> slots(count);
+  if (count != 0) {
     ExperimentRunner& eng = runner_or_shared(runner);
     const std::size_t workers = std::min(
-        items.size(),
-        static_cast<std::size_t>(std::max(1, eng.thread_count())));
+        count, static_cast<std::size_t>(std::max(1, eng.thread_count())));
     std::atomic<std::size_t> next{0};
     eng.parallel_for(workers, [&](std::size_t) {
       CellExplorer cell(cfg_);
       Result local;  // worker-local: one hot cache line per worker
       for (std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
-           idx < items.size();
-           idx = next.fetch_add(1, std::memory_order_relaxed)) {
+           idx < count; idx = next.fetch_add(1, std::memory_order_relaxed)) {
         local.stats = ExploreStats{};
         local.best.clear();
         {
           const obs::TraceSpan item_span("explorer.item");
-          cell.run_item(items[idx], plan.prefix(items[idx]), local);
+          if (random) {
+            cell.run_seed(cfg_.seeds[idx], local);
+          } else {
+            cell.run_item(items[idx], plan.prefix(items[idx]), local);
+          }
         }
         slots[idx].stats = local.stats;
         slots[idx].best.swap(local.best);
@@ -756,41 +782,6 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
       res.stats.merge(slot.stats);
       merge_best(res.best, slot.best);
     }
-  }
-  return res;
-}
-
-Explorer::Result Explorer::run_random_strategy(
-    ExperimentRunner* runner) const {
-  std::vector<Result> slots(cfg_.seeds.size());
-  runner_or_shared(runner).parallel_for(
-      cfg_.seeds.size(), [&](std::size_t i) {
-        Sim sim;
-        const std::shared_ptr<void> owner = cfg_.setup(sim);
-        sim.set_trace_recording(false);
-        MeasureAccumulator acc(cfg_.nprocs);
-        sim.add_sink(acc);
-        RandomScheduler rnd(cfg_.seeds[i]);
-        const RunOutcome out =
-            drive(sim, rnd, RunLimits{cfg_.random_budget});
-        Result& slot = slots[i];
-        slot.stats.states_visited += sim.schedule_log().size();
-        if (out == RunOutcome::BudgetExhausted) {
-          acc.mark_truncated();
-          slot.stats.runs_truncated += 1;
-          slot.stats.truncated = true;
-        } else {
-          slot.stats.runs_completed += 1;
-        }
-        if (cfg_.objective.eval) {
-          merge_best(slot.best, cfg_.objective.eval(sim, acc));
-        }
-      });
-
-  Result res;
-  for (const Result& slot : slots) {
-    res.stats.merge(slot.stats);
-    merge_best(res.best, slot.best);
   }
   return res;
 }

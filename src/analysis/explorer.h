@@ -96,9 +96,9 @@ struct ExploreLimits {
 };
 
 /// The statistics of one search. The counters are generated from
-/// CFC_SEARCH_COUNTERS (obs/metrics.h), which documents each one; an
-/// Exhaustive or Bounded search with the metric registry enabled exports
-/// the same counters to it, in deltas, under the same names.
+/// CFC_SEARCH_COUNTERS (obs/metrics.h), which documents each one; a
+/// search of any strategy with the metric registry enabled exports the
+/// same counters to it, in deltas, under the same names.
 struct ExploreStats {
 #define CFC_EXPLORE_STATS_MEMBER(id) std::uint64_t id = 0;
   CFC_SEARCH_COUNTERS(CFC_EXPLORE_STATS_MEMBER)
@@ -191,9 +191,12 @@ struct ExploreObjective {
 /// Parallelism: the planner's work items partition the tree below its
 /// horizon into independent subtrees. Workers claim item indices from one
 /// shared atomic counter, the same dispenser ExperimentRunner::parallel_for
-/// uses, and each runs its items on one private Sim. Per-item results
-/// reduce in item index order, so reports are bit-identical for every
-/// thread count.
+/// uses, and each runs its items on one private Sim. Random seeds are
+/// items of the same loop: a seed rewinds the worker's Sim to the run
+/// start and drives a RandomScheduler, with no planner and no DFS. Per-item
+/// results reduce in item index order, so reports are bit-identical for
+/// every thread count, and every strategy flushes the same counters to the
+/// metric registry.
 class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle
@@ -221,14 +224,14 @@ class Explorer {
 
   explicit Explorer(Config cfg);
 
-  /// Runs the exploration: Random runs one schedule per seed; Exhaustive
-  /// and Bounded run the planner, then the work items on the runner's
-  /// workers. `runner == nullptr` uses the shared pool.
+  /// Runs the exploration: Exhaustive and Bounded run the planner, then
+  /// its work items; Random's items are its seeds, one schedule each. The
+  /// items run on the runner's workers through one loop, each worker on
+  /// one Sim rewound between items. `runner == nullptr` uses the shared
+  /// pool.
   [[nodiscard]] Result run(ExperimentRunner* runner = nullptr) const;
 
  private:
-  [[nodiscard]] Result run_random_strategy(ExperimentRunner* runner) const;
-
   Config cfg_;
 };
 

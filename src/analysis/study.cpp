@@ -212,14 +212,18 @@ void fill_search_stats(StudyResult& out, const Explorer::Result& r,
                   !r.stats.state_budget_hit;
 }
 
-/// Mutex contention-free measurement (Section 2.2): one solo session per
-/// measured pid; max over pids. Each cell is one block of
-/// detail::kCfPidBlock consecutive pids (detail::measure_mutex_cf_block),
-/// so a solo run costs its own work rather than a fresh n-process setup.
-class MutexCfTask final : public MeasureTask {
+/// Contention-free measurement (Section 2.2), for mutexes and detectors
+/// alike: one solo run per measured pid; max over pids. Each cell is one
+/// block of detail::kCfPidBlock consecutive pids on one rewound Sim, so a
+/// solo run costs its own work rather than a fresh n-process setup. The
+/// kind's block function (detail::measure_mutex_cf_block or
+/// detail::measure_detector_cf_block) is fixed when the campaign is
+/// planned (cf_block).
+class CfTask final : public MeasureTask {
  public:
-  MutexCfTask(MutexFactory make, int n, AccessPolicy policy, int pid_limit)
-      : make_(std::move(make)), n_(n), policy_(policy) {
+  using BlockFn = std::function<std::vector<detail::CfPid>(Pid, Pid)>;
+
+  CfTask(BlockFn block, int pid_limit) : block_(std::move(block)) {
     cells_.resize(static_cast<std::size_t>(pid_limit));
   }
 
@@ -231,16 +235,14 @@ class MutexCfTask final : public MeasureTask {
     const std::size_t first = block * detail::kCfPidBlock;
     const std::size_t last =
         std::min(first + detail::kCfPidBlock, cells_.size());
-    const std::vector<detail::MutexCfPid> pids =
-        detail::measure_mutex_cf_block(make_, n_, policy_,
-                                       static_cast<Pid>(first),
-                                       static_cast<Pid>(last));
+    const std::vector<detail::CfPid> pids =
+        block_(static_cast<Pid>(first), static_cast<Pid>(last));
     std::copy(pids.begin(), pids.end(),
               cells_.begin() + static_cast<std::ptrdiff_t>(first));
   }
 
   void reduce() override {
-    for (const detail::MutexCfPid& cell : cells_) {  // index order
+    for (const detail::CfPid& cell : cells_) {  // index order
       session_ = session_.max_with(cell.session);
       entry_ = entry_.max_with(cell.entry);
       exit_ = exit_.max_with(cell.exit);
@@ -257,31 +259,29 @@ class MutexCfTask final : public MeasureTask {
   }
 
  private:
-  MutexFactory make_;
-  int n_;
-  AccessPolicy policy_;
-  std::vector<detail::MutexCfPid> cells_;  ///< one per measured pid
+  BlockFn block_;
+  std::vector<detail::CfPid> cells_;  ///< one per measured pid
   ComplexityReport session_;
   ComplexityReport entry_;
   ComplexityReport exit_;
   int atomicity_ = 0;
 };
 
-}  // namespace
-
-namespace detail {
-
-std::vector<MutexCfPid> measure_mutex_cf_block(const MutexFactory& make,
-                                               int n, AccessPolicy policy,
-                                               Pid first, Pid last) {
+/// The solo runs of pids [first, last) on ONE Sim and ONE streaming
+/// accumulator, shared by both kinds' blocks (see detail's block docs):
+/// `setup` builds the subject, then every pid after the first starts from
+/// Sim::rewind_to(0), and `read(sim, acc, pid, outcome)` checks and reads
+/// one solo run.
+template <typename Setup, typename Read>
+std::vector<detail::CfPid> solo_block(int n, Pid first, Pid last,
+                                      const Setup& setup, const Read& read) {
   Sim sim;
   sim.set_trace_recording(false);
-  sim.set_access_policy(policy);
   MeasureAccumulator acc(n);
   sim.add_sink(acc);
-  auto alg = setup_mutex(sim, make, n, /*sessions=*/1);
+  const auto owner = setup(sim);
   sim.mark_rewind_base();
-  std::vector<MutexCfPid> out;
+  std::vector<detail::CfPid> out;
   out.reserve(static_cast<std::size_t>(std::max(0, last - first)));
   for (Pid pid = first; pid < last; ++pid) {
     if (pid != first) {
@@ -291,87 +291,62 @@ std::vector<MutexCfPid> measure_mutex_cf_block(const MutexFactory& make,
       sim.rewind_to(0);
     }
     SoloScheduler solo(pid);
-    if (drive(sim, solo) == RunOutcome::BudgetExhausted) {
-      throw std::logic_error(
-          "solo mutex session did not terminate (weak deadlock freedom "
-          "violated)");
-    }
-    if (acc.contention_free_session_count(pid) != 1) {
-      throw std::logic_error("expected exactly one contention-free session");
-    }
-    MutexCfPid& cell = out.emplace_back();
-    cell.session = acc.contention_free_session_max(pid);
-    cell.entry = acc.clean_entry_max(pid);
-    cell.exit = acc.exit_max(pid);
-    cell.atomicity = acc.total(pid).atomicity;
+    out.push_back(read(sim, acc, pid, drive(sim, solo)));
   }
   return out;
+}
+
+}  // namespace
+
+namespace detail {
+
+std::vector<CfPid> measure_mutex_cf_block(const MutexFactory& make, int n,
+                                          AccessPolicy policy, Pid first,
+                                          Pid last) {
+  return solo_block(
+      n, first, last,
+      [&](Sim& sim) {
+        sim.set_access_policy(policy);
+        return setup_mutex(sim, make, n, /*sessions=*/1);
+      },
+      [](const Sim&, const MeasureAccumulator& acc, Pid pid,
+         RunOutcome outcome) {
+        if (outcome == RunOutcome::BudgetExhausted) {
+          throw std::logic_error(
+              "solo mutex session did not terminate (weak deadlock freedom "
+              "violated)");
+        }
+        if (acc.contention_free_session_count(pid) != 1) {
+          throw std::logic_error(
+              "expected exactly one contention-free session");
+        }
+        return CfPid{acc.contention_free_session_max(pid),
+                     acc.clean_entry_max(pid), acc.exit_max(pid),
+                     acc.total(pid).atomicity};
+      });
+}
+
+std::vector<CfPid> measure_detector_cf_block(const DetectorFactory& make,
+                                             int n, Pid first, Pid last) {
+  return solo_block(
+      n, first, last,
+      [&](Sim& sim) { return setup_detection(sim, make, n); },
+      [](const Sim& sim, const MeasureAccumulator& acc, Pid pid,
+         RunOutcome outcome) {
+        if (sim.output(pid) != 1) {
+          throw std::logic_error(
+              "solo detector process did not output 1 (broken detector)");
+        }
+        ComplexityReport run = acc.total(pid);
+        run.truncated = run.truncated ||
+                        outcome == RunOutcome::BudgetExhausted;
+        return CfPid{run, {}, {}, run.atomicity};
+      });
 }
 
 }  // namespace detail
 
 namespace {
-
-/// One solo detector run of `pid`, measured streaming: the max whole-run
-/// complexity over all processes, `truncated` set on budget exhaustion.
-/// Throws std::logic_error when the solo process does not output 1 (a
-/// broken detector).
-ComplexityReport run_detector_solo(const DetectorFactory& make, int n,
-                                   Pid pid) {
-  Sim sim;
-  sim.set_trace_recording(false);
-  MeasureAccumulator acc(n);
-  sim.add_sink(acc);
-  auto det = setup_detection(sim, make, n);
-  SoloScheduler solo(pid);
-  if (drive(sim, solo) == RunOutcome::BudgetExhausted) {
-    acc.mark_truncated();  // surfaced as ComplexityReport::truncated
-  }
-  if (sim.output(pid) != 1) {
-    throw std::logic_error(
-        "solo detector process did not output 1 (broken detector)");
-  }
-  ComplexityReport best;
-  for (Pid p = 0; p < n; ++p) {
-    best = best.max_with(acc.total(p));
-  }
-  return best;
-}
-
-/// Detector contention-free measurement: one solo run per process.
-class DetectorCfTask final : public MeasureTask {
- public:
-  DetectorCfTask(DetectorFactory make, int n) : make_(std::move(make)) {
-    cells_.resize(static_cast<std::size_t>(n));
-  }
-
-  [[nodiscard]] std::size_t cell_count() const override {
-    return cells_.size();
-  }
-
-  void measure_cell(std::size_t i, ExperimentRunner&) override {
-    cells_[i] = run_detector_solo(make_, static_cast<int>(cells_.size()),
-                                  static_cast<Pid>(i));
-  }
-
-  void reduce() override {
-    for (const ComplexityReport& cell : cells_) {
-      best_ = best_.max_with(cell);
-    }
-  }
-
-  void apply(StudyResult& out) const override {
-    out.has_cf = true;
-    out.cf = best_;
-    out.measured_atomicity = std::max(out.measured_atomicity,
-                                      best_.atomicity);
-  }
-
- private:
-  DetectorFactory make_;
-  std::vector<ComplexityReport> cells_;
-  ComplexityReport best_;
-};
 
 /// Mutex or detector worst-case search: one cell running the
 /// schedule-space Explorer (which fans its own work items or seeds over the
@@ -583,6 +558,22 @@ ResolvedSubject resolve(const StudySpec& spec) {
   return r;
 }
 
+/// The contention-free block function of a mutex or detector spec: the
+/// kind's setup and per-pid read (detail::measure_*_cf_block).
+CfTask::BlockFn cf_block(const StudySpec& spec,
+                         const ResolvedSubject& subject) {
+  const int n = spec.procs;
+  if (spec.study_kind == StudyKind::Mutex) {
+    return [make = subject.mutex, n, policy = spec.access](Pid first,
+                                                           Pid last) {
+      return detail::measure_mutex_cf_block(make, n, policy, first, last);
+    };
+  }
+  return [make = subject.detector, n](Pid first, Pid last) {
+    return detail::measure_detector_cf_block(make, n, first, last);
+  };
+}
+
 /// The worst-case search of a mutex or detector spec: the spec's strategy
 /// and budgets, the kind's setup followed by the crash injection, and the
 /// kind's objective.
@@ -770,60 +761,47 @@ std::vector<StudyResult> Campaign::run(ExperimentRunner* runner,
       return base.empty() ? std::string() : base + '|' + suffix;
     };
 
-    switch (spec.study_kind) {
-      case StudyKind::Mutex: {
-        if (spec.want_cf) {
-          const int pid_limit = effective_pid_limit(spec);
-          bindings[i].cf = intern(
-              keyed("cf|policy=" +
-                    std::to_string(static_cast<int>(spec.access)) +
-                    "|pids=" + std::to_string(pid_limit)),
-              [&] {
-                return std::make_unique<MutexCfTask>(
-                    subject.mutex, spec.procs, spec.access, pid_limit);
-              });
-        }
-        if (spec.want_wc) {
-          bindings[i].wc = intern(
-              keyed("wc|sessions=" + std::to_string(spec.mutex_sessions) +
-                    '|' + search_key(spec.search)),
-              [&] {
-                return std::make_unique<WcTask>(
-                    spec.study_kind, wc_search_config(spec, subject));
-              });
-        }
-        break;
-      }
-      case StudyKind::Naming: {
-        // One battery task covers both measures; a cf-only spec runs just
-        // the sequential cell.
-        MeasureTask* task = intern(
-            keyed(std::string("battery|wc=") + (spec.want_wc ? '1' : '0') +
-                  "|seeds=" + seeds_key(spec.search.seeds)),
-            [&] {
-              return std::make_unique<NamingTask>(
-                  subject.naming, spec.procs, spec.search.seeds,
-                  spec.want_wc, subject.name);
-            });
-        bindings[i].cf = task;
-        bindings[i].wc = spec.want_wc ? task : nullptr;
-        break;
-      }
-      case StudyKind::Detector: {
-        if (spec.want_cf) {
-          bindings[i].cf = intern(keyed("cf"), [&] {
-            return std::make_unique<DetectorCfTask>(subject.detector,
-                                                    spec.procs);
+    if (spec.study_kind == StudyKind::Naming) {
+      // One battery task covers both measures; a cf-only spec runs just
+      // the sequential cell.
+      MeasureTask* task = intern(
+          keyed(std::string("battery|wc=") + (spec.want_wc ? '1' : '0') +
+                "|seeds=" + seeds_key(spec.search.seeds)),
+          [&] {
+            return std::make_unique<NamingTask>(
+                subject.naming, spec.procs, spec.search.seeds, spec.want_wc,
+                subject.name);
           });
-        }
-        if (spec.want_wc) {
-          bindings[i].wc = intern(keyed("wc|" + search_key(spec.search)), [&] {
+      bindings[i].cf = task;
+      bindings[i].wc = spec.want_wc ? task : nullptr;
+      continue;
+    }
+    // Mutex or detector: the kind's cf block function and search config
+    // are picked here; the tasks are the same.
+    const bool mutex = spec.study_kind == StudyKind::Mutex;
+    if (spec.want_cf) {
+      // Detectors measure every pid (pid sampling is a mutex option).
+      const int pid_limit = mutex ? effective_pid_limit(spec) : spec.procs;
+      bindings[i].cf = intern(
+          keyed(mutex ? "cf|policy=" +
+                            std::to_string(static_cast<int>(spec.access)) +
+                            "|pids=" + std::to_string(pid_limit)
+                      : std::string("cf")),
+          [&] {
+            return std::make_unique<CfTask>(cf_block(spec, subject),
+                                            pid_limit);
+          });
+    }
+    if (spec.want_wc) {
+      bindings[i].wc = intern(
+          keyed((mutex ? "wc|sessions=" +
+                             std::to_string(spec.mutex_sessions) + '|'
+                       : std::string("wc|")) +
+                search_key(spec.search)),
+          [&] {
             return std::make_unique<WcTask>(spec.study_kind,
                                             wc_search_config(spec, subject));
           });
-        }
-        break;
-      }
     }
   }
 

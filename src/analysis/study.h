@@ -250,9 +250,9 @@ struct CampaignStats {
 };
 
 /// A batch of studies executed as one flat cell grid: every spec's
-/// independent cells (contention-free solo runs in blocks of
-/// detail::kCfPidBlock pids on one rewound Sim, per-schedule naming and
-/// detector runs, whole searches) are interleaved round-robin across specs
+/// independent cells (mutex and detector contention-free solo runs in
+/// blocks of detail::kCfPidBlock pids on one rewound Sim, per-schedule
+/// naming runs, whole searches) are interleaved round-robin across specs
 /// and fanned over ONE ExperimentRunner::parallel_for — no per-spec
 /// barriers — then reduced per spec in a fixed order. Identical
 /// measurement requests from different specs (same registry subject, kind,
@@ -304,17 +304,21 @@ struct StudyJsonOptions {
 
 namespace detail {
 
-/// Pids per contention-free mutex cell: a Campaign measures a mutex cf
-/// study in blocks of this many consecutive pids, one cell each.
+/// Pids per contention-free cell: a Campaign measures a mutex or detector
+/// cf study in blocks of this many consecutive pids, one cell each.
 inline constexpr std::size_t kCfPidBlock = 64;
 
-/// The contention-free measures of one pid's solo session (Section 2.2).
-struct MutexCfPid {
-  ComplexityReport session;  ///< the contention-free session
-  ComplexityReport entry;    ///< its clean entry window
-  ComplexityReport exit;     ///< its exit window
-  int atomicity = 0;         ///< widest register the session accessed
+/// The contention-free measures of one pid's solo run (Section 2.2). A
+/// mutex pid's session is its contention-free session, refined by its
+/// clean entry and exit windows; a detector pid's session is its whole
+/// solo run, and its entry/exit stay zero.
+struct CfPid {
+  ComplexityReport session;  ///< the contention-free session / solo run
+  ComplexityReport entry;    ///< its clean entry window (mutex)
+  ComplexityReport exit;     ///< its exit window (mutex)
+  int atomicity = 0;         ///< widest register the run accessed
 };
+using MutexCfPid = CfPid;  ///< a mutex pid: all four fields measured
 
 /// Internal: one contention-free mutex cell — the solo sessions of pids
 /// [first, last) on ONE Sim and ONE streaming accumulator. The Sim is
@@ -330,9 +334,18 @@ struct MutexCfPid {
 /// again for the next. Throws std::logic_error when a solo session
 /// exhausts its step budget or does not complete exactly one
 /// contention-free session.
-[[nodiscard]] std::vector<MutexCfPid> measure_mutex_cf_block(
+[[nodiscard]] std::vector<CfPid> measure_mutex_cf_block(
     const MutexFactory& make, int n, AccessPolicy policy, Pid first,
     Pid last);
+
+/// Internal: one contention-free detector cell — the solo runs of pids
+/// [first, last), on one Sim and one accumulator exactly as
+/// measure_mutex_cf_block (a detector process has no sections, and each
+/// pid's whole-run total starts fresh). A run cut by its step budget is
+/// reported truncated. Throws std::logic_error when a solo process does
+/// not output 1 (a broken detector).
+[[nodiscard]] std::vector<CfPid> measure_detector_cf_block(
+    const DetectorFactory& make, int n, Pid first, Pid last);
 
 }  // namespace detail
 

@@ -103,49 +103,4 @@ bool completes_solo_sessions(const MutexFactory& make, int n,
   return run_sequentially(sim, budget);
 }
 
-namespace {
-
-/// Depth-first enumeration of all two-process schedules by prefix replay:
-/// each tree node replays its pid prefix on a fresh simulation, then
-/// branches on every runnable pid. O(nodes * depth) simulator steps.
-void exhaustive_dfs(const MutexFactory& make, int sessions, int max_depth,
-                    std::vector<Pid>& prefix, ExhaustiveResult& out) {
-  Sim sim;
-  auto alg = setup_mutex(sim, make, 2, sessions);
-  try {
-    for (const Pid p : prefix) {
-      sim.step(p);
-    }
-  } catch (const MutualExclusionViolation&) {
-    out.violations += 1;
-    return;
-  }
-  if (sim.all_done()) {
-    out.completed_runs += 1;
-    return;
-  }
-  if (static_cast<int>(prefix.size()) >= max_depth) {
-    out.truncated_runs += 1;
-    return;
-  }
-  for (Pid p = 0; p < 2; ++p) {
-    if (!sim.runnable(p)) {
-      continue;
-    }
-    prefix.push_back(p);
-    exhaustive_dfs(make, sessions, max_depth, prefix, out);
-    prefix.pop_back();
-  }
-}
-
-}  // namespace
-
-ExhaustiveResult exhaustive_two_process(const MutexFactory& make, int sessions,
-                                        int max_depth) {
-  ExhaustiveResult out;
-  std::vector<Pid> prefix;
-  exhaustive_dfs(make, sessions, max_depth, prefix, out);
-  return out;
-}
-
 }  // namespace cfc

@@ -8,6 +8,12 @@
 
 namespace cfc {
 
+/// Safety and liveness checks over chosen schedule families. Exhaustive
+/// safety within a depth bound is not here: the schedule-space Explorer
+/// (analysis/explorer.h) with ReductionPolicy::Off and no objective counts
+/// the completed runs, truncated runs and mutual-exclusion violations of
+/// every interleaving, at any n.
+
 /// Result of a systematic bounded-preemption exploration.
 struct ExplorationResult {
   std::uint64_t plans_run = 0;        ///< schedules executed
@@ -26,7 +32,9 @@ struct ExplorationResult {
 ///
 /// This is a preemption-bounded model check: empirically, classic mutex
 /// races are exposed by schedules with very few context switches, so small
-/// bounds give high confidence at polynomial cost.
+/// bounds give high confidence at polynomial cost. Unlike the Explorer's
+/// Bounded strategy, every plan ends in a fair round-robin finish, so the
+/// same runs also check liveness (incomplete_runs).
 [[nodiscard]] ExplorationResult explore_bounded_preemption(
     const MutexFactory& make, int n, int sessions, int max_segments,
     int max_segment_len, std::uint64_t finish_budget = 100'000);
@@ -43,24 +51,6 @@ struct ExplorationResult {
 /// other and returns true iff all complete (weak deadlock freedom).
 [[nodiscard]] bool completes_solo_sessions(const MutexFactory& make, int n,
                                            std::uint64_t budget = 100'000);
-
-/// Result of the exhaustive bounded-depth interleaving enumeration.
-struct ExhaustiveResult {
-  std::uint64_t completed_runs = 0;  ///< schedules where both finished
-  std::uint64_t truncated_runs = 0;  ///< schedules cut off at max_depth
-  std::uint64_t violations = 0;      ///< mutual-exclusion violations
-};
-
-/// Enumerates EVERY two-process schedule up to `max_depth` scheduler picks
-/// (a complete binary tree of interleavings, each replayed from the initial
-/// state) and checks the mutual-exclusion invariant along every one.
-/// Schedules still running at the depth bound count as truncated — for
-/// waiting algorithms (which admit unbounded spins) truncation is
-/// unavoidable, but every *reachable prefix* up to the bound is covered,
-/// which subsumes the preemption-bounded search at the same depth.
-[[nodiscard]] ExhaustiveResult exhaustive_two_process(const MutexFactory& make,
-                                                      int sessions,
-                                                      int max_depth);
 
 }  // namespace cfc
 

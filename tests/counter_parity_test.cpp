@@ -2,11 +2,12 @@
 // in obs/metrics.h) and reaches both the search's ExploreStats and the
 // global MetricRegistry. With the registry enabled, its snapshot after one
 // search must equal that search's ExploreStats for every listed counter —
-// under source-DPOR, under Off (the unreduced oracle) and under a
-// preemption bound, at 1 and 4 threads — while the search itself is the
-// same with the registry on or off.
+// under source-DPOR, under Off (the unreduced oracle), under a preemption
+// bound and for Random seeds, at 1 and 4 threads — while the search itself
+// is the same with the registry on or off.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -37,6 +38,11 @@ Explorer::Config config(const Case& c) {
   cfg.limits.max_depth = c.depth;
   cfg.limits.max_preemptions = c.preemptions;
   cfg.limits.reduction = c.reduction;
+  if (c.strategy == SearchStrategy::Random) {
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      cfg.seeds.push_back(seed);
+    }
+  }
   const MutexFactory make =
       AlgorithmRegistry::instance().mutex("peterson-tree").factory;
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {
@@ -62,7 +68,8 @@ class CounterParity : public ::testing::TestWithParam<Case> {
 
 TEST_P(CounterParity, RegistrySnapshotEqualsExploreStats) {
   const Case& c = GetParam();
-  const Explorer explorer(config(c));
+  const Explorer::Config cfg = config(c);
+  const Explorer explorer(cfg);
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   for (const int threads : {1, 4}) {
     ExperimentRunner runner(threads);
@@ -82,6 +89,14 @@ TEST_P(CounterParity, RegistrySnapshotEqualsExploreStats) {
       EXPECT_EQ(quiet.stats.*f.member, r.stats.*f.member)
           << c.label << " threads=" << threads << " counter " << name
           << " changed with the registry on";
+    }
+    if (c.strategy == SearchStrategy::Random) {
+      // Not vacuous: every seed ran and stepped.
+      EXPECT_GT(r.stats.states_visited, 0u) << c.label;
+      EXPECT_EQ(r.stats.runs_completed + r.stats.runs_truncated,
+                cfg.seeds.size())
+          << c.label;
+      continue;
     }
     // The searches are not vacuous: they span several work items and
     // restore at branching nodes.
@@ -106,7 +121,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"OffExhaustive", SearchStrategy::Exhaustive,
                            ReductionPolicy::Off, 16, -1},
                       Case{"Bounded", SearchStrategy::Bounded,
-                           ReductionPolicy::Off, 20, 3}),
+                           ReductionPolicy::Off, 20, 3},
+                      Case{"Random", SearchStrategy::Random,
+                           ReductionPolicy::Off, 0, -1}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return info.param.label;
     });

@@ -1,8 +1,9 @@
 // Exploration correctness: the bounded exhaustive explorer must (a) certify
 // worst-case values no smaller than any random search over the same
 // configuration, (b) reproduce the contention the scripted Lemma-2 merge
-// adversary constructs, (c) be bit-identical across thread counts, and
-// (d) still find safety violations.
+// adversary constructs, (c) be bit-identical across thread counts,
+// (d) still find safety violations, and (e) run Random seeds exactly as a
+// fresh simulation per seed would.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,8 +14,11 @@
 #include "core/adversary.h"
 #include "core/algorithm_registry.h"
 #include "core/contention_detection.h"
+#include "core/streaming_measures.h"
 #include "mutex/peterson.h"
 #include "mutex/tas_lock.h"
+#include "obs/metrics.h"
+#include "sched/sched.h"
 
 namespace cfc {
 namespace {
@@ -377,6 +381,109 @@ TEST(Explorer, WideFanOutStaysUnderTheWorkItemCap) {
     EXPECT_LE(r.stats.work_items, 4096u) << "n=" << c.n;
     EXPECT_FALSE(r.stats.state_budget_hit) << "n=" << c.n;
   }
+}
+
+TEST(Explorer, RandomMatchesAFreshSimPerSeed) {
+  // Random seeds run as work items on one rewound Sim per worker; every
+  // counter and the objective maxima must equal one freshly built Sim per
+  // seed, driven by hand. Budget 14 cuts most peterson-tree runs short;
+  // 200 lets most lamport-fast runs complete.
+  struct RandomCell {
+    const char* subject;
+    int n;
+    std::uint64_t budget;
+  };
+  const auto eval = [](const Sim& sim, const MeasureAccumulator& acc) {
+    ComplexityReport entry;
+    ComplexityReport exit;
+    for (Pid pid = 0; pid < sim.process_count(); ++pid) {
+      entry = entry.max_with(acc.clean_entry_max(pid));
+      exit = exit.max_with(acc.exit_max(pid));
+    }
+    return std::vector<ComplexityReport>{entry, exit};
+  };
+  const auto expect_same = [](const ComplexityReport& a,
+                              const ComplexityReport& b,
+                              const std::string& what) {
+    EXPECT_EQ(a.steps, b.steps) << what;
+    EXPECT_EQ(a.registers, b.registers) << what;
+    EXPECT_EQ(a.read_steps, b.read_steps) << what;
+    EXPECT_EQ(a.write_steps, b.write_steps) << what;
+    EXPECT_EQ(a.read_registers, b.read_registers) << what;
+    EXPECT_EQ(a.write_registers, b.write_registers) << what;
+    EXPECT_EQ(a.atomicity, b.atomicity) << what;
+    EXPECT_EQ(a.truncated, b.truncated) << what;
+  };
+  std::uint64_t completed = 0;
+  std::uint64_t truncated = 0;
+  for (const RandomCell c : {RandomCell{"peterson-tree", 3, 14},
+                             RandomCell{"lamport-fast", 3, 200}}) {
+    const MutexFactory make =
+        AlgorithmRegistry::instance().mutex(c.subject).factory;
+    Explorer::Config cfg;
+    cfg.nprocs = c.n;
+    cfg.strategy = SearchStrategy::Random;
+    cfg.random_budget = c.budget;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      cfg.seeds.push_back(seed);
+    }
+    cfg.setup = [make, n = c.n](Sim& sim) -> std::shared_ptr<void> {
+      return setup_mutex(sim, make, n, 1);
+    };
+    cfg.objective.eval = eval;
+
+    // The reference: one fresh Sim per seed.
+    ExploreStats ref;
+    std::vector<ComplexityReport> ref_best;
+    for (const std::uint64_t seed : cfg.seeds) {
+      Sim sim;
+      const auto owner = setup_mutex(sim, make, c.n, 1);
+      sim.set_trace_recording(false);
+      MeasureAccumulator acc(c.n);
+      sim.add_sink(acc);
+      RandomScheduler rnd(seed);
+      const RunOutcome out = drive(sim, rnd, RunLimits{c.budget});
+      ref.states_visited += sim.schedule_log().size();
+      if (out == RunOutcome::BudgetExhausted) {
+        acc.mark_truncated();
+        ++ref.runs_truncated;
+        ref.truncated = true;
+      } else {
+        ++ref.runs_completed;
+      }
+      const std::vector<ComplexityReport> leaf = eval(sim, acc);
+      if (ref_best.empty()) {
+        ref_best = leaf;
+      } else {
+        for (std::size_t i = 0; i < leaf.size(); ++i) {
+          ref_best[i] = ref_best[i].max_with(leaf[i]);
+        }
+      }
+    }
+    completed += ref.runs_completed;
+    truncated += ref.runs_truncated;
+
+    for (const int threads : {1, 4}) {
+      ExperimentRunner runner(threads);
+      const Explorer::Result r = Explorer(cfg).run(&runner);
+      const std::string what =
+          std::string(c.subject) + " threads=" + std::to_string(threads);
+      for (const ExploreStatsField& f : explore_stats_fields()) {
+        EXPECT_EQ(r.stats.*f.member, ref.*f.member)
+            << what << " counter " << obs::metric_desc(f.metric).name;
+      }
+      EXPECT_EQ(r.stats.truncated, ref.truncated) << what;
+      EXPECT_FALSE(r.stats.state_budget_hit) << what;
+      ASSERT_EQ(r.best.size(), ref_best.size()) << what;
+      for (std::size_t i = 0; i < ref_best.size(); ++i) {
+        expect_same(r.best[i], ref_best[i],
+                    what + " best[" + std::to_string(i) + "]");
+      }
+    }
+  }
+  // Both leaf kinds are exercised.
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(truncated, 0u);
 }
 
 TEST(Explorer, VisitedPruningOnlyDropsRedundantWork) {

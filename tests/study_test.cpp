@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -282,6 +283,111 @@ TEST(StudyDifferential, SampledCfBlocksMatchFreshSimPerPid) {
     expect_reports_equal(r.cf_entry, ref.entry, what + " study entry");
     expect_reports_equal(r.cf_exit, ref.exit, what + " study exit");
     EXPECT_EQ(r.measured_atomicity, ref.atomicity) << what;
+  }
+}
+
+// --- Differential: detector cf blocks equal a fresh Sim per pid. ---
+
+/// One solo detector run of `pid` on a freshly built Sim: pid's whole-run
+/// total, truncated when the run exhausted its budget.
+ComplexityReport fresh_detector_solo(const DetectorFactory& make, int n,
+                                     Pid pid) {
+  Sim sim;
+  sim.set_trace_recording(false);
+  MeasureAccumulator acc(n);
+  sim.add_sink(acc);
+  auto det = setup_detection(sim, make, n);
+  SoloScheduler solo(pid);
+  const bool cut = drive(sim, solo) == RunOutcome::BudgetExhausted;
+  EXPECT_EQ(sim.output(pid), 1);
+  ComplexityReport r = acc.total(pid);
+  r.truncated = r.truncated || cut;
+  return r;
+}
+
+/// A solo-only detector whose cost grows with the runs before it on the
+/// same memory (it reads a run counter once per earlier run) — the
+/// detector analogue of SessionCountingLock. It always outputs 1, so it is
+/// no detector under contention; only its solo runs are measured.
+class RunCountingDetector final : public Detector {
+ public:
+  explicit RunCountingDetector(RegisterFile& mem)
+      : count_(mem.add_register("runs", 16)) {}
+
+  Task<void> detect(ProcessContext& ctx, int /*slot*/) override {
+    const Value before = co_await ctx.read(count_);
+    for (Value i = 0; i < before; ++i) {
+      co_await ctx.read(count_);
+    }
+    co_await ctx.write(count_, before + 1);
+    ctx.set_output(1);
+  }
+  [[nodiscard]] int capacity() const override { return 1 << 16; }
+  [[nodiscard]] int atomicity() const override { return 16; }
+  [[nodiscard]] std::string algorithm_name() const override {
+    return "run-counting-detector";
+  }
+
+ private:
+  RegId count_;
+};
+
+TEST(StudyDifferential, DetectorCfBlocksMatchFreshSimPerPid) {
+  std::vector<std::pair<std::string, DetectorFactory>> subjects;
+  for (const DetectorAlgorithmEntry* e :
+       AlgorithmRegistry::instance().detector_algorithms()) {
+    subjects.emplace_back(e->info.name, e->factory);
+  }
+  EXPECT_FALSE(subjects.empty());
+  subjects.emplace_back("run-counting-detector",
+                        [](RegisterFile& mem, int) {
+                          return std::make_unique<RunCountingDetector>(mem);
+                        });
+  for (const int n : {2, 3, 4, 8, 64, 65}) {
+    for (const auto& [name, make] : subjects) {
+      Sim probe;
+      if (make(probe.memory(), n)->capacity() < n) {
+        continue;
+      }
+      const std::string what = name + " n=" + std::to_string(n);
+      ComplexityReport best;
+      const auto limit = static_cast<std::size_t>(n);
+      for (std::size_t first = 0; first < limit;
+           first += detail::kCfPidBlock) {
+        const std::size_t last = std::min(first + detail::kCfPidBlock, limit);
+        const std::vector<detail::CfPid> block =
+            detail::measure_detector_cf_block(make, n,
+                                              static_cast<Pid>(first),
+                                              static_cast<Pid>(last));
+        ASSERT_EQ(block.size(), last - first) << what;
+        for (std::size_t i = first; i < last; ++i) {
+          const ComplexityReport ref =
+              fresh_detector_solo(make, n, static_cast<Pid>(i));
+          const detail::CfPid& got = block[i - first];
+          const std::string at = what + " pid " + std::to_string(i);
+          expect_reports_equal(got.session, ref, at + " run");
+          expect_reports_equal(got.entry, ComplexityReport{}, at + " entry");
+          expect_reports_equal(got.exit, ComplexityReport{}, at + " exit");
+          EXPECT_EQ(got.atomicity, ref.atomicity) << at;
+          best = best.max_with(ref);
+        }
+      }
+      // The study reads the same blocks: one cell per 64 pids.
+      CampaignStats stats;
+      const StudyResult r =
+          Campaign()
+              .add(StudySpec::of(name)
+                       .kind(StudyKind::Detector)
+                       .n(n)
+                       .factory(make)
+                       .contention_free())
+              .run(nullptr, &stats)[0];
+      EXPECT_EQ(stats.cells, (limit + detail::kCfPidBlock - 1) /
+                                 detail::kCfPidBlock)
+          << what;
+      expect_reports_equal(r.cf, best, what + " study cf");
+      EXPECT_EQ(r.measured_atomicity, best.atomicity) << what;
+    }
   }
 }
 
