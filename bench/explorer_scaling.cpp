@@ -258,9 +258,10 @@ int main(int argc, char** argv) {
 
   // --- 1. Exhaustive DFS throughput over depth, with the restore cost
   // model's counters: every DFS node with k > 1 branches pays k-1
-  // restores, each rewinding the live Sim to the node's mark and
-  // value-replaying only the processes that acted below it — re-feeds per
-  // node is the knob that perf work on the restore path moves.
+  // restores, each rewinding the live Sim to the node's mark; only the
+  // processes that acted below it are value-replayed, each at its next
+  // step — re-feeds per node is the knob that perf work on the restore
+  // path moves.
   std::printf(
       "Exhaustive exploration throughput (Peterson, n=2, reduction=%s, "
       "min of %d):\n\n",

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -212,50 +213,90 @@ void BM_SectionChange(benchmark::State& state) {
 }
 BENCHMARK(BM_SectionChange)->Arg(8)->Arg(64)->Arg(1024);
 
-void BM_SourceDporNoteCut(benchmark::State& state) {
-  // The cut-point insertions at a depth-14 leaf of a peterson-tree n=6
-  // path: every process's NextStep and the enabled mask as the explorer
-  // captures them there, against fresh (all-zero) backtrack masks.
-  const int n = 6;
-  const int depth = 14;
+/// A depth-14 leaf of a peterson-tree n=6 path as the explorer's
+/// cut-point insertions see it: the race detector over the path, every
+/// process's NextStep and the enabled mask, and the backtrack masks the
+/// DFS leaves there — each node's taken branch plus the path's race
+/// insertions.
+struct CutLeaf {
+  static constexpr int kN = 6;
+  static constexpr int kDepth = 14;
   Sim sim;
-  sim.set_trace_recording(false);
-  auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/1);
-  SourceDpor dpor(n);
-  std::vector<std::uint32_t> bt(static_cast<std::size_t>(depth) + 1, 0);
-  RandomScheduler rnd(3);
-  for (int d = 0; d < depth; ++d) {
-    const std::optional<Pid> p = rnd.next(sim);
-    if (!p) {
-      state.SkipWithError("schedule ended before the cut depth");
-      return;
-    }
-    sim.step(*p);
-    dpor.push_step(d, sim.last_step_summary(), bt);
-  }
+  std::unique_ptr<MutexAlgorithm> alg;
+  SourceDpor dpor{kN};
+  std::vector<std::uint32_t> masks =
+      std::vector<std::uint32_t>(static_cast<std::size_t>(kDepth) + 1, 0);
   std::vector<NextStep> pends;
   std::uint32_t enabled = 0;
-  for (Pid p = 0; p < n; ++p) {
-    pends.push_back(next_step_of(sim, p));
-    if (sim.runnable(p)) {
-      enabled |= 1u << static_cast<unsigned>(p);
+
+  /// False when the schedule ended before the cut depth.
+  bool build() {
+    sim.set_trace_recording(false);
+    alg = setup_mutex(sim, peterson_tree(), kN, /*sessions=*/1);
+    RandomScheduler rnd(3);
+    for (int d = 0; d < kDepth; ++d) {
+      const std::optional<Pid> p = rnd.next(sim);
+      if (!p) {
+        return false;
+      }
+      masks[static_cast<std::size_t>(d)] |= 1u << static_cast<unsigned>(*p);
+      sim.step(*p);
+      dpor.push_step(d, sim.last_step_summary(), masks);
     }
+    for (Pid p = 0; p < kN; ++p) {
+      pends.push_back(next_step_of(sim, p));
+      if (sim.runnable(p)) {
+        enabled |= 1u << static_cast<unsigned>(p);
+      }
+    }
+    return true;
   }
-  std::vector<std::uint32_t> masks(bt.size());
+};
+
+void BM_SourceDporNoteCut(benchmark::State& state) {
+  // The cut-point insertions at the leaf against fresh (all-zero)
+  // backtrack masks: every owed insertion is new.
+  CutLeaf leaf;
+  if (!leaf.build()) {
+    state.SkipWithError("schedule ended before the cut depth");
+    return;
+  }
+  std::vector<std::uint32_t> masks(leaf.masks.size());
   for (auto _ : state) {
     std::fill(masks.begin(), masks.end(), 0u);
-    dpor.note_cut(enabled, pends, masks);
+    leaf.dpor.note_cut(leaf.enabled, leaf.pends, masks);
     benchmark::DoNotOptimize(masks.data());
   }
 }
 BENCHMARK(BM_SourceDporNoteCut);
 
+void BM_SourceDporNoteCutSteady(benchmark::State& state) {
+  // The same leaf in steady state: the masks the DFS leaves there (taken
+  // branches plus race insertions) after one cut has already inserted
+  // what it owes, as at every later sibling cut under the same nodes.
+  CutLeaf leaf;
+  if (!leaf.build()) {
+    state.SkipWithError("schedule ended before the cut depth");
+    return;
+  }
+  leaf.dpor.note_cut(leaf.enabled, leaf.pends, leaf.masks);
+  std::vector<std::uint32_t> masks(leaf.masks.size());
+  for (auto _ : state) {
+    std::copy(leaf.masks.begin(), leaf.masks.end(), masks.begin());
+    leaf.dpor.note_cut(leaf.enabled, leaf.pends, masks);
+    benchmark::DoNotOptimize(masks.data());
+  }
+}
+BENCHMARK(BM_SourceDporNoteCutSteady);
+
 void BM_SimRewindToMark(benchmark::State& state) {
   // A sibling restore deep in the DFS: rewind a peterson-tree path of 14
-  // units to its mark `range(0)` units back, at n = `range(1)`. Only the
-  // rewind is timed; re-stepping the suffix (so there is something to
-  // undo) is not. One unit back means one acting pid, so /1/8 and /1/1024
-  // side by side show what the rewind still pays per process in n.
+  // units to its mark `range(0)` units back, at n = `range(1)`, then take
+  // the next step of every process that acted past the mark — the step
+  // that pays the restored process's value replay. Only the rewind and
+  // those steps are timed; putting the suffix back (so there is something
+  // to undo) is not. One unit back means one acting pid, so /1/8 and
+  // /1/1024 side by side show what the rewind still pays per process in n.
   const auto back = static_cast<int>(state.range(0));
   const auto n = static_cast<int>(state.range(1));
   const int depth = 14;
@@ -269,11 +310,21 @@ void BM_SimRewindToMark(benchmark::State& state) {
   sim.capture_mark(mark);
   step_random(sim, rnd, back);
   const std::vector<ScheduleUnit> log = sim.schedule_log();
+  std::vector<Pid> touched;
+  for (std::size_t i = mark.prefix_len; i < log.size(); ++i) {
+    touched.push_back(log[i].pid);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(sim.rewind_to_mark(mark));
+    sim.rewind_to_mark(mark);
+    for (const Pid p : touched) {
+      sim.step(p);
+    }
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    sim.rewind_to_mark(mark);
     for (std::size_t i = mark.prefix_len; i < log.size(); ++i) {
       sim.step(log[i].pid);
     }

@@ -235,8 +235,8 @@ class CellExplorer {
   /// Starts one work item or seed: the first builds the worker's private
   /// Sim; later ones rewind it to the run start in place with a fresh
   /// accumulator. Repositioning is part of claiming the item, not a
-  /// sibling backtrack, so it counts into neither restores nor
-  /// value_replayed_steps.
+  /// sibling backtrack, so it does not count into restores; and the base
+  /// restore leaves every process unstarted, so nothing is replayed.
   void claim(Explorer::Result& out) {
     out_ = &out;
     begin_metrics();
@@ -250,6 +250,7 @@ class CellExplorer {
 
   void reset_sim() {
     sim_ = std::make_unique<Sim>();
+    replay_cursor_ = 0;
     owner_ = cfg_.setup(*sim_);
     sim_->set_trace_recording(false);
     sim_->mark_rewind_base();
@@ -270,9 +271,9 @@ class CellExplorer {
 
   /// Repositions the engine at the node checkpointed by capture_node at
   /// `depth`: the mark-based partial restore (Sim::rewind_to_mark) —
-  /// only processes that acted below the node are value-replayed,
-  /// counted in value_replayed_steps — plus the node's accumulator
-  /// snapshot.
+  /// only processes that acted below the node are value-replayed, at
+  /// their next step (flush_metrics counts the units into
+  /// value_replayed_steps) — plus the node's accumulator snapshot.
   void restore(int depth) {
     // Rewinds are far too frequent to record individually; sample 1/256
     // so traces show representative restore costs without drowning.
@@ -281,7 +282,7 @@ class CellExplorer {
         (rewind_tick_ & 0xffu) == 0u ? "explorer.rewind" : nullptr);
     ++out_->stats.restores;
     const auto d = static_cast<std::size_t>(depth);
-    out_->stats.value_replayed_steps += sim_->rewind_to_mark(mark_pool_[d]);
+    sim_->rewind_to_mark(mark_pool_[d]);
     acc_ = acc_pool_[d];  // the sink stays attached; plain-data restore
   }
 
@@ -421,7 +422,7 @@ class CellExplorer {
     ++nodes_;
     ++out_->stats.states_visited;
     if ((nodes_ & 0x1fffu) == 0u) {
-      flush_metrics();  // periodic export; one relaxed load when disabled
+      flush_metrics();  // periodic export; cheap when disabled
     }
     if (!sim_->any_runnable()) {
       leaf_completed();
@@ -597,13 +598,19 @@ class CellExplorer {
   /// zero).
   void begin_metrics() { flushed_ = ExploreStats{}; }
 
-  /// Exports the counter growth since the last flush into the global
+  /// First folds the Sim's value-replay growth since the last flush into
+  /// value_replayed_steps: restores defer the replay to each touched
+  /// process's next step, so the Sim counts it. Then
+  /// exports the counter growth since the last flush into the global
   /// registry. Deltas rather than totals so per-worker shard sums equal
   /// the true totals regardless of which worker ran what; a no-op (one
   /// relaxed load) while the registry is disabled. Reads out_->stats only
   /// — the registry never feeds back into the search, so enabling it
   /// cannot change any result.
   void flush_metrics() {
+    const std::uint64_t replayed = sim_->value_replayed_units();
+    out_->stats.value_replayed_steps += replayed - replay_cursor_;
+    replay_cursor_ = replayed;
     obs::MetricRegistry& m = obs::MetricRegistry::global();
     if (!m.enabled()) {
       return;
@@ -636,6 +643,9 @@ class CellExplorer {
   /// slot has no parent slot to derive from (capture_pendings).
   int root_depth_ = 0;
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
+  /// Sim::value_replayed_units() already counted (see flush_metrics); every
+  /// engine run ends with a flush, so the next one starts in sync.
+  std::uint64_t replay_cursor_ = 0;
   ExploreStats flushed_;  ///< metric-flush cursor (see flush_metrics)
   bool stop_ = false;
   bool sleep_sets_ = false;  ///< SourceDpor: sleep transfer + pend captures

@@ -176,16 +176,17 @@ struct ExploreObjective {
 /// stepping it, ordering branches continue-last-pid-first so the
 /// restore-free first descent walks the preemption-free spine. Coroutine
 /// frames cannot be copied, so every branching node captures a
-/// Sim::RewindMark (memory + digests, O(registers + processes)) and its
-/// MeasureAccumulator snapshot into per-depth pools. The snapshot is a
-/// flat copy: the per-process records are trivially copyable, so it is
-/// one memmove while every register id fits the RegIdSet mask (ids past
-/// it add their spill vectors). A sibling restore rewinds the live Sim to
-/// the mark in place (Sim::rewind_to_mark — only the processes that acted
-/// below the node are value-replayed, and only registers whose value
-/// differs are rewritten) and restores the accumulator by the same flat
-/// assignment. Source-DPOR workers capture every process's NextStep per
-/// node incrementally (the parent's captures plus the pid just stepped).
+/// Sim::RewindMark (memory + per-process state, O(registers + processes))
+/// and its MeasureAccumulator snapshot into per-depth pools. The snapshot
+/// is a flat copy: the per-process records are trivially copyable, so it
+/// is one memmove while every register id fits the RegIdSet mask (ids
+/// past it add their spill vectors). A sibling restore rewinds the live
+/// Sim to the mark in place (Sim::rewind_to_mark — only the processes
+/// that acted below the node are value-replayed, each at its next step,
+/// and only registers whose value differs are rewritten) and restores
+/// the accumulator by the same flat assignment. Source-DPOR workers
+/// capture every process's NextStep per node incrementally (the parent's
+/// captures plus the pid just stepped).
 /// Steady state, a restore performs zero Sim heap allocation.
 ///
 /// Parallelism: the planner's work items partition the tree below its

@@ -1,6 +1,7 @@
 #include "por/source_dpor.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace cfc {
@@ -61,16 +62,14 @@ void SourceDpor::push_step(int node_depth, const StepSummary& step,
 void SourceDpor::note_cut(std::uint32_t enabled_mask,
                           std::span<const NextStep> pends,
                           std::span<std::uint32_t> backtrack_by_depth) {
-  const auto insert = [&](int node_depth, Pid q) {
-    const std::uint32_t mask =
-        backtrack_by_depth[static_cast<std::size_t>(node_depth)];
-    if (((mask >> static_cast<unsigned>(q)) & 1u) == 0) {
-      backtrack_by_depth[static_cast<std::size_t>(node_depth)] |=
-          1u << static_cast<unsigned>(q);
-      ++stats_.backtrack_points;
-    }
-  };
-
+  // Two insertion rules, applied in ONE backward walk over the path. Each
+  // path unit d owes a set of processes at its node; the set is masked
+  // against the node's backtrack bits before any dependence test (the
+  // common case owes nothing new), and dependence against every pending
+  // unit is one mask. Insertions only ever set bits, so the final masks and
+  // the backtrack_points count do not depend on the order rules are
+  // applied in.
+  //
   // --- 1. Pending-placement buckets, per enabled process q. Equivalent
   // traces carry the same unit multiset, so a class that schedules q's
   // next unit before the horizon has no representative in which q slips
@@ -82,25 +81,10 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
   // just before the bucket boundary) and at the deepest node (the final
   // bucket). No chain or source-set suppression applies — each bucket
   // needs its own representative. Placements before q's own last unit are
-  // invalid (program order), so that walk stops there; deeper recursion
-  // re-runs this at the reversals' own cut leaves, which covers q's
-  // subsequent units.
-  for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
-    if (((enabled_mask >> static_cast<unsigned>(q)) & 1u) == 0) {
-      continue;
-    }
-    const NextStep& pend = pends[static_cast<std::size_t>(q)];
-    for (std::size_t i = trace_.size(); i-- > 0;) {
-      const Event& d = trace_[i];
-      if (d.step.pid == q) {
-        break;
-      }
-      if (i + 1 == trace_.size() || dependent(d.step, pend)) {
-        insert(d.node_depth, q);
-      }
-    }
-  }
-
+  // invalid (program order), so `alive` drops q at that unit; deeper
+  // recursion re-runs this at the reversals' own cut leaves, which covers
+  // q's subsequent units.
+  //
   // --- 2. Droppable-unit placements. A path unit u that commutes with its
   // ENTIRE suffix can be pushed to the very end of an equivalent
   // linearization — where the horizon truncates *it* instead of the
@@ -123,19 +107,52 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
   // loses its final step (every objective is monotone along a run).
   // push_step records each unit's first dependent successor, so "commutes
   // with its entire suffix" is one read of first_dep.
+  const std::size_t np = std::min<std::size_t>(pends.size(), kMaxPorProcs);
+  const std::uint32_t enabled =
+      enabled_mask &
+      (np == kMaxPorProcs ? ~0u : (1u << static_cast<unsigned>(np)) - 1u);
+  // Processes whose next unit is unknowable: dependent with every unit.
+  std::uint32_t unknown = 0;
+  for (std::uint32_t m = enabled; m != 0; m &= m - 1) {
+    const auto q = static_cast<std::size_t>(std::countr_zero(m));
+    unknown |= pends[q].known ? 0u : 1u << q;
+  }
+  std::uint32_t alive = enabled;
   for (std::size_t i = trace_.size(); i-- > 0;) {
-    const Event& u = trace_[i];
-    if (u.first_dep != kNoDependent) {
+    const Event& d = trace_[i];
+    const std::uint32_t self = 1u << static_cast<unsigned>(d.step.pid);
+    alive &= ~self;
+    std::uint32_t& mask =
+        backtrack_by_depth[static_cast<std::size_t>(d.node_depth)];
+    const std::uint32_t placing = alive & ~mask;
+    const std::uint32_t dropping =
+        d.first_dep == kNoDependent ? enabled & ~self & ~mask : 0u;
+    const std::uint32_t cand = placing | dropping;
+    if (cand == 0) {
       continue;
     }
-    for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
-      if (q != u.step.pid &&
-          ((enabled_mask >> static_cast<unsigned>(q)) & 1u) != 0 &&
-          (!u.step.accessed ||
-           dependent(u.step, pends[static_cast<std::size_t>(q)]))) {
-        insert(u.node_depth, q);
+    // The candidates whose pending unit is dependent with d: all of them
+    // after a section change, else the unknowable ones plus register
+    // conflicts (dependent(StepSummary, NextStep) as one mask).
+    std::uint32_t dep = cand;
+    if (!d.step.section_changed) {
+      dep &= unknown;
+      if (d.step.accessed) {
+        for (std::uint32_t m = cand & ~unknown; m != 0; m &= m - 1) {
+          const auto q = static_cast<std::size_t>(std::countr_zero(m));
+          const NextStep& pend = pends[q];
+          if (!pend.yield && pend.reg == d.step.reg &&
+              (d.step.wrote || pend.wrote)) {
+            dep |= 1u << q;
+          }
+        }
       }
     }
+    const std::uint32_t add =
+        (i + 1 == trace_.size() ? placing : placing & dep) |
+        (d.step.accessed ? dropping & dep : dropping);
+    mask |= add;
+    stats_.backtrack_points += static_cast<std::uint64_t>(std::popcount(add));
   }
 }
 

@@ -79,8 +79,11 @@ class SourceDpor {
   /// dependent successor on the path, which push_step records per unit so
   /// the test is a field read (see the implementation for both coverage
   /// arguments). The reversals then run the cut-off units inside the
-  /// bound, whose own races and cut points cascade the rest. Cost:
-  /// O(enabled processes x path length) dependence checks.
+  /// bound, whose own races and cut points cascade the rest. Cost: one
+  /// backward walk over the path; per unit, a few mask operations, plus a
+  /// register test for each owed process not already in the unit's node
+  /// mask (at worst O(enabled processes x path length), typically far
+  /// less once the DFS has filled the masks).
   void note_cut(std::uint32_t enabled_mask, std::span<const NextStep> pends,
                 std::span<std::uint32_t> backtrack_by_depth);
 

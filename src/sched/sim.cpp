@@ -16,8 +16,7 @@ constexpr std::uint64_t kDigestYield = 0x9c0e8b5d47f3a2e7ULL;
 constexpr std::uint64_t kDigestCrash = 0xc4a51fd2387b6e09ULL;
 constexpr std::uint64_t kDigestFinish = 0xf1f0c2d9e8b7a6c5ULL;
 
-/// A process's observation digest before it observes anything; spawn and
-/// rewind_to_mark must agree on it.
+/// A process's observation digest before it observes anything.
 std::uint64_t initial_digest(Pid pid) {
   return fp_mix(0x5eedULL ^ static_cast<std::uint64_t>(pid));
 }
@@ -29,7 +28,7 @@ constexpr std::uint64_t kProcFpSalt = 0x70c5a17e00ULL;
 }  // namespace
 
 void Sim::refresh_proc_fp(Pid pid) {
-  Proc& pr = procs_[static_cast<std::size_t>(pid)];
+  Proc& pr = *procs_[static_cast<std::size_t>(pid)];
   const std::uint64_t meta = (static_cast<std::uint64_t>(pr.status) << 8) |
                              static_cast<std::uint64_t>(pr.section);
   const std::uint64_t c =
@@ -66,10 +65,11 @@ int ProcessContext::process_count() const noexcept {
 
 Pid Sim::spawn(std::string proc_name, BodyFactory factory) {
   const Pid pid = static_cast<Pid>(procs_.size());
-  procs_.emplace_back(*this, pid, std::move(proc_name), std::move(factory));
-  Proc& pr = procs_.back();
+  procs_.push_back(std::make_unique<Proc>(*this, pid, std::move(proc_name),
+                                          std::move(factory)));
+  Proc& pr = *procs_.back();
   pr.digest = initial_digest(pid);
-  // Wire the context's fast-path slots (deque: addresses are stable).
+  // Wire the context's fast-path slots (the record never moves).
   pr.ctx.pending_slot_ = &pr.pending;
   pr.ctx.resume_slot_ = &pr.resume_point;
   pr.ctx.last_result_slot_ = &pr.last_result;
@@ -79,44 +79,26 @@ Pid Sim::spawn(std::string proc_name, BodyFactory factory) {
   return pid;
 }
 
-const Sim::Proc& Sim::proc(Pid pid) const {
-  if (pid < 0 || pid >= process_count()) {
-    throw std::out_of_range("bad pid");
-  }
-  return procs_[static_cast<std::size_t>(pid)];
-}
-
-Sim::Proc& Sim::proc(Pid pid) {
-  if (pid < 0 || pid >= process_count()) {
-    throw std::out_of_range("bad pid");
-  }
-  return procs_[static_cast<std::size_t>(pid)];
-}
-
-bool Sim::runnable(Pid pid) const {
-  const ProcStatus st = proc(pid).status;
-  return st == ProcStatus::NotStarted || st == ProcStatus::Runnable;
-}
-
 bool Sim::all_done() const {
-  for (Pid p = 0; p < process_count(); ++p) {
-    if (proc(p).status != ProcStatus::Done) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(procs_.begin(), procs_.end(),
+                     [](const std::unique_ptr<Proc>& pr) {
+                       return pr->status == ProcStatus::Done;
+                     });
 }
 
 int Sim::count_in_section(Section s) const {
   int k = 0;
-  for (const Proc& pr : procs_) {
-    k += (pr.section == s) ? 1 : 0;
+  for (const std::unique_ptr<Proc>& pr : procs_) {
+    k += (pr->section == s) ? 1 : 0;
   }
   return k;
 }
 
 void Sim::ensure_started(Pid pid) {
   Proc& pr = proc(pid);
+  if (pr.stale) {
+    resync(pr);
+  }
   if (pr.status != ProcStatus::NotStarted) {
     return;
   }
@@ -157,6 +139,9 @@ void Sim::ensure_started(Pid pid) {
 
 Sim::StepResult Sim::step(Pid pid) {
   Proc& pr = proc(pid);
+  if (pr.stale) {
+    resync(pr);
+  }
   // Reset the unit summary even on the no-op path below: a NotRunnable
   // pick must not leave last_step_summary() reporting the previous unit
   // under the wrong attribution.
@@ -429,20 +414,23 @@ void Sim::capture_mark(RewindMark& mark) const {
   mark.fingerprint = mem_.fingerprint();
   mark.seq = next_seq_;
   mark.prefix_len = sched_log_.size();
-  mark.digests.resize(procs_.size());
-  mark.naccesses.resize(procs_.size());
-  mark.pid_units.resize(procs_.size());
+  mark.procs.resize(procs_.size());
   for (std::size_t p = 0; p < procs_.size(); ++p) {
-    mark.digests[p] = procs_[p].digest;
-    mark.naccesses[p] = procs_[p].naccesses;
+    const Proc& pr = *procs_[p];
+    RewindMark::ProcMark& m = mark.procs[p];
+    m.digest = pr.digest;
+    m.naccesses = pr.naccesses;
     // Tape length + the start unit (in the log iff the process started).
-    mark.pid_units[p] = static_cast<std::uint32_t>(
-        tape_[p].size() +
-        (procs_[p].status != ProcStatus::NotStarted ? 1u : 0u));
+    m.units = static_cast<std::uint32_t>(
+        tape_[p].size() + (pr.status != ProcStatus::NotStarted ? 1u : 0u));
+    m.status = pr.status;
+    m.section = pr.section;
+    m.output = pr.output;
+    m.pending = pr.pending;
   }
 }
 
-std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
+void Sim::rewind_to_mark(const RewindMark& mark) {
   if (!rewind_base_set_) {
     throw std::logic_error(
         "Sim::rewind_to_mark: mark_rewind_base was not called");
@@ -454,15 +442,14 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   if (quiet_replay_) {
     throw std::logic_error("Sim::rewind_to_mark: already replaying");
   }
-  if (mark.digests.size() != procs_.size() ||
-      mark.pid_units.size() != procs_.size()) {
+  if (mark.procs.size() != procs_.size()) {
     throw std::logic_error(
         "Sim::rewind_to_mark: process set changed since the mark/base");
   }
   std::size_t tape_units = 0;
   for (std::size_t p = 0; p < procs_.size(); ++p) {
     tape_units += tape_[p].size() +
-                  (procs_[p].status != ProcStatus::NotStarted ? 1u : 0u);
+                  (procs_[p]->status != ProcStatus::NotStarted ? 1u : 0u);
   }
   if (tape_units != sched_log_.size()) {
     throw std::logic_error(
@@ -480,82 +467,29 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   touched_pids_.erase(std::unique(touched_pids_.begin(), touched_pids_.end()),
                       touched_pids_.end());
 
-  // Reset every touched process to its pre-start state (frames recycle
-  // through the arena) and value-replay it over its own prefix units.
-  for (const Pid pid : touched_pids_) {
-    Proc& pr = procs_[static_cast<std::size_t>(pid)];
-    pr.root = Task<void>{};
-    pr.resume_point = {};
-    pr.pending.reset();
-    pr.last_result = 0;
-    pr.status = ProcStatus::NotStarted;
-    pr.section = Section::Remainder;
-    pr.output.reset();
-    pr.naccesses = 0;
-    pr.digest = initial_digest(pid);
-  }
-
-  std::size_t fed = 0;
-  quiet_replay_ = true;
-  try {
-    const FrameArena::Scope frame_scope(&arena_);
-    // Per-pid replay off each touched process's own value tape: the units
-    // fed are exactly the ones owed, with no scan over the global schedule
-    // prefix (cross-pid order is irrelevant — a value replay reads no
-    // shared memory, only the recorded values). mark.pid_units == 0 means
-    // the process had not started at the mark: the reset above already put
-    // it in that state.
-    for (const Pid pid : touched_pids_) {
-      const auto up = static_cast<std::size_t>(pid);
-      if (mark.pid_units[up] == 0) {
-        continue;
-      }
-      ++fed;  // the start unit
-      ensure_started(pid);
-      Proc& pr = procs_[up];
-      const Value* vals = tape_[up].data();
-      const std::uint32_t nvals = mark.pid_units[up] - 1;
-      for (std::uint32_t k = 0; k < nvals; ++k) {
-        // A touched process was runnable at the mark, so its prefix units
-        // contain no crash/finish: every one feeds a live suspension.
-        if (pr.status != ProcStatus::Runnable || !pr.pending.has_value()) {
-          throw std::logic_error(
-              "Sim::rewind_to_mark: touched process not suspended at an "
-              "access during value replay (log/mark mismatch?)");
-        }
-        ++fed;
-        pr.pending.reset();
-        pr.last_result = vals[k];
-        const std::coroutine_handle<> h = pr.resume_point;
-        h.resume();
-        if (pr.root.done() || !pr.pending.has_value()) {
-          throw std::logic_error(
-              "Sim::rewind_to_mark: value replay diverged (process "
-              "finished before its mark position)");
-        }
-      }
-    }
-  } catch (...) {
-    quiet_replay_ = false;
-    throw;
-  }
-  quiet_replay_ = false;
-
-  // Shared state comes from the mark by assignment; per-process digests
-  // and access counts too (they fold memory values the value replay never
-  // sees). Untouched processes already carry the mark's values.
-  mem_.restore(mark.memory);
-  next_seq_ = mark.seq;
+  // Every touched process takes its mark state by assignment; the frame
+  // is left for resync() at its next step (a process not started at the
+  // mark just drops it). Digests and access counts come from the mark
+  // too: they fold memory values a value replay never sees.
   for (const Pid pid : touched_pids_) {
     const auto up = static_cast<std::size_t>(pid);
-    Proc& pr = procs_[up];
-    pr.digest = mark.digests[up];
-    pr.naccesses = mark.naccesses[up];
-    refresh_proc_fp(pid);  // batched: mark digest + replayed status
+    Proc& pr = *procs_[up];
+    const RewindMark::ProcMark& m = mark.procs[up];
+    pr.digest = m.digest;
+    pr.naccesses = m.naccesses;
+    pr.status = m.status;
+    pr.section = m.section;
+    pr.output = m.output;
+    pr.pending = m.pending;
+    pr.stale = m.units != 0;
+    if (!pr.stale) {
+      pr.root = Task<void>{};
+      pr.resume_point = {};
+    }
+    refresh_proc_fp(pid);
     // The pid's suffix tape entries die with the suffix; untouched
     // processes have none, so their tapes are already at mark length.
-    const std::uint32_t nu = mark.pid_units[up];
-    tape_[up].resize(nu == 0 ? 0 : nu - 1);
+    tape_[up].resize(m.units == 0 ? 0 : m.units - 1);
     // A touched process was runnable at the mark; put it back in the
     // runnable list if the suffix retired it.
     const auto it = std::lower_bound(runnable_.begin(), runnable_.end(), pid);
@@ -563,8 +497,8 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
       runnable_.insert(it, pid);
     }
   }
-  // Also drops the start units the value replay's ensure_started() calls
-  // appended past the old log end.
+  mem_.restore(mark.memory);
+  next_seq_ = mark.seq;
   sched_log_.resize(mark.prefix_len);
   recorder_.clear();  // the restored run's trace starts empty
 
@@ -573,7 +507,67 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
         "Sim::rewind_to_mark: restored memory does not match the mark's "
         "fingerprint (corrupted mark?)");
   }
-  return fed;
+}
+
+void Sim::resync(Proc& pr) {
+  // The state the restore assigned from the mark, put back after the
+  // replay (whose resumes post pending accesses, change sections, set
+  // outputs and advance the event counter and the unit summary).
+  const Seq seq = next_seq_;
+  const StepSummary summary = last_step_;
+  const std::uint64_t digest = pr.digest;
+  const std::uint64_t naccesses = pr.naccesses;
+  const Section section = pr.section;
+  const std::optional<int> output = pr.output;
+  const std::optional<PendingAccess> pending = pr.pending;
+  const bool quiet = quiet_replay_;
+  const auto put_back = [&] {
+    quiet_replay_ = quiet;
+    next_seq_ = seq;
+    last_step_ = summary;
+    pr.digest = digest;
+    pr.naccesses = naccesses;
+    pr.section = section;
+    pr.output = output;
+    pr.pending = pending;
+  };
+  const std::vector<Value>& tape =
+      tape_[static_cast<std::size_t>(pr.ctx.pid())];
+  bool diverged = false;
+  quiet_replay_ = true;
+  try {
+    const FrameArena::Scope frame_scope(&arena_);
+    pr.root = Task<void>{};  // free first: the restart reuses the frame
+    pr.section = Section::Remainder;
+    pr.output.reset();
+    pr.pending.reset();
+    pr.root = pr.factory(pr.ctx);
+    pr.resume_point = pr.root.handle();
+    pr.resume_point.resume();  // the start unit
+    // A stale process was runnable at its mark, so its prefix units
+    // contain no crash/finish: every value feeds a live suspension.
+    for (std::size_t k = 0; k < tape.size() && !diverged; ++k) {
+      diverged = pr.root.done() || !pr.pending.has_value();
+      if (!diverged) {
+        pr.pending.reset();
+        pr.last_result = tape[k];
+        pr.resume_point.resume();
+      }
+    }
+  } catch (...) {
+    put_back();
+    throw;
+  }
+  replayed_units_ += 1 + tape.size();
+  diverged = diverged || pr.root.done() || pr.pending != pending ||
+             pr.section != section || pr.status != ProcStatus::Runnable;
+  put_back();
+  if (diverged) {
+    throw std::logic_error(
+        "Sim: value replay of a restored process diverged from its mark "
+        "(process state kept outside its frame and registers?)");
+  }
+  pr.stale = false;
 }
 
 void Sim::retire(Proc& pr, Pid pid, ProcStatus status) {

@@ -3,7 +3,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -79,6 +78,9 @@ struct PendingAccess {
   /// packed into one word, written at sub-word granularity.
   int field_shift = 0;
   int field_width = 0;
+
+  friend bool operator==(const PendingAccess&,
+                         const PendingAccess&) = default;
 };
 
 /// Per-process door to shared memory. Handed to algorithm coroutines; every
@@ -191,8 +193,8 @@ class ProcessContext {
 
   Sim* sim_;
   Pid pid_;
-  // Stable addresses into this process's Sim record (procs_ is a deque),
-  // wired by Sim::spawn.
+  // Stable addresses into this process's Sim record (each record is
+  // heap-allocated once), wired by Sim::spawn.
   std::optional<PendingAccess>* pending_slot_ = nullptr;
   std::coroutine_handle<>* resume_slot_ = nullptr;
   const Value* last_result_slot_ = nullptr;
@@ -230,6 +232,9 @@ class Sim {
   /// Registers a process. The body coroutine is created lazily on its first
   /// step, so spawning alone leaves the process "not started" (idle), which
   /// the contention-free windows treat as being in the remainder region.
+  /// A rewindable simulation may restart the body and replay its delivered
+  /// values (rewind_to_mark), so a body must keep its run-time state only
+  /// in its coroutine frame and shared registers.
   Pid spawn(std::string proc_name, BodyFactory factory);
 
   [[nodiscard]] int process_count() const {
@@ -257,7 +262,10 @@ class Sim {
   void ensure_started(Pid pid);
 
   /// True iff step(pid) can still make progress.
-  [[nodiscard]] bool runnable(Pid pid) const;
+  [[nodiscard]] bool runnable(Pid pid) const {
+    const ProcStatus st = proc(pid).status;
+    return st == ProcStatus::NotStarted || st == ProcStatus::Runnable;
+  }
   /// True iff some process can still make progress. O(1): reads the
   /// runnable list below.
   [[nodiscard]] bool any_runnable() const { return !runnable_.empty(); }
@@ -313,24 +321,34 @@ class Sim {
   void mark_rewind_base();
 
   /// A restore point along the current run: shared memory, the event
-  /// counter, and each process's observation digest and access count at a
+  /// counter, and each process's observable state (ProcMark) at a
   /// schedule-log prefix. A mark does NOT capture coroutine frames (they
-  /// cannot be copied); rewind_to_mark() instead *value-replays* only the
-  /// processes that executed units past the mark, feeding each unit the
-  /// Value the original execution delivered (its per-pid value tape) so the
-  /// coroutine re-reaches its suspension point without touching memory.
-  /// Processes with no units past the mark are left entirely alone.
+  /// cannot be copied); a process restored from a mark is instead
+  /// *value-replayed* on its next step: its body restarts and is fed, unit
+  /// by unit, the Value the original execution delivered (its per-pid
+  /// value tape), so the coroutine re-reaches its suspension point without
+  /// touching memory.
   struct RewindMark {
+    /// One process's state at the mark: everything the simulator reports
+    /// about it between units, so a restore can assign it without
+    /// touching the frame.
+    struct ProcMark {
+      std::uint64_t digest = 0;     ///< process_digest()
+      std::uint64_t naccesses = 0;  ///< access_count()
+      /// Schedule units within the prefix (start unit included): the
+      /// replay feeds the pid's own value tape up to this count instead of
+      /// scanning the whole schedule prefix.
+      std::uint32_t units = 0;
+      ProcStatus status = ProcStatus::NotStarted;
+      Section section = Section::Remainder;
+      std::optional<int> output;
+      std::optional<PendingAccess> pending;
+    };
     MemorySnapshot memory;
     std::uint64_t fingerprint = 0;  ///< RegisterFile::fingerprint() at capture
     Seq seq = 0;                    ///< event counter at capture
     std::size_t prefix_len = 0;     ///< schedule-log length at capture
-    std::vector<std::uint64_t> digests;    ///< per-pid process_digest()
-    std::vector<std::uint64_t> naccesses;  ///< per-pid access_count()
-    /// Per-pid schedule-unit counts within the prefix (start unit
-    /// included): rewind_to_mark() walks each touched pid's own value tape
-    /// up to this count instead of scanning the whole schedule prefix.
-    std::vector<std::uint32_t> pid_units;
+    std::vector<ProcMark> procs;    ///< per pid
   };
 
   /// Captures a RewindMark at the current point of the run, reusing the
@@ -344,32 +362,47 @@ class Sim {
   /// rewind past the mark happened in between; the explorer's DFS restores
   /// only to ancestors of the current path, which guarantees it). Touched
   /// processes — those with schedule units in [mark.prefix_len, log size)
-  /// — are reset to their pre-start state (frames recycle through the
-  /// per-Sim arena) and value-replayed over their own units of the prefix:
-  /// each access is fed the recorded delivered value instead of
-  /// re-executing against memory, so shared memory is restored by
-  /// assignment from the mark and untouched processes keep their live
-  /// coroutines as-is. Digests and access counts of touched processes are
-  /// restored from the mark (they fold memory values a value-replay cannot
-  /// see).
-  ///
-  /// The replay runs with sinks, trace materialization, and invariant
-  /// checks suppressed; any materialized trace is cleared. Attached sinks
-  /// stay attached and see only post-restore events — reset their state
-  /// alongside (the explorer restores its accumulator by assignment).
+  /// — get their ProcMark state by assignment and are marked *stale*: the
+  /// restore does no frame work. The next step()/ensure_started() of a
+  /// stale process first resyncs it: restarts its body (frames recycle
+  /// through the per-Sim arena) and feeds it its value tape quietly, with
+  /// the event counter, last_step_summary(), digest and access count saved
+  /// around the replay; the replayed frame must re-post exactly the
+  /// pending access, section and status the mark recorded, or the step
+  /// throws std::logic_error. A process not started at the mark goes back
+  /// to NotStarted with its frame dropped. Untouched processes keep their
+  /// live coroutines as-is. Restoring a shallower mark before a stale
+  /// process steps again just re-assigns its state; it then replays only
+  /// what that shallowest mark owes.
   ///
   /// Sound because a process with units past the mark was runnable at the
   /// mark, so its prefix units contain no crash/finish and every recorded
-  /// value feeds a live suspension. Returns the number of units actually
-  /// value-replayed (<= prefix units of touched processes); the traversal-
-  /// observable state is that of a fresh simulation stepped along the
-  /// same prefix.
+  /// value feeds a live suspension, and because process bodies keep their
+  /// run-time state only in their coroutine frames and shared registers
+  /// (every registry algorithm does): a restarted body fed the same values
+  /// reaches the same local state. The traversal-observable state is that
+  /// of a fresh simulation stepped along the same prefix.
   ///
-  /// Cost: O(suffix units + touched processes' prefix units) for the
-  /// process work — untouched processes are never visited — plus
-  /// O(registers) for the memory restore and O(processes) for the
-  /// tape/log consistency check.
-  std::size_t rewind_to_mark(const RewindMark& mark);
+  /// The replay runs with sinks, trace materialization, and invariant
+  /// checks suppressed; any materialized trace is cleared by the restore.
+  /// Attached sinks stay attached and see only post-restore events —
+  /// reset their state alongside (the explorer restores its accumulator by
+  /// assignment).
+  ///
+  /// Cost: O(suffix units + touched processes) for the process work —
+  /// untouched processes are never visited — plus O(registers) for the
+  /// memory restore and O(processes) for the tape/log consistency check.
+  /// The replay, O(the process's own prefix units), is paid at the next
+  /// step of each touched process, and never by a process that does not
+  /// step again before the next restore; value_replayed_units() counts
+  /// it.
+  void rewind_to_mark(const RewindMark& mark);
+
+  /// Units value-replayed by stale-process resyncs over this simulation's
+  /// lifetime (each resync counts the start unit plus every fed value).
+  [[nodiscard]] std::uint64_t value_replayed_units() const {
+    return replayed_units_;
+  }
 
   /// Repositions THIS simulation at `prefix_len` units of its own schedule
   /// log, in place: rewind_to_mark() back to the mark_rewind_base()
@@ -490,12 +523,30 @@ class Sim {
     /// per-unit state-fingerprint update swaps it out by XOR).
     std::uint64_t fp_contrib = 0;
 
+    /// Restored from a mark without its frame: the next step() or
+    /// ensure_started() value-replays the body first (resync).
+    bool stale = false;
+
     Proc(Sim& sim, Pid pid, std::string n, BodyFactory f)
         : name(std::move(n)), factory(std::move(f)), ctx(sim, pid) {}
   };
 
-  [[nodiscard]] const Proc& proc(Pid pid) const;
-  [[nodiscard]] Proc& proc(Pid pid);
+  [[nodiscard]] const Proc& proc(Pid pid) const {
+    if (static_cast<std::size_t>(pid) >= procs_.size()) {
+      throw std::out_of_range("bad pid");
+    }
+    return *procs_[static_cast<std::size_t>(pid)];
+  }
+  [[nodiscard]] Proc& proc(Pid pid) {
+    if (static_cast<std::size_t>(pid) >= procs_.size()) {
+      throw std::out_of_range("bad pid");
+    }
+    return *procs_[static_cast<std::size_t>(pid)];
+  }
+
+  /// Rebuilds a stale process's frame from its value tape (see
+  /// rewind_to_mark) and checks it against the restored state.
+  void resync(Proc& pr);
 
   /// Performs the access atomically against the register file, enforcing the
   /// access policy, and appends the event to the trace.
@@ -517,7 +568,8 @@ class Sim {
 
   RegisterFile mem_;
   FrameArena arena_;  // declared before procs_: frames die before the arena
-  std::deque<Proc> procs_;  // deque: stable addresses for ProcessContext
+  /// Heap-allocated records: stable addresses for ProcessContext.
+  std::vector<std::unique_ptr<Proc>> procs_;
   /// runnable_pids(): ascending pids whose status is NotStarted/Runnable.
   std::vector<Pid> runnable_;
   TraceRecorder recorder_;
@@ -530,7 +582,7 @@ class Sim {
   /// Per-pid value tapes (rewindable simulations only): for each process,
   /// the Value each of its non-start units delivered (Proc::last_result
   /// after the unit; 0 for yield/crash units), in its own program order.
-  /// rewind_to_mark() feeds a touched process its own tape back instead of
+  /// A stale process's resync feeds it its own tape back instead of
   /// re-executing accesses — and, because the tape is already per-pid, it
   /// never scans the global schedule prefix for the process's units.
   std::vector<std::vector<Value>> tape_;
@@ -545,9 +597,10 @@ class Sim {
   RewindMark base_mark_;
   /// last_step_summary(): rebuilt by every step()/ensure_started() unit.
   StepSummary last_step_;
-  /// True inside a restore's replay: sinks, trace materialization and the
-  /// mutual-exclusion check are suppressed.
+  /// True inside a replay (a resync, or rewind_to's re-step): sinks, trace
+  /// materialization and the mutual-exclusion check are suppressed.
   bool quiet_replay_ = false;
+  std::uint64_t replayed_units_ = 0;  ///< value_replayed_units()
   bool record_trace_ = true;
   Seq next_seq_ = 0;
   AccessPolicy policy_ = AccessPolicy::Unrestricted;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <span>
@@ -27,6 +28,7 @@
 #include "por/dependence.h"
 #include "por/sleep_sets.h"
 #include "por/source_dpor.h"
+#include "sched/sched.h"
 
 namespace cfc {
 namespace {
@@ -647,9 +649,11 @@ TEST(PorSleepSets, TransferWakesOnConflictOnly) {
 // successor so note_cut's droppable test is a field read. Driven with
 // random push/pop sequences and checked against the quadratic scan. ---
 
-/// note_cut's two insertion rules over an explicit path whose unit i was
-/// taken from node depth i, with droppability recomputed by scanning each
-/// unit's whole suffix. Returns the number of bits it set in `bt`.
+/// The reference for note_cut: its two insertion rules as two separate
+/// loops (one backward walk per enabled process, then one over the
+/// droppable units), over an explicit path whose unit i was taken from
+/// node depth i, with droppability recomputed by scanning each unit's
+/// whole suffix. Returns the number of bits it set in `bt`.
 std::uint64_t reference_note_cut(const std::vector<StepSummary>& path,
                                  std::uint32_t enabled,
                                  std::span<const NextStep> pends,
@@ -768,6 +772,83 @@ TEST(PorSourceDpor, NoteCutMatchesQuadraticDroppableScan) {
     }
   }
   // The sequences really exercised both rules.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(insertions, 1000u);
+}
+
+TEST(PorSourceDpor, NoteCutMatchesTwoLoopReferenceOnRegistryPaths) {
+  // The one-walk note_cut against the two-loop reference above on real
+  // paths: seeded random schedules of every registry mutex at n = 2..6
+  // (every other seed with a crash plan, so crash units and crash-armed
+  // pendings occur), cut at every depth with the enabled mask and NextSteps
+  // the explorer would capture there. Backtrack masks both all-zero and
+  // pre-filled the way the DFS leaves them — each node's taken branch, the
+  // path's race insertions, then an earlier cut's insertions — must come out
+  // identical, with the same backtrack_points delta.
+  constexpr int kDepth = 14;
+  std::uint64_t compared = 0;
+  std::uint64_t insertions = 0;
+  for (int n = 2; n <= 6; ++n) {
+    for (const MutexAlgorithmEntry* e :
+         AlgorithmRegistry::instance().mutex_for_n(n)) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(e->info.name + " n=" + std::to_string(n) +
+                     " seed=" + std::to_string(seed));
+        Sim sim;
+        sim.set_trace_recording(false);
+        const auto alg = setup_mutex(sim, e->factory, n, /*sessions=*/2);
+        if (seed % 2 == 0) {
+          sim.crash_after(static_cast<Pid>(seed % static_cast<unsigned>(n)),
+                          seed);
+        }
+        SourceDpor dpor(n);
+        std::vector<StepSummary> path;
+        std::vector<std::uint32_t> dfs_masks(kDepth + 1, 0);
+        RandomScheduler rnd(seed);
+        for (int depth = 0; depth < kDepth; ++depth) {
+          const std::optional<Pid> p = rnd.next(sim);
+          if (!p) {
+            break;
+          }
+          dfs_masks[static_cast<std::size_t>(depth)] |=
+              1u << static_cast<unsigned>(*p);
+          sim.step(*p);
+          dpor.push_step(depth, sim.last_step_summary(), dfs_masks);
+          path.push_back(sim.last_step_summary());
+
+          std::vector<NextStep> pends;
+          std::uint32_t enabled = 0;
+          for (Pid q = 0; q < n; ++q) {
+            pends.push_back(next_step_of(sim, q));
+            if (sim.runnable(q)) {
+              enabled |= 1u << static_cast<unsigned>(q);
+            }
+          }
+          for (const bool prefilled : {false, true}) {
+            std::vector<std::uint32_t> got(kDepth + 1, 0);
+            if (prefilled) {
+              // An earlier cut under the same nodes, with one process
+              // fewer enabled, already inserted most of what is owed.
+              got = dfs_masks;
+              reference_note_cut(
+                  path, enabled & ~(1u << static_cast<unsigned>(depth % n)),
+                  pends, got);
+            }
+            std::vector<std::uint32_t> want = got;
+            const std::uint64_t before = dpor.stats().backtrack_points;
+            dpor.note_cut(enabled, pends, got);
+            const std::uint64_t added =
+                reference_note_cut(path, enabled, pends, want);
+            ASSERT_EQ(got, want) << "depth=" << depth;
+            ASSERT_EQ(dpor.stats().backtrack_points - before, added)
+                << "depth=" << depth;
+            ++compared;
+            insertions += added;
+          }
+        }
+      }
+    }
+  }
   EXPECT_GT(compared, 1000u);
   EXPECT_GT(insertions, 1000u);
 }

@@ -261,12 +261,53 @@ TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
   EXPECT_GT(live.frame_arena_stats().reused, 0u);
 }
 
+/// Units a mark at `prefix_len` owes process `pid` on its first step after
+/// a restore: its own units in the prefix (start unit included).
+std::uint64_t owed_units(const Sim& sim, std::size_t prefix_len, Pid pid) {
+  std::uint64_t owed = 0;
+  for (std::size_t i = 0; i < prefix_len; ++i) {
+    owed += sim.schedule_log()[i].pid == pid ? 1 : 0;
+  }
+  return owed;
+}
+
+/// Steps `pid` on both simulations and returns the units the live one
+/// value-replayed doing it.
+std::uint64_t step_both(Sim& live, Sim& oracle, Pid pid) {
+  const std::uint64_t before = live.value_replayed_units();
+  live.step(pid);
+  oracle.step(pid);
+  return live.value_replayed_units() - before;
+}
+
 TEST(Rewind, RestoresValueReplayFromMarks) {
-  // The acceptance assertion of the in-place restore: across many restores
-  // and work items, every restore value-replays from a mark instead of
-  // re-executing the prefix live.
+  // The acceptance assertion of the in-place restore: a restore itself
+  // replays nothing; each process that acted past the mark value-replays
+  // its owed units from its tape on its first step after it (never
+  // re-executing the prefix live), and across many restores and work
+  // items the explorer counts those units.
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Build build = mutex_builder(factory, 2, 1, {});
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  RandomScheduler rnd(7);
+  drive(live, rnd, RunLimits{12});
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  const std::size_t prefix_len = live.schedule_log().size();
+  live.step(0);
+  live.rewind_to_mark(mark);
+  EXPECT_EQ(live.value_replayed_units(), 0u);
+  const std::unique_ptr<Sim> oracle =
+      scratch_replay(build, log_prefix(live, prefix_len));
+  ASSERT_GT(owed_units(live, prefix_len, 0), 0u);
+  EXPECT_EQ(step_both(live, *oracle, 1), 0u);  // untouched
+  EXPECT_EQ(step_both(live, *oracle, 0), owed_units(live, prefix_len, 0));
+  EXPECT_EQ(step_both(live, *oracle, 0), 0u);  // already resynced
+  expect_same_state(live, *oracle);
+
   Explorer::Config cfg;
   cfg.nprocs = 2;
   cfg.strategy = SearchStrategy::Exhaustive;
@@ -303,11 +344,12 @@ void mark_rewind_and_compare(const MutexFactory& factory, int n,
 
   const std::unique_ptr<Sim> oracle =
       scratch_replay(build, log_prefix(live, prefix_len));
-  const std::size_t fed = live.rewind_to_mark(mark);
+  const std::uint64_t replayed = live.value_replayed_units();
+  live.rewind_to_mark(mark);
   ASSERT_EQ(live.schedule_log().size(), prefix_len);
-  // Only processes that acted past the mark are value-replayed, so the
-  // fed-unit count never exceeds the full-replay cost.
-  EXPECT_LE(fed, prefix_len);
+  // The restore itself replays nothing: touched processes replay on their
+  // next step.
+  EXPECT_EQ(live.value_replayed_units(), replayed);
   expect_same_state(live, *oracle);
   continue_and_compare(live, *oracle, seed + 17, 40);
 }
@@ -334,11 +376,15 @@ TEST(Rewind, MarkRestoreAtLargeNVisitsOnlyTheProcessesThatActed) {
   // n=300, three processes act past the mark: one that had started before
   // it, one that had not started at it, and one that finishes past it.
   // The restore must leave exactly the state of a scratch replay of the
-  // same prefix, and value-replay only the actors' prefix units.
+  // same prefix and replay nothing itself. The first step of each actor
+  // replays exactly its own prefix units; an untouched process, one not
+  // started at the mark, and one not stepped again before the next restore
+  // replay none.
   const int n = 300;
   const Pid started = 17;    // started at the mark, steps past it
   const Pid fresh = 151;     // not started at the mark
   const Pid finisher = 299;  // mid-session at the mark, finishes past it
+  const Pid untouched = 5;   // never acts past the mark
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("lamport-fast").factory;
   const Build build = mutex_builder(factory, n, 1, {});
@@ -359,23 +405,138 @@ TEST(Rewind, MarkRestoreAtLargeNVisitsOnlyTheProcessesThatActed) {
   live.step(fresh);
   live.step(started);
   ASSERT_EQ(live.status(finisher), ProcStatus::Done);
-
-  // The units a mark restore owes: the actors' own units in the prefix.
-  std::size_t owed = 0;
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    const Pid p = live.schedule_log()[i].pid;
-    owed += (p == started || p == fresh || p == finisher) ? 1 : 0;
-  }
-  ASSERT_GT(owed, 0u);
+  ASSERT_EQ(owed_units(live, prefix_len, started), 1u);
+  ASSERT_EQ(owed_units(live, prefix_len, finisher), 3u);
 
   const std::unique_ptr<Sim> oracle =
       scratch_replay(build, log_prefix(live, prefix_len));
-  const std::size_t fed = live.rewind_to_mark(mark);
-  EXPECT_EQ(fed, owed);
+  live.rewind_to_mark(mark);
+  EXPECT_EQ(live.value_replayed_units(), 0u);
   ASSERT_EQ(live.schedule_log().size(), prefix_len);
   EXPECT_EQ(live.runnable_pids().size(), static_cast<std::size_t>(n));
   expect_same_state(live, *oracle);
-  continue_and_compare(live, *oracle, 23, 400);
+
+  EXPECT_EQ(step_both(live, *oracle, untouched), 0u);
+  EXPECT_EQ(step_both(live, *oracle, fresh), 0u);
+  EXPECT_EQ(step_both(live, *oracle, started), 1u);
+  EXPECT_EQ(step_both(live, *oracle, started), 0u);
+  expect_same_state(live, *oracle);
+
+  // The finisher never stepped: the next restore leaves it owing the same
+  // units, still unpaid.
+  live.rewind_to_mark(mark);
+  EXPECT_EQ(live.value_replayed_units(), 1u);
+  const std::unique_ptr<Sim> again =
+      scratch_replay(build, log_prefix(live, prefix_len));
+  expect_same_state(live, *again);
+  EXPECT_EQ(step_both(live, *again, finisher), 3u);
+  continue_and_compare(live, *again, 23, 400);
+}
+
+TEST(Rewind, StaleProcessReplaysAgainstTheShallowestRestore) {
+  // Restore a deep mark, then a shallower one without stepping in between,
+  // then step every process: each must replay exactly what the shallow
+  // mark owes it, and the result must equal a freshly built Sim stepped
+  // live — state, next_seq() and each unit's last_step_summary().
+  for (const MutexAlgorithmEntry* e :
+       AlgorithmRegistry::instance().mutex_for_n(3)) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(e->info.name);
+      const Build build = mutex_builder(e->factory, 3, 2, {});
+      Sim live;
+      build(live);
+      live.mark_rewind_base();
+      RandomScheduler rnd(seed);
+      drive(live, rnd, RunLimits{10});
+      Sim::RewindMark shallow;
+      live.capture_mark(shallow);
+      drive(live, rnd, RunLimits{15});
+      Sim::RewindMark deep;
+      live.capture_mark(deep);
+      drive(live, rnd, RunLimits{15});
+
+      std::uint64_t owed = 0;
+      std::vector<bool> acted(3, false);
+      for (std::size_t i = shallow.prefix_len; i < live.schedule_log().size();
+           ++i) {
+        acted[static_cast<std::size_t>(live.schedule_log()[i].pid)] = true;
+      }
+      for (Pid p = 0; p < 3; ++p) {
+        owed += acted[static_cast<std::size_t>(p)]
+                    ? owed_units(live, shallow.prefix_len, p)
+                    : 0;
+      }
+      live.rewind_to_mark(deep);
+      live.rewind_to_mark(shallow);
+      EXPECT_EQ(live.value_replayed_units(), 0u);
+      const std::unique_ptr<Sim> oracle =
+          scratch_replay(build, log_prefix(live, shallow.prefix_len));
+      expect_same_state(live, *oracle);
+      for (Pid p = 0; p < 3; ++p) {
+        if (!live.runnable(p)) {
+          continue;
+        }
+        live.step(p);
+        oracle->step(p);
+        const StepSummary& a = live.last_step_summary();
+        const StepSummary& b = oracle->last_step_summary();
+        EXPECT_EQ(a.pid, b.pid);
+        EXPECT_EQ(a.accessed, b.accessed);
+        EXPECT_EQ(a.reg, b.reg);
+        EXPECT_EQ(a.wrote, b.wrote);
+        EXPECT_EQ(a.section_changed, b.section_changed);
+        EXPECT_EQ(a.crashed, b.crashed);
+        EXPECT_EQ(a.started, b.started);
+        EXPECT_EQ(live.next_seq(), oracle->next_seq());
+      }
+      EXPECT_EQ(live.value_replayed_units(), owed);
+      expect_same_state(live, *oracle);
+      continue_and_compare(live, *oracle, seed + 31, 40);
+    }
+  }
+}
+
+TEST(Rewind, ReplayThatMissesTheMarkThrowsFromTheResyncGuard) {
+  // The resync guard: a restored process whose replay does not re-post
+  // exactly the mark's pending access throws std::logic_error from its
+  // next step, not from the restore. Two ways to get there: a body that
+  // keeps run-time state outside its frame and registers (so the replay
+  // of its value tape takes another path), and a mark whose recorded
+  // pending access was corrupted.
+  auto calls = std::make_shared<int>(0);
+  Sim sim;
+  const RegId a = sim.memory().add_register("a", 8);
+  const RegId b = sim.memory().add_register("b", 8);
+  const Pid p = sim.spawn("outside-state", [calls, a, b](ProcessContext& ctx)
+                                               -> Task<void> {
+    ++*calls;  // counts body starts: state no frame restart resets
+    co_await ctx.read(a);
+    co_await ctx.write(*calls == 1 ? a : b, 1);
+  });
+  sim.mark_rewind_base();
+  sim.step(p);  // start + read a
+  Sim::RewindMark mark;
+  sim.capture_mark(mark);
+  sim.step(p);  // write a
+  sim.rewind_to_mark(mark);
+  EXPECT_THROW(sim.step(p), std::logic_error);
+
+  // A corrupted mark: the replay itself is faithful, the record is not.
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Build build = mutex_builder(factory, 2, 1, {});
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  live.step(0);
+  live.step(0);
+  Sim::RewindMark bad;
+  live.capture_mark(bad);
+  live.step(0);
+  ASSERT_TRUE(bad.procs[0].pending.has_value());
+  bad.procs[0].pending->to_write ^= 1;
+  live.rewind_to_mark(bad);
+  EXPECT_THROW(live.step(0), std::logic_error);
 }
 
 /// Two branches diverging from one restore point: run a prefix, capture a
