@@ -2,7 +2,8 @@
 // events/second through the scheduler, solo mutex sessions (trace-recorded
 // vs streaming-measured), full detection runs, trace measurement, and the
 // per-node primitives of the certified search (accumulator snapshot copy,
-// section changes, source-DPOR cut-point insertions, mark-based rewind).
+// section changes, source-DPOR race detection and cut-point insertions,
+// mark-based rewind).
 // These put a number on the harness itself so sweep costs in the table
 // benches are predictable. Algorithms are resolved from the
 // AlgorithmRegistry; results additionally land in
@@ -226,6 +227,7 @@ struct CutLeaf {
   SourceDpor dpor{kN};
   std::vector<std::uint32_t> masks =
       std::vector<std::uint32_t>(static_cast<std::size_t>(kDepth) + 1, 0);
+  std::vector<StepSummary> path;
   std::vector<NextStep> pends;
   std::uint32_t enabled = 0;
 
@@ -241,7 +243,8 @@ struct CutLeaf {
       }
       masks[static_cast<std::size_t>(d)] |= 1u << static_cast<unsigned>(*p);
       sim.step(*p);
-      dpor.push_step(d, sim.last_step_summary(), masks);
+      path.push_back(sim.last_step_summary());
+      dpor.push_step(d, path.back(), masks);
     }
     for (Pid p = 0; p < kN; ++p) {
       pends.push_back(next_step_of(sim, p));
@@ -288,6 +291,31 @@ void BM_SourceDporNoteCutSteady(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SourceDporNoteCutSteady);
+
+void BM_SourceDporPushStep(benchmark::State& state) {
+  // Race detection along the leaf's path in steady state: push its units
+  // and pop back to the root, against the masks the DFS leaves at those
+  // nodes (each descent after the first finds its insertions there).
+  // Reported per pushed unit.
+  CutLeaf leaf;
+  if (!leaf.build()) {
+    state.SkipWithError("schedule ended before the cut depth");
+    return;
+  }
+  SourceDpor dpor(CutLeaf::kN);
+  std::vector<std::uint32_t> masks = leaf.masks;
+  for (auto _ : state) {
+    for (std::size_t d = 0; d < leaf.path.size(); ++d) {
+      dpor.push_step(static_cast<int>(d), leaf.path[d], masks);
+    }
+    dpor.pop_to(0);
+    benchmark::DoNotOptimize(masks.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(leaf.path.size()));
+}
+BENCHMARK(BM_SourceDporPushStep);
 
 void BM_SimRewindToMark(benchmark::State& state) {
   // A sibling restore deep in the DFS: rewind a peterson-tree path of 14

@@ -92,7 +92,7 @@ void merge_best(std::vector<ComplexityReport>& best,
 /// flat prefix store) and the DFS state at its horizon node — sleep mask,
 /// last pick, preemptions spent. Self-contained — any worker can claim it,
 /// reposition its private Sim, and run the subtree; race detection below
-/// the horizon is per-path (vector clocks live in the worker's own
+/// the horizon is per-path (the position masks live in the worker's own
 /// SourceDpor trace), so items share no mutable state.
 struct WorkItem {
   std::uint32_t offset = 0;
@@ -700,6 +700,12 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
       throw std::invalid_argument(
           "Explorer: limits.max_preemptions must be <= 31");
     }
+  }
+  if (cfg_.limits.reduction == ReductionPolicy::SourceDpor &&
+      cfg_.limits.max_depth > kMaxPorDepth) {
+    // The race detector keeps sets of path positions in 64 bits.
+    throw std::invalid_argument(
+        "Explorer: source-dpor supports limits.max_depth <= 64");
   }
 }
 

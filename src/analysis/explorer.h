@@ -49,7 +49,10 @@ enum class ReductionPolicy : std::uint8_t {
   /// race-driven source-set backtracking instead of full sibling
   /// branching. The default for certified Exhaustive searches built
   /// through StudySpec. Composes with the sleep-set-aware visited cache
-  /// (stateful DPOR) when ExploreLimits::prune_visited is on.
+  /// (stateful DPOR) when ExploreLimits::prune_visited is on. Its race
+  /// detector keeps sets of path positions in 64-bit masks, so it accepts
+  /// max_depth <= kMaxPorDepth (64) and at most kMaxPorProcs (32)
+  /// processes; the Explorer constructor rejects anything wider.
   SourceDpor,
 };
 
@@ -65,7 +68,8 @@ enum class ReductionPolicy : std::uint8_t {
 /// every field here shapes the searched space or its reduction, never the
 /// scheduling.
 struct ExploreLimits {
-  /// Scheduler picks per path (depth of the interleaving tree).
+  /// Scheduler picks per path (depth of the interleaving tree). At most
+  /// kMaxPorDepth (64) under ReductionPolicy::SourceDpor.
   int max_depth = 48;
   /// Context switches per path; -1 = unlimited (Exhaustive).
   int max_preemptions = -1;

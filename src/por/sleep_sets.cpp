@@ -1,13 +1,18 @@
 #include "por/sleep_sets.h"
 
+#include <bit>
+
 namespace cfc {
 
 SleepSet transfer_sleep(SleepSet candidates, const StepSummary& taken,
                         std::span<const NextStep> pends) {
   SleepSet child;
-  for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
-    if (candidates.contains(q) &&
-        !dependent(taken, pends[static_cast<std::size_t>(q)])) {
+  const std::uint32_t in_range =
+      pends.size() >= 32 ? ~0u
+                         : (1u << static_cast<unsigned>(pends.size())) - 1u;
+  for (std::uint32_t m = candidates.mask() & in_range; m != 0; m &= m - 1) {
+    const auto q = static_cast<Pid>(std::countr_zero(m));
+    if (!dependent(taken, pends[static_cast<std::size_t>(q)])) {
       child.insert(q);
     }
   }

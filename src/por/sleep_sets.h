@@ -12,6 +12,11 @@ namespace cfc {
 /// registry and checked by the Explorer constructor.
 inline constexpr int kMaxPorProcs = 32;
 
+/// Source-DPOR keeps sets of trace positions as 64-bit masks, so a path
+/// holds at most this many units: checked by the Explorer constructor
+/// against a SourceDpor search's max_depth.
+inline constexpr int kMaxPorDepth = 64;
+
 /// A sleep set: the processes whose next unit, taken from the current
 /// state, starts only schedules that are reorderings of schedules already
 /// explored through an earlier sibling (Godefroid's sleep sets). The

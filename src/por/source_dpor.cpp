@@ -6,56 +6,90 @@
 
 namespace cfc {
 
-SourceDpor::SourceDpor(int nprocs) : nprocs_(nprocs) {
+namespace {
+
+constexpr std::uint64_t bit(std::size_t position) {
+  return std::uint64_t{1} << position;
+}
+
+/// The highest position in a non-empty mask.
+std::size_t top(std::uint64_t mask) {
+  return static_cast<std::size_t>(63 - std::countl_zero(mask));
+}
+
+}  // namespace
+
+SourceDpor::SourceDpor(int nprocs) {
   if (nprocs < 1 || nprocs > kMaxPorProcs) {
     throw std::invalid_argument(
         "SourceDpor: nprocs must be in [1, 32] (process-mask sleep sets)");
   }
-  per_pid_count_.assign(static_cast<std::size_t>(nprocs), 0);
+  pid_positions_.assign(static_cast<std::size_t>(nprocs), 0);
+  trace_.reserve(kMaxPorDepth);
+}
+
+SourceDpor::RegPositions& SourceDpor::reg_positions(RegId reg) {
+  if (reg < 0) {
+    throw std::logic_error("SourceDpor: an access without a register id");
+  }
+  const auto r = static_cast<std::size_t>(reg);
+  if (r >= reg_positions_.size()) {
+    reg_positions_.resize(r + 1);
+  }
+  return reg_positions_[r];
 }
 
 void SourceDpor::push_step(int node_depth, const StepSummary& step,
                            std::span<std::uint32_t> backtrack_by_depth) {
-  // --- 1. Happens-before clock of the new unit e, one backward walk.
-  // Merging the clocks of dependent events as the walk meets them makes
-  // "already in the clock" exactly "reachable through a chain of later
-  // dependences": a dependent event NOT yet in the clock is concurrent
-  // with e — a race (skipping program-order pairs, which the most recent
-  // same-pid event covers transitively).
-  Event e;
-  e.step = step;
-  e.node_depth = node_depth;
-  e.self_index = per_pid_count_[static_cast<std::size_t>(step.pid)];
-  e.clock.fill(0);
-  races_scratch_.clear();
-  const auto e_index = static_cast<std::uint32_t>(trace_.size());
-  for (std::size_t i = trace_.size(); i-- > 0;) {
-    Event& d = trace_[i];
-    if (!dependent(d.step, e.step)) {
-      continue;
-    }
-    if (d.first_dep == kNoDependent) {
-      d.first_dep = e_index;  // e is d's first dependent successor
-    }
-    if (in_clock(e.clock, i)) {
-      continue;  // already ordered before e through a later dependence
-    }
-    if (d.step.pid != e.step.pid) {
-      races_scratch_.push_back(i);
-      ++stats_.races_detected;
-    }
-    merge_clock(e.clock, d);
+  const std::size_t k = trace_.size();
+  if (k >= static_cast<std::size_t>(kMaxPorDepth)) {
+    throw std::logic_error(
+        "SourceDpor: path longer than kMaxPorDepth (64) units");
   }
-  e.clock[static_cast<std::size_t>(step.pid)] =
-      static_cast<std::uint16_t>(e.self_index + 1);
-  per_pid_count_[static_cast<std::size_t>(step.pid)] += 1;
-  trace_.push_back(e);
+  // --- 1. The earlier units dependent with the new unit e
+  // (por/dependence.h): its process's units, every section change if e
+  // changed sections, and the register conflicts.
+  std::uint64_t& own = pid_positions_[static_cast<std::size_t>(step.pid)];
+  std::uint64_t dep = own | (step.section_changed ? section_positions_ : 0);
+  if (step.accessed) {
+    RegPositions& reg = reg_positions(step.reg);
+    dep |= step.wrote ? reg.accessed : reg.written;
+    reg.accessed |= bit(k);
+    reg.written |= step.wrote ? bit(k) : 0;
+  }
+  // --- 2. Happens-before of e, highest dependent position first. Folding
+  // in each visited unit's hb makes "already in hb" exactly "reachable
+  // through a chain of later dependences": a dependent unit NOT yet in hb
+  // is concurrent with e — a race, unless it is e's own process's (program
+  // order). Every position of dep ends up in hb, so `dep & ~hb` is the
+  // next unvisited one.
+  std::uint64_t hb = 0;
+  std::uint64_t visited = 0;
+  for (std::uint64_t m = dep; m != 0; m = dep & ~hb) {
+    const std::size_t j = top(m);
+    visited |= bit(j);
+    hb |= trace_[j].hb | bit(j);
+  }
+  const std::uint64_t races = visited & ~own;
+  stats_.races_detected += static_cast<std::uint64_t>(std::popcount(races));
+  trace_.push_back(Event{step, node_depth, dep, hb,
+                         (k == 0 ? 0 : trace_[k - 1].dep_seen) | dep});
+  own |= bit(k);
+  section_positions_ |= step.section_changed ? bit(k) : 0;
 
-  // --- 2. Source-set backtrack insertion per race, most recent race
-  // first (the walk's order; any fixed order is sound and this one is
-  // deterministic). Each resolution sees the previous insertions.
-  for (const std::size_t d_index : races_scratch_) {
-    apply_race(d_index, step.pid, backtrack_by_depth);
+  // --- 3. Source-set backtrack insertion per race, most recent race
+  // first (any fixed order is sound and this one is deterministic). Each
+  // resolution sees the previous insertions.
+  for (std::uint64_t m = races; m != 0;) {
+    const std::size_t d = top(m);
+    m &= ~bit(d);
+    std::uint32_t& mask = backtrack_by_depth[static_cast<std::size_t>(
+        trace_[d].node_depth)];
+    const Pid chosen = choose_initial(d, step.pid, mask);
+    if (chosen >= 0) {
+      mask |= 1u << static_cast<unsigned>(chosen);
+      ++stats_.backtrack_points;
+    }
   }
 }
 
@@ -105,8 +139,8 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
   // the traded class is value-covered by the bucket placements: q's units
   // observe identical values with or without u, and u's own process only
   // loses its final step (every objective is monotone along a run).
-  // push_step records each unit's first dependent successor, so "commutes
-  // with its entire suffix" is one read of first_dep.
+  // The path's dep_seen holds every unit with a dependent successor, so
+  // "commutes with its entire suffix" is one bit read.
   const std::size_t np = std::min<std::size_t>(pends.size(), kMaxPorProcs);
   const std::uint32_t enabled =
       enabled_mask &
@@ -117,6 +151,8 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
     const auto q = static_cast<std::size_t>(std::countr_zero(m));
     unknown |= pends[q].known ? 0u : 1u << q;
   }
+  const std::uint64_t has_dependent =
+      trace_.empty() ? 0 : trace_.back().dep_seen;
   std::uint32_t alive = enabled;
   for (std::size_t i = trace_.size(); i-- > 0;) {
     const Event& d = trace_[i];
@@ -126,7 +162,7 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
         backtrack_by_depth[static_cast<std::size_t>(d.node_depth)];
     const std::uint32_t placing = alive & ~mask;
     const std::uint32_t dropping =
-        d.first_dep == kNoDependent ? enabled & ~self & ~mask : 0u;
+        (has_dependent & bit(i)) == 0 ? enabled & ~self & ~mask : 0u;
     const std::uint32_t cand = placing | dropping;
     if (cand == 0) {
       continue;
@@ -156,89 +192,40 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
   }
 }
 
-void SourceDpor::merge_clock(Clock& into, const Event& d) const {
-  for (int p = 0; p < nprocs_; ++p) {
-    into[static_cast<std::size_t>(p)] =
-        std::max(into[static_cast<std::size_t>(p)],
-                 d.clock[static_cast<std::size_t>(p)]);
-  }
-  into[static_cast<std::size_t>(d.step.pid)] = std::max(
-      into[static_cast<std::size_t>(d.step.pid)],
-      static_cast<std::uint16_t>(d.self_index + 1));
-}
-
-void SourceDpor::apply_race(std::size_t d_index, Pid q,
-                            std::span<std::uint32_t> backtrack_by_depth) {
-  const int target = trace_[d_index].node_depth;
-  const std::uint32_t mask =
-      backtrack_by_depth[static_cast<std::size_t>(target)];
-  const Pid chosen = choose_initial(d_index, q, mask);
-  if (chosen >= 0) {
-    backtrack_by_depth[static_cast<std::size_t>(target)] |=
-        1u << static_cast<unsigned>(chosen);
-    ++stats_.backtrack_points;
-  }
-}
-
 Pid SourceDpor::choose_initial(std::size_t d_index, Pid q,
-                               std::uint32_t backtrack_mask) {
-  const Event& d = trace_[d_index];
+                               std::uint32_t backtrack_mask) const {
+  if (backtrack_mask == kForeignNode) {
+    return -1;  // a full mask intersects the (never empty) I(v)
+  }
   // e = trace_.back(), q's racing unit, stands as v's final element.
-  const std::size_t v_end = trace_.size() - 1;
+  const std::size_t e_index = trace_.size() - 1;
 
   // v = notdep(d, E).q: the units after d that do NOT happen-after d, in
   // trace order, then the racing process q's unit itself (which is by
   // construction dependent on d, so it is appended explicitly).
-  v_scratch_.clear();
-  for (std::size_t j = d_index + 1; j < v_end; ++j) {
-    const bool after_d =
-        trace_[j].clock[static_cast<std::size_t>(d.step.pid)] >
-        d.self_index;
-    if (!after_d) {
-      v_scratch_.push_back(j);
-    }
+  std::uint64_t v = 0;
+  for (std::size_t j = d_index + 1; j < e_index; ++j) {
+    v |= (trace_[j].hb & bit(d_index)) == 0 ? bit(j) : 0;
   }
 
   // I(v): processes whose first unit in v has no dependence predecessor
-  // inside v. The first element of v is always an initial, so I(v) is
-  // never empty.
+  // inside v. A later unit of the same process has its first one as a
+  // dependence predecessor, so testing every unit of v is the same. The
+  // first element of v is always an initial, so I(v) is never empty.
   std::uint32_t initials = 0;
   Pid first_pid = -1;
-  for (std::size_t a = 0; a < v_scratch_.size(); ++a) {
-    const Event& w = trace_[v_scratch_[a]];
-    if (((initials >> static_cast<unsigned>(w.step.pid)) & 1u) != 0) {
-      continue;  // already initial through its first unit
-    }
-    bool initial = true;
-    for (std::size_t b = 0; b < a; ++b) {
-      if (dependent(trace_[v_scratch_[b]].step, w.step)) {
-        initial = false;
-        break;
-      }
-    }
-    if (initial) {
+  for (std::uint64_t m = v; m != 0; m &= m - 1) {
+    const Event& w = trace_[static_cast<std::size_t>(std::countr_zero(m))];
+    if ((w.dep & v) == 0) {
       initials |= 1u << static_cast<unsigned>(w.step.pid);
-      if (first_pid < 0) {
-        first_pid = w.step.pid;
-      }
+      first_pid = first_pid < 0 ? w.step.pid : first_pid;
     }
   }
   // The final element: q's unit e. Initial iff no unit of v precedes it
-  // dependently. (q has no earlier unit in v — see the race definition.)
-  if (((initials >> static_cast<unsigned>(q)) & 1u) == 0) {
-    bool initial = true;
-    for (const std::size_t j : v_scratch_) {
-      if (dependent(trace_[j].step, trace_[v_end].step)) {
-        initial = false;
-        break;
-      }
-    }
-    if (initial) {
-      initials |= 1u << static_cast<unsigned>(q);
-      if (first_pid < 0) {
-        first_pid = q;
-      }
-    }
+  // dependently.
+  if ((trace_[e_index].dep & v) == 0) {
+    initials |= 1u << static_cast<unsigned>(q);
+    first_pid = first_pid < 0 ? q : first_pid;
   }
 
   if ((initials & backtrack_mask) != 0) {
@@ -252,22 +239,21 @@ Pid SourceDpor::choose_initial(std::size_t d_index, Pid q,
 
 void SourceDpor::pop_to(std::size_t len) {
   while (trace_.size() > len) {
-    per_pid_count_[static_cast<std::size_t>(trace_.back().step.pid)] -= 1;
-    trace_.pop_back();
-  }
-  // A surviving unit whose first dependent successor was popped has none
-  // left: later successors of it were popped too.
-  for (Event& ev : trace_) {
-    if (ev.first_dep >= len) {
-      ev.first_dep = kNoDependent;
+    const std::size_t k = trace_.size() - 1;
+    const StepSummary& step = trace_[k].step;
+    pid_positions_[static_cast<std::size_t>(step.pid)] &= ~bit(k);
+    section_positions_ &= ~bit(k);
+    if (step.accessed) {
+      RegPositions& reg = reg_positions_[static_cast<std::size_t>(step.reg)];
+      reg.accessed &= ~bit(k);
+      reg.written &= ~bit(k);
     }
+    trace_.pop_back();
   }
 }
 
 void SourceDpor::clear() {
-  trace_.clear();
-  std::fill(per_pid_count_.begin(), per_pid_count_.end(),
-            static_cast<std::uint16_t>(0));
+  pop_to(0);
   stats_ = Stats{};
 }
 

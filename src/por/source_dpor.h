@@ -1,7 +1,6 @@
 #ifndef CFC_POR_SOURCE_DPOR_H
 #define CFC_POR_SOURCE_DPOR_H
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -21,11 +20,15 @@ namespace cfc {
 ///
 /// Mechanics. The engine keeps one entry per executed unit of the current
 /// path: its StepSummary, the depth of the DFS node it was taken from, and
-/// its happens-before vector clock (clock[p] = how many of p's units
-/// happen-before-or-equal this one; happens-before is the trace-order
-/// closure of the dependence relation). push_step() computes the new
-/// unit's clock with one backward walk — a prior unit d that is dependent
-/// but not yet in the clock is a *race* (dependent and concurrent:
+/// three 64-bit masks of trace positions — `dep`, the earlier units
+/// directly dependent with it; `hb`, the earlier units that happen before
+/// it (happens-before is the trace-order closure of the dependence
+/// relation); and `dep_seen`, the OR of `dep` over it and every earlier
+/// unit (the units with a dependent successor so far). push_step() builds
+/// the new unit's `dep` as one union of position sets kept per pid, per
+/// register (accessed, written) and for section changes, then visits the
+/// positions of `dep & ~hb` highest first, folding each one's `hb` in: a
+/// visited unit of another process is a *race* (dependent and concurrent:
 /// reachable by no chain of intermediate dependences). For every race it
 /// derives the source-set insertion: with
 ///
@@ -33,10 +36,19 @@ namespace cfc {
 ///                         racing process q)
 ///
 /// the candidate set is I(v), the initials of v (processes whose first
-/// unit in v has no dependence predecessor inside v). If the backtrack
-/// mask of the node that executed d already intersects I(v), the race is
-/// covered; otherwise one member of I(v) is inserted (q when q ∈ I(v),
-/// else the first initial in v-order — a fixed, deterministic choice).
+/// unit in v has no dependence predecessor inside v: `dep & v` is empty).
+/// If the backtrack mask of the node that executed d already intersects
+/// I(v), the race is covered; otherwise one member of I(v) is inserted (q
+/// when q ∈ I(v), else the first initial in v-order — a fixed,
+/// deterministic choice).
+///
+/// Cost. push_step is O(1) mask work plus one step per visited position
+/// (at most one per process, since each visit folds in its predecessors),
+/// plus an O(path) walk per race to build v; pop_to clears the popped
+/// units' bits in O(1) each; note_cut's droppable test is one bit read.
+/// The masks cap the path at kMaxPorDepth (64) units: push_step throws
+/// std::logic_error past it, and the Explorer rejects a SourceDpor search
+/// whose max_depth exceeds it.
 ///
 /// Everything is per-path and single-threaded; pop_to() rewinds the trace
 /// on DFS backtrack. Storage is recycled across pushes (steady-state
@@ -76,10 +88,11 @@ class SourceDpor {
   /// and every process's captured NextStep; the engine inserts backtrack
   /// points for (1) each enabled process's pending-placement buckets along
   /// the path and (2) each *droppable* path unit's node — one with no
-  /// dependent successor on the path, which push_step records per unit so
-  /// the test is a field read (see the implementation for both coverage
-  /// arguments). The reversals then run the cut-off units inside the
-  /// bound, whose own races and cut points cascade the rest. Cost: one
+  /// dependent successor on the path, which push_step records in a
+  /// running mask so the test is one bit read (see the implementation for
+  /// both coverage arguments). The reversals then run the cut-off units
+  /// inside the bound, whose own races and cut points cascade the rest.
+  /// Cost: one
   /// backward walk over the path; per unit, a few mask operations, plus a
   /// register test for each owed process not already in the unit's node
   /// mask (at worst O(enabled processes x path length), typically far
@@ -97,50 +110,32 @@ class SourceDpor {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  using Clock = std::array<std::uint16_t, kMaxPorProcs>;
-
-  /// Event::first_dep of a unit with no dependent successor on the path.
-  static constexpr std::uint32_t kNoDependent = 0xffffffffu;
-
   struct Event {
     StepSummary step;
     int node_depth = 0;
-    std::uint16_t self_index = 0;  ///< index among its process's units
-    /// Trace index of the first later unit dependent with this one, or
-    /// kNoDependent: set by push_step's backward walk, cleared by pop_to
-    /// when that unit is popped. kNoDependent marks the unit droppable
-    /// (note_cut) with one read.
-    std::uint32_t first_dep = kNoDependent;
-    Clock clock{};  ///< happens-before closure (see above)
+    std::uint64_t dep = 0;       ///< earlier positions dependent with it
+    std::uint64_t hb = 0;        ///< earlier positions happening before it
+    std::uint64_t dep_seen = 0;  ///< OR of dep over positions <= its own
   };
 
-  /// True iff trace_[i] happens-before-or-equal the event whose clock is
-  /// `c`.
-  [[nodiscard]] bool in_clock(const Clock& c, std::size_t i) const {
-    const Event& ev = trace_[i];
-    return c[static_cast<std::size_t>(ev.step.pid)] >
-           ev.self_index;
-  }
+  /// The live positions that accessed, and that wrote, one register.
+  struct RegPositions {
+    std::uint64_t accessed = 0;
+    std::uint64_t written = 0;
+  };
 
-  /// Folds event d (and d itself) into a happens-before clock.
-  void merge_clock(Clock& into, const Event& d) const;
-
-  /// Resolves one race of process q's unit (trace_.back()) against
-  /// trace_[d_index], inserting the chosen source-set process at d's node.
-  void apply_race(std::size_t d_index, Pid q,
-                  std::span<std::uint32_t> backtrack_by_depth);
+  [[nodiscard]] RegPositions& reg_positions(RegId reg);
 
   /// Computes I(v) for the race and returns the pid to insert, or -1 when
   /// `backtrack_mask` (the mask of d's node) already intersects I(v).
   [[nodiscard]] Pid choose_initial(std::size_t d_index, Pid q,
-                                   std::uint32_t backtrack_mask);
+                                   std::uint32_t backtrack_mask) const;
 
-  int nprocs_;
   std::vector<Event> trace_;
-  std::vector<std::uint16_t> per_pid_count_;
+  std::vector<std::uint64_t> pid_positions_;  ///< per pid
+  std::vector<RegPositions> reg_positions_;   ///< per register id
+  std::uint64_t section_positions_ = 0;       ///< units that changed sections
   Stats stats_;
-  std::vector<std::size_t> races_scratch_;  ///< d-indices of one push
-  std::vector<std::size_t> v_scratch_;      ///< v-sequence trace indices
 };
 
 }  // namespace cfc

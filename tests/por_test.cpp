@@ -8,7 +8,9 @@
 // default to the reduced tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -17,6 +19,7 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -853,6 +856,415 @@ TEST(PorSourceDpor, NoteCutMatchesTwoLoopReferenceOnRegistryPaths) {
   EXPECT_GT(insertions, 1000u);
 }
 
+// --- Race detection on position masks: SourceDpor against the vector-clock
+// detector it replaced, kept here as the reference. ---
+
+/// The race detector as it was before position masks: happens-before
+/// vector clocks built by one backward walk over the whole path per push,
+/// an O(|v|^2) initials scan per race, and each unit's first dependent
+/// successor for note_cut's droppable test.
+class VectorClockDpor {
+ public:
+  explicit VectorClockDpor(int nprocs)
+      : nprocs_(nprocs), per_pid_count_(static_cast<std::size_t>(nprocs), 0) {}
+
+  void push_step(int node_depth, const StepSummary& step,
+                 std::span<std::uint32_t> backtrack_by_depth) {
+    Event e;
+    e.step = step;
+    e.node_depth = node_depth;
+    e.self_index = per_pid_count_[static_cast<std::size_t>(step.pid)];
+    e.clock.fill(0);
+    std::vector<std::size_t> races;
+    const auto e_index = static_cast<std::uint32_t>(trace_.size());
+    for (std::size_t i = trace_.size(); i-- > 0;) {
+      Event& d = trace_[i];
+      if (!dependent(d.step, e.step)) {
+        continue;
+      }
+      if (d.first_dep == kNoDependent) {
+        d.first_dep = e_index;
+      }
+      if (in_clock(e.clock, i)) {
+        continue;
+      }
+      if (d.step.pid != e.step.pid) {
+        races.push_back(i);
+        ++stats_.races_detected;
+      }
+      merge_clock(e.clock, d);
+    }
+    e.clock[static_cast<std::size_t>(step.pid)] =
+        static_cast<std::uint16_t>(e.self_index + 1);
+    per_pid_count_[static_cast<std::size_t>(step.pid)] += 1;
+    trace_.push_back(e);
+    for (const std::size_t d_index : races) {
+      std::uint32_t& mask = backtrack_by_depth[static_cast<std::size_t>(
+          trace_[d_index].node_depth)];
+      const Pid chosen = choose_initial(d_index, step.pid, mask);
+      if (chosen >= 0) {
+        mask |= 1u << static_cast<unsigned>(chosen);
+        ++stats_.backtrack_points;
+      }
+    }
+  }
+
+  /// SourceDpor::note_cut's one walk, with the droppable test read from
+  /// first_dep.
+  void note_cut(std::uint32_t enabled_mask, std::span<const NextStep> pends,
+                std::span<std::uint32_t> backtrack_by_depth) {
+    const std::size_t np = std::min<std::size_t>(pends.size(), kMaxPorProcs);
+    const std::uint32_t enabled =
+        enabled_mask &
+        (np == kMaxPorProcs ? ~0u : (1u << static_cast<unsigned>(np)) - 1u);
+    std::uint32_t unknown = 0;
+    for (std::uint32_t m = enabled; m != 0; m &= m - 1) {
+      const auto q = static_cast<std::size_t>(std::countr_zero(m));
+      unknown |= pends[q].known ? 0u : 1u << q;
+    }
+    std::uint32_t alive = enabled;
+    for (std::size_t i = trace_.size(); i-- > 0;) {
+      const Event& d = trace_[i];
+      const std::uint32_t self = 1u << static_cast<unsigned>(d.step.pid);
+      alive &= ~self;
+      std::uint32_t& mask =
+          backtrack_by_depth[static_cast<std::size_t>(d.node_depth)];
+      const std::uint32_t placing = alive & ~mask;
+      const std::uint32_t dropping =
+          d.first_dep == kNoDependent ? enabled & ~self & ~mask : 0u;
+      const std::uint32_t cand = placing | dropping;
+      if (cand == 0) {
+        continue;
+      }
+      std::uint32_t dep = cand;
+      if (!d.step.section_changed) {
+        dep &= unknown;
+        if (d.step.accessed) {
+          for (std::uint32_t m = cand & ~unknown; m != 0; m &= m - 1) {
+            const auto q = static_cast<std::size_t>(std::countr_zero(m));
+            const NextStep& pend = pends[q];
+            if (!pend.yield && pend.reg == d.step.reg &&
+                (d.step.wrote || pend.wrote)) {
+              dep |= 1u << q;
+            }
+          }
+        }
+      }
+      const std::uint32_t add =
+          (i + 1 == trace_.size() ? placing : placing & dep) |
+          (d.step.accessed ? dropping & dep : dropping);
+      mask |= add;
+      stats_.backtrack_points +=
+          static_cast<std::uint64_t>(std::popcount(add));
+    }
+  }
+
+  void pop_to(std::size_t len) {
+    while (trace_.size() > len) {
+      per_pid_count_[static_cast<std::size_t>(trace_.back().step.pid)] -= 1;
+      trace_.pop_back();
+    }
+    for (Event& ev : trace_) {
+      if (ev.first_dep >= len) {
+        ev.first_dep = kNoDependent;
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return trace_.size(); }
+  [[nodiscard]] const SourceDpor::Stats& stats() const { return stats_; }
+
+ private:
+  using Clock = std::array<std::uint16_t, kMaxPorProcs>;
+  static constexpr std::uint32_t kNoDependent = 0xffffffffu;
+
+  struct Event {
+    StepSummary step;
+    int node_depth = 0;
+    std::uint16_t self_index = 0;
+    std::uint32_t first_dep = kNoDependent;
+    Clock clock{};
+  };
+
+  [[nodiscard]] bool in_clock(const Clock& c, std::size_t i) const {
+    const Event& ev = trace_[i];
+    return c[static_cast<std::size_t>(ev.step.pid)] > ev.self_index;
+  }
+
+  void merge_clock(Clock& into, const Event& d) const {
+    for (int p = 0; p < nprocs_; ++p) {
+      into[static_cast<std::size_t>(p)] =
+          std::max(into[static_cast<std::size_t>(p)],
+                   d.clock[static_cast<std::size_t>(p)]);
+    }
+    into[static_cast<std::size_t>(d.step.pid)] = std::max(
+        into[static_cast<std::size_t>(d.step.pid)],
+        static_cast<std::uint16_t>(d.self_index + 1));
+  }
+
+  [[nodiscard]] Pid choose_initial(std::size_t d_index, Pid q,
+                                   std::uint32_t backtrack_mask) const {
+    const Event& d = trace_[d_index];
+    const std::size_t v_end = trace_.size() - 1;
+    std::vector<std::size_t> v;
+    for (std::size_t j = d_index + 1; j < v_end; ++j) {
+      if (trace_[j].clock[static_cast<std::size_t>(d.step.pid)] <=
+          d.self_index) {
+        v.push_back(j);
+      }
+    }
+    std::uint32_t initials = 0;
+    Pid first_pid = -1;
+    for (std::size_t a = 0; a < v.size(); ++a) {
+      const Event& w = trace_[v[a]];
+      if (((initials >> static_cast<unsigned>(w.step.pid)) & 1u) != 0) {
+        continue;
+      }
+      bool initial = true;
+      for (std::size_t b = 0; b < a; ++b) {
+        if (dependent(trace_[v[b]].step, w.step)) {
+          initial = false;
+          break;
+        }
+      }
+      if (initial) {
+        initials |= 1u << static_cast<unsigned>(w.step.pid);
+        if (first_pid < 0) {
+          first_pid = w.step.pid;
+        }
+      }
+    }
+    if (((initials >> static_cast<unsigned>(q)) & 1u) == 0) {
+      bool initial = true;
+      for (const std::size_t j : v) {
+        if (dependent(trace_[j].step, trace_[v_end].step)) {
+          initial = false;
+          break;
+        }
+      }
+      if (initial) {
+        initials |= 1u << static_cast<unsigned>(q);
+        if (first_pid < 0) {
+          first_pid = q;
+        }
+      }
+    }
+    if ((initials & backtrack_mask) != 0) {
+      return -1;
+    }
+    if (((initials >> static_cast<unsigned>(q)) & 1u) != 0) {
+      return q;
+    }
+    return first_pid;
+  }
+
+  int nprocs_;
+  std::vector<Event> trace_;
+  std::vector<std::uint16_t> per_pid_count_;
+  SourceDpor::Stats stats_;
+};
+
+/// SourceDpor and the vector-clock reference driven in lockstep: each
+/// owns a copy of the backtrack masks, and after every operation their
+/// race and insertion counts and every mask must agree; then a cut with
+/// `pends`/`enabled` must insert the same bits into copies of the masks
+/// (and, when `commit`, into the live ones, as a DFS cut would).
+struct LockstepDpor {
+  SourceDpor dpor;
+  VectorClockDpor ref;
+  std::vector<std::uint32_t> got;
+  std::vector<std::uint32_t> want;
+
+  LockstepDpor(int n, std::vector<std::uint32_t> masks)
+      : dpor(n), ref(n), got(masks), want(std::move(masks)) {}
+
+  void push(const StepSummary& s) {
+    const int depth = static_cast<int>(dpor.size());
+    dpor.push_step(depth, s, got);
+    ref.push_step(depth, s, want);
+  }
+
+  void pop_to(std::size_t len) {
+    dpor.pop_to(len);
+    ref.pop_to(len);
+  }
+
+  void expect_same(const std::string& what) const {
+    ASSERT_EQ(dpor.size(), ref.size()) << what;
+    ASSERT_EQ(dpor.stats().races_detected, ref.stats().races_detected)
+        << what;
+    ASSERT_EQ(dpor.stats().backtrack_points, ref.stats().backtrack_points)
+        << what;
+    ASSERT_EQ(got, want) << what;
+  }
+
+  void expect_same_cut(std::uint32_t enabled, std::span<const NextStep> pends,
+                       bool commit, const std::string& what) {
+    std::vector<std::uint32_t> cut_got = got;
+    std::vector<std::uint32_t> cut_want = want;
+    dpor.note_cut(enabled, pends, cut_got);
+    ref.note_cut(enabled, pends, cut_want);
+    ASSERT_EQ(cut_got, cut_want) << what;
+    if (commit) {
+      got = std::move(cut_got);
+      want = std::move(cut_want);
+    }
+    expect_same(what);
+  }
+};
+
+/// A DFS-like backtrack from a path of `len` units: mostly a few units,
+/// sometimes anywhere down to the root.
+std::size_t random_pop(std::mt19937_64& rng, std::size_t len) {
+  if (rng() % 100 < 3) {
+    return rng() % (len + 1);
+  }
+  return len - std::min<std::size_t>(len, 1 + rng() % 3);
+}
+
+TEST(PorSourceDpor, BitsetRaceDetectionMatchesVectorClockReference) {
+  constexpr auto kMaxLen = static_cast<std::size_t>(kMaxPorDepth);
+  std::uint64_t races = 0;
+  std::uint64_t cuts = 0;
+  std::size_t longest = 0;
+  // Seeded random paths: every process count up to 32 (pid 31 included),
+  // register ids from 64 up, yields, crash units, section changes, random
+  // pops, up to 64 units; the bottom depths of some runs are foreign
+  // nodes, as a work item's prefix is.
+  for (std::uint64_t seed = 1; seed <= 93; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto chance = [&](unsigned percent) {
+      return rng() % 100 < percent;
+    };
+    const int n = 2 + static_cast<int>(seed % 31);
+    const auto all = n == 32 ? ~0u : (1u << static_cast<unsigned>(n)) - 1u;
+    const unsigned regs = 2 + static_cast<unsigned>(rng() % 7);
+    const auto random_step = [&] {
+      StepSummary s;
+      s.pid = static_cast<Pid>(rng() % static_cast<unsigned>(n));
+      const unsigned kind = static_cast<unsigned>(rng() % 100);
+      s.crashed = kind < 5;
+      s.accessed = kind >= 15;  // else a crash unit or a local yield
+      if (s.accessed) {
+        s.reg = static_cast<RegId>(64 + rng() % regs);
+        s.wrote = chance(40);
+      }
+      s.section_changed = !s.crashed && chance(15);
+      return s;
+    };
+    std::vector<std::uint32_t> masks(kMaxLen + 1);
+    const std::size_t foreign = seed % 3 == 0 ? rng() % 8 : 0;
+    for (std::size_t d = 0; d < masks.size(); ++d) {
+      masks[d] = d < foreign ? SourceDpor::kForeignNode
+                             : static_cast<std::uint32_t>(rng()) &
+                                   static_cast<std::uint32_t>(rng()) & all;
+    }
+    LockstepDpor lock(n, std::move(masks));
+    for (int op = 0; op < 600; ++op) {
+      const std::string what =
+          "seed=" + std::to_string(seed) + " op=" + std::to_string(op);
+      if (lock.dpor.size() < kMaxLen &&
+          (lock.dpor.size() == 0 || chance(75))) {
+        lock.push(random_step());
+      } else {
+        lock.pop_to(random_pop(rng, lock.dpor.size()));
+      }
+      longest = std::max(longest, lock.dpor.size());
+      ASSERT_NO_FATAL_FAILURE(lock.expect_same(what));
+      std::vector<NextStep> pends(static_cast<std::size_t>(n));
+      for (NextStep& pend : pends) {
+        pend.known = chance(85);
+        if (pend.known) {
+          pend.yield = chance(15);
+          if (!pend.yield) {
+            pend.reg = static_cast<RegId>(64 + rng() % regs);
+            pend.wrote = chance(40);
+          }
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(lock.expect_same_cut(
+          static_cast<std::uint32_t>(rng()) & all, pends, chance(30), what));
+      ++cuts;
+    }
+    races += lock.dpor.stats().races_detected;
+  }
+  // Registry paths at n = 2..6: a seeded schedule of every registry mutex
+  // (crash plans on every other seed), walked with random pops and
+  // re-pushes of its own units, cut after every operation with the
+  // NextSteps and enabled mask the explorer would capture there.
+  for (int n = 2; n <= 6; ++n) {
+    for (const MutexAlgorithmEntry* e :
+         AlgorithmRegistry::instance().mutex_for_n(n)) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        const std::string name = e->info.name + " n=" + std::to_string(n) +
+                                 " seed=" + std::to_string(seed);
+        Sim sim;
+        sim.set_trace_recording(false);
+        const auto alg = setup_mutex(sim, e->factory, n, /*sessions=*/2);
+        if (seed % 2 == 0) {
+          sim.crash_after(static_cast<Pid>(seed % static_cast<unsigned>(n)),
+                          seed + 2);
+        }
+        // units[i] is the path's unit i; pends[i] and enabled[i] what the
+        // explorer would capture at the node after i units.
+        std::vector<StepSummary> units;
+        std::vector<std::vector<NextStep>> pends;
+        std::vector<std::uint32_t> enabled;
+        RandomScheduler rnd(seed);
+        while (true) {
+          pends.emplace_back();
+          enabled.push_back(0);
+          for (Pid q = 0; q < n; ++q) {
+            pends.back().push_back(next_step_of(sim, q));
+            enabled.back() |= sim.runnable(q) ? 1u << q : 0u;
+          }
+          const std::optional<Pid> p = rnd.next(sim);
+          if (!p || units.size() == kMaxLen) {
+            break;
+          }
+          sim.step(*p);
+          units.push_back(sim.last_step_summary());
+        }
+        std::mt19937_64 rng(seed);
+        LockstepDpor lock(n, std::vector<std::uint32_t>(kMaxLen + 1, 0));
+        for (int op = 0; op < 300; ++op) {
+          const std::size_t len = lock.dpor.size();
+          if (len < units.size() && (len == 0 || rng() % 100 < 75)) {
+            lock.push(units[len]);
+          } else {
+            lock.pop_to(random_pop(rng, len));
+          }
+          const std::size_t at = lock.dpor.size();
+          longest = std::max(longest, at);
+          const std::string what = name + " op=" + std::to_string(op);
+          ASSERT_NO_FATAL_FAILURE(lock.expect_same(what));
+          ASSERT_NO_FATAL_FAILURE(lock.expect_same_cut(
+              enabled[at], pends[at], rng() % 100 < 30, what));
+          ++cuts;
+        }
+        races += lock.dpor.stats().races_detected;
+      }
+    }
+  }
+  EXPECT_EQ(longest, kMaxLen);
+  EXPECT_GT(races, 10000u);
+  EXPECT_GT(cuts, 10000u);
+}
+
+TEST(PorSourceDpor, PathCapIsKMaxPorDepth) {
+  SourceDpor dpor(2);
+  std::vector<std::uint32_t> masks(kMaxPorDepth + 2, 0);
+  StepSummary s;
+  s.pid = 0;
+  for (int d = 0; d < kMaxPorDepth; ++d) {
+    s.pid = d % 2;
+    dpor.push_step(d, s, masks);
+  }
+  EXPECT_THROW(dpor.push_step(kMaxPorDepth, s, masks), std::logic_error);
+  dpor.pop_to(kMaxPorDepth - 1);
+  EXPECT_NO_THROW(dpor.push_step(kMaxPorDepth - 1, s, masks));
+}
+
 // --- Locality of pending captures: a unit of p changes no other
 // process's NextStep. The explorer's incremental capture_pendings copies
 // its parent's captures and re-reads only the pid it stepped, so this
@@ -1016,6 +1428,33 @@ TEST(PorPolicy, DfsRequiresThirtyTwoBitMasks) {
   cfg.strategy = SearchStrategy::Random;
   cfg.nprocs = kMaxPorProcs + 1;
   EXPECT_NO_THROW((void)Explorer(cfg));
+}
+
+TEST(PorPolicy, SourceDporDepthCappedAtSixtyFourUnits) {
+  // The race detector keeps sets of path positions in 64 bits: a
+  // source-dpor search deeper than kMaxPorDepth is rejected up front, at
+  // the Explorer and through a study. Off keeps no position sets.
+  Explorer::Config cfg = explorer_config(
+      mutex_setup(AlgorithmRegistry::instance().mutex("peterson-2p").factory,
+                  2),
+      2, kMaxPorDepth, ReductionPolicy::SourceDpor);
+  EXPECT_NO_THROW((void)Explorer(cfg));
+  cfg.limits.max_depth = kMaxPorDepth + 1;
+  EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
+  cfg.limits.reduction = ReductionPolicy::Off;
+  EXPECT_NO_THROW((void)Explorer(cfg));
+
+  // A two-process detector's tree ends well before either depth.
+  const auto spec = [](int depth) {
+    return StudySpec::of("splitter-tree-l2")
+        .kind(StudyKind::Detector)
+        .n(2)
+        .worst_case(SearchStrategy::Exhaustive)
+        .depth(depth);
+  };
+  EXPECT_NO_THROW((void)run_study(spec(kMaxPorDepth)));
+  EXPECT_THROW((void)run_study(spec(kMaxPorDepth + 1)),
+               std::invalid_argument);
 }
 
 }  // namespace
