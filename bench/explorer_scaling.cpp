@@ -55,18 +55,7 @@ Explorer::Config peterson_config(
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, make, 2, 1);
   };
-  cfg.objective.eval = [](const Sim&, const MeasureAccumulator& acc) {
-    ComplexityReport entry;
-    ComplexityReport exit;
-    for (Pid pid = 0; pid < 2; ++pid) {
-      entry = entry.max_with(acc.clean_entry_max(pid));
-      exit = exit.max_with(acc.exit_max(pid));
-    }
-    return std::vector<ComplexityReport>{entry, exit};
-  };
-  cfg.objective.digest = [](const MeasureAccumulator& acc) {
-    return acc.window_digest();
-  };
+  cfg.objective.fields = {MeasureField::CleanEntry, MeasureField::Exit};
   return cfg;
 }
 
@@ -84,18 +73,7 @@ Explorer::Config tree_dpor_config(int depth) {
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, make, 4, 1);
   };
-  cfg.objective.eval = [](const Sim&, const MeasureAccumulator& acc) {
-    ComplexityReport entry;
-    ComplexityReport exit;
-    for (Pid pid = 0; pid < 4; ++pid) {
-      entry = entry.max_with(acc.clean_entry_max(pid));
-      exit = exit.max_with(acc.exit_max(pid));
-    }
-    return std::vector<ComplexityReport>{entry, exit};
-  };
-  cfg.objective.digest = [](const MeasureAccumulator& acc) {
-    return acc.window_digest();
-  };
+  cfg.objective.fields = {MeasureField::CleanEntry, MeasureField::Exit};
   return cfg;
 }
 

@@ -2,8 +2,8 @@
 // events/second through the scheduler, solo mutex sessions (trace-recorded
 // vs streaming-measured), full detection runs, trace measurement, and the
 // per-node primitives of the certified search (accumulator snapshot copy,
-// section changes, source-DPOR race detection and cut-point insertions,
-// mark-based rewind).
+// leaf objective evaluation, section changes, source-DPOR race detection
+// and cut-point insertions, mark-based rewind).
 // These put a number on the harness itself so sweep costs in the table
 // benches are predictable. Algorithms are resolved from the
 // AlgorithmRegistry; results additionally land in
@@ -18,6 +18,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -170,25 +171,71 @@ void step_random(Sim& sim, RandomScheduler& rnd, int units) {
   }
 }
 
-void BM_AccumulatorCopyAssign(benchmark::State& state) {
-  // The explorer's node snapshot and sibling restore: acc_pool_[d] = acc_.
-  // n=6 keeps every register id in the RegIdSet mask; n=64 uses the spill.
-  const auto n = static_cast<int>(state.range(0));
-  Sim sim;
+/// The fields the certified mutex searches maximize.
+constexpr MeasureField kEntryExit[] = {MeasureField::CleanEntry,
+                                       MeasureField::Exit};
+
+/// An accumulator over `fields` fed 40n units of a random peterson-tree
+/// run at n processes (two sessions each); `sim` keeps the run alive.
+MeasureAccumulator fed_accumulator(Sim& sim, int n,
+                                   std::span<const MeasureField> fields,
+                                   std::unique_ptr<MutexAlgorithm>& alg) {
   sim.set_trace_recording(false);
-  MeasureAccumulator acc(n);
+  MeasureAccumulator acc(n, fields);
   sim.add_sink(acc);
-  auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/2);
+  alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/2);
   RandomScheduler rnd(1);
   step_random(sim, rnd, 40 * n);
-  MeasureAccumulator snap(n);
+  sim.remove_sink(acc);
+  return acc;
+}
+
+/// The explorer's node snapshot and sibling restore: acc_pool_[d] = acc_.
+void copy_assign(benchmark::State& state,
+                 std::span<const MeasureField> fields) {
+  const auto n = static_cast<int>(state.range(0));
+  Sim sim;
+  std::unique_ptr<MutexAlgorithm> alg;
+  const MeasureAccumulator acc = fed_accumulator(sim, n, fields, alg);
+  MeasureAccumulator snap(n, fields);
   for (auto _ : state) {
     snap = acc;
     benchmark::DoNotOptimize(&snap);
     benchmark::ClobberMemory();
   }
 }
+
+void BM_AccumulatorCopyAssign(benchmark::State& state) {
+  // Every field. n=6 keeps every register id in the RegIdSet mask; n=64
+  // uses the spill.
+  copy_assign(state, kAllMeasureFields);
+}
 BENCHMARK(BM_AccumulatorCopyAssign)->Arg(6)->Arg(64);
+
+void BM_AccumulatorCopyAssignEntryExit(benchmark::State& state) {
+  // The certified mutex search's accumulator: clean-entry and exit only.
+  copy_assign(state, kEntryExit);
+}
+BENCHMARK(BM_AccumulatorCopyAssignEntryExit)->Arg(6);
+
+void BM_LeafObjective(benchmark::State& state) {
+  // The explorer's leaf evaluation of the mutex objective: one max_with
+  // per field into the search's best, each a read of the accumulator's
+  // max over processes.
+  const auto n = static_cast<int>(state.range(0));
+  Sim sim;
+  std::unique_ptr<MutexAlgorithm> alg;
+  const MeasureAccumulator acc = fed_accumulator(sim, n, kEntryExit, alg);
+  std::vector<ComplexityReport> best(std::size(kEntryExit));
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      best[i] = best[i].max_with(acc.max_over_pids(kEntryExit[i]));
+    }
+    benchmark::DoNotOptimize(best.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LeafObjective)->Arg(6);
 
 void BM_SectionChange(benchmark::State& state) {
   // One process's solo session as section changes only — Remainder ->

@@ -70,8 +70,7 @@ void ExploreStats::merge(const ExploreStats& o) {
 
 namespace {
 
-/// Index-wise max_with reduction of objective report vectors (the single
-/// definition behind leaf accumulation and the cell reductions).
+/// Index-wise max_with reduction of per-item objective report vectors.
 void merge_best(std::vector<ComplexityReport>& best,
                 const std::vector<ComplexityReport>& leaf) {
   if (leaf.empty()) {
@@ -128,7 +127,7 @@ class CellExplorer {
  public:
   explicit CellExplorer(const Explorer::Config& cfg)
       : cfg_(cfg),
-        acc_(cfg.nprocs),
+        acc_(cfg.nprocs, cfg.objective.fields),
         sleep_sets_(cfg.limits.reduction == ReductionPolicy::SourceDpor),
         bounded_(cfg.limits.max_preemptions >= 0) {
     backtrack_.assign(
@@ -244,7 +243,8 @@ class CellExplorer {
       reset_sim();
     } else {
       sim_->rewind_to(0);
-      acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
+      // The sink address is stable.
+      acc_ = MeasureAccumulator(cfg_.nprocs, cfg_.objective.fields);
     }
   }
 
@@ -254,8 +254,10 @@ class CellExplorer {
     owner_ = cfg_.setup(*sim_);
     sim_->set_trace_recording(false);
     sim_->mark_rewind_base();
-    acc_ = MeasureAccumulator(cfg_.nprocs);
-    sim_->add_sink(acc_);
+    acc_ = MeasureAccumulator(cfg_.nprocs, cfg_.objective.fields);
+    if (!cfg_.objective.fields.empty()) {
+      sim_->add_sink(acc_);  // nothing to measure without an objective
+    }
   }
 
   /// Captures the node checkpoint the siblings restore to: the accumulator
@@ -286,17 +288,17 @@ class CellExplorer {
     acc_ = acc_pool_[d];  // the sink stays attached; plain-data restore
   }
 
-  /// Visited-cache key: state fingerprint x objective digest; the visit
-  /// mask is the cache's value dimension, not part of the key. Under a
-  /// preemption bound the last-scheduled pid is part of the state: futures
-  /// continuing it are free while switches cost budget, so merging across
-  /// different `last` would prune feasible subtrees.
+  /// Visited-cache key: state fingerprint x the accumulator digest, which
+  /// hashes exactly the objective's fields (so the key is sound for the
+  /// objective by construction); the visit mask is the cache's value
+  /// dimension, not part of the key. Under a preemption bound the
+  /// last-scheduled pid is part of the state: futures continuing it are
+  /// free while switches cost budget, so merging across different `last`
+  /// would prune feasible subtrees.
   [[nodiscard]] std::uint64_t cache_key(Pid last) const {
     std::uint64_t h = state_fingerprint(*sim_);
-    if (cfg_.objective.eval) {
-      h = fingerprint_combine(h, cfg_.objective.digest
-                                     ? cfg_.objective.digest(acc_)
-                                     : acc_.digest());
+    if (!cfg_.objective.fields.empty()) {
+      h = fingerprint_combine(h, acc_.digest());
     }
     if (bounded_) {
       h = fingerprint_combine(h, static_cast<std::uint64_t>(last) + 1);
@@ -323,14 +325,23 @@ class CellExplorer {
     return true;
   }
 
+  /// Folds the leaf's objective fields into best: one max_with per field,
+  /// each a read of the accumulator's max over processes.
   void eval_leaf(bool truncated) {
-    if (!cfg_.objective.eval) {
+    const std::vector<MeasureField>& fields = cfg_.objective.fields;
+    if (fields.empty()) {
       return;
     }
     if (truncated) {
       acc_.mark_truncated();  // cleared by the next backtrack restore
     }
-    merge_best(out_->best, cfg_.objective.eval(*sim_, acc_));
+    std::vector<ComplexityReport>& best = out_->best;
+    if (best.empty()) {
+      best.resize(fields.size());  // once per engine run
+    }
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      best[i] = best[i].max_with(acc_.max_over_pids(fields[i]));
+    }
   }
 
   void leaf_completed() {
@@ -348,7 +359,7 @@ class CellExplorer {
   void ensure_pools(int depth) {
     const auto need = static_cast<std::size_t>(depth) + 1;
     while (acc_pool_.size() < need) {
-      acc_pool_.emplace_back(cfg_.nprocs);
+      acc_pool_.emplace_back(cfg_.nprocs, cfg_.objective.fields);
     }
     if (mark_pool_.size() < need) {
       mark_pool_.resize(need);

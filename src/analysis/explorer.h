@@ -79,19 +79,20 @@ struct ExploreLimits {
   /// truncated and not certified).
   std::uint64_t max_states = 0;
   /// Visited-state pruning (on by default): one sleep-set-aware cache
-  /// (SleepCache) keyed on core/state_fingerprint x the objective digest
-  /// (x the last pid under a preemption bound). A revisit is skipped only
-  /// when a stored visit's mask is a subset of the current one: the sleep
-  /// set under SourceDpor (stateful DPOR), the unary-coded preemptions
-  /// spent under Bounded, 0 under Off. The planner keeps one cache for its
-  /// walk; every work item starts from an empty one. Under SourceDpor
-  /// every skip also runs the bounded-horizon cut-point insertions
-  /// (SourceDpor::note_cut) at the pruned node, and those do NOT make one
-  /// cache over a whole search sound: the per-item scope is load-bearing
-  /// for the values, not only for thread-count invariance. With one cache
-  /// over the whole search (no planner horizon) kessels-2p n=2 d20
-  /// certifies entry [4,4] against the Off oracle's [17,4]; with pruning
-  /// off it matches. false runs every policy with no cache at all.
+  /// (SleepCache) keyed on core/state_fingerprint x the digest of the
+  /// objective's fields (x the last pid under a preemption bound). A
+  /// revisit is skipped only when a stored visit's mask is a subset of
+  /// the current one: the sleep set under SourceDpor (stateful DPOR), the
+  /// unary-coded preemptions spent under Bounded, 0 under Off. The
+  /// planner keeps one cache for its walk; every work item starts from an
+  /// empty one. Under SourceDpor every skip also runs the bounded-horizon
+  /// cut-point insertions (SourceDpor::note_cut) at the pruned node, and
+  /// those do NOT make one cache over a whole search sound: the per-item
+  /// scope is load-bearing for the values, not only for thread-count
+  /// invariance. With one cache over the whole search (no planner
+  /// horizon) kessels-2p n=2 d20 certifies entry [4,4] against the Off
+  /// oracle's [17,4]; with pruning off it matches. false runs every
+  /// policy with no cache at all.
   bool prune_visited = true;
   /// The partial-order reduction applied to Exhaustive searches (src/por/;
   /// see ReductionPolicy). Off by default at this layer; the Study layer
@@ -139,23 +140,18 @@ struct ExploreStatsField {
 /// Backs merge() and the explorer's metric flush.
 [[nodiscard]] std::span<const ExploreStatsField> explore_stats_fields();
 
-/// The measurement fields an exploration maximizes.
+/// The measurement fields an exploration maximizes: an ordered list of
+/// MeasureFields, each maximized over processes and over every evaluated
+/// leaf (completed or truncated run); Result::best[i] is fields[i]. The
+/// explorer builds its MeasureAccumulator with exactly these fields, so
+/// the other measures cost nothing per state, and keys its visited cache
+/// on that accumulator's digest, which hashes exactly these fields — the
+/// pruning key is sound for the objective by construction. Every field is
+/// monotone along a run (extending a run never decreases a window maximum
+/// or a total), which visited-state pruning relies on. Empty = pure safety
+/// exploration (no objective, no measurement).
 struct ExploreObjective {
-  /// Evaluated at every leaf (completed or truncated run); the explorer
-  /// keeps the index-wise max_with over all leaves. The vector's arity must
-  /// be fixed across calls, and eval must be *monotone along a run*
-  /// (extending a run never decreases any field — true for the streaming
-  /// window maxima and for whole-run totals); visited-state pruning relies
-  /// on it. Null = pure safety exploration (no objective).
-  std::function<std::vector<ComplexityReport>(const Sim&,
-                                              const MeasureAccumulator&)>
-      eval;
-  /// Digest of the accumulator state the objective's *future* values can
-  /// depend on; folded into the visited-state key so pruning never merges
-  /// states with measurement-relevant different pasts. Defaults to
-  /// MeasureAccumulator::digest() (always sound, weakest pruning); use
-  /// window_digest() for window-maxima objectives.
-  std::function<std::uint64_t(const MeasureAccumulator&)> digest;
+  std::vector<MeasureField> fields;
 };
 
 /// A DFS over scheduler choices with configurable budgets, mark-based
@@ -181,17 +177,19 @@ struct ExploreObjective {
 /// restore-free first descent walks the preemption-free spine. Coroutine
 /// frames cannot be copied, so every branching node captures a
 /// Sim::RewindMark (memory + per-process state, O(registers + processes))
-/// and its MeasureAccumulator snapshot into per-depth pools. The snapshot
-/// is a flat copy: the per-process records are trivially copyable, so it
-/// is one memmove while every register id fits the RegIdSet mask (ids
-/// past it add their spill vectors). A sibling restore rewinds the live
-/// Sim to the mark in place (Sim::rewind_to_mark — only the processes
-/// that acted below the node are value-replayed, each at its next step,
-/// and only registers whose value differs are rewritten) and restores
-/// the accumulator by the same flat assignment. Source-DPOR workers
-/// capture every process's NextStep per node incrementally (the parent's
-/// captures plus the pid just stepped).
-/// Steady state, a restore performs zero Sim heap allocation.
+/// and its MeasureAccumulator snapshot into per-depth pools. The
+/// accumulator tracks only the objective's fields, so the snapshot holds
+/// only those: its trivially copyable per-process records share one
+/// buffer, so the copy is one memmove while every register id fits the
+/// RegIdSet mask (ids past it add their spill vectors). A leaf reads each
+/// field's max over processes from the accumulator, one max_with per
+/// field. A sibling restore rewinds the live Sim to the mark in place
+/// (Sim::rewind_to_mark — only the processes that acted below the node
+/// are value-replayed, each at its next step, and only registers written
+/// below the node are rewritten) and restores the accumulator by the same
+/// flat assignment. Source-DPOR workers capture every process's NextStep
+/// per node incrementally (the parent's captures plus the pid just
+/// stepped). Steady state, a restore performs zero Sim heap allocation.
 ///
 /// Parallelism: the planner's work items partition the tree below its
 /// horizon into independent subtrees. Workers claim item indices from one
@@ -221,8 +219,8 @@ class Explorer {
 
   struct Result {
     ExploreStats stats;
-    /// Index-wise max_with over all evaluated leaves of objective.eval's
-    /// vector; empty when no leaf was evaluated or eval is null. Reports
+    /// best[i]: the max of objective.fields[i] over all evaluated leaves;
+    /// empty when no leaf was evaluated or the objective is empty. Reports
     /// carry truncated=true when any contributing run was cut off.
     std::vector<ComplexityReport> best;
   };

@@ -594,36 +594,15 @@ Explorer::Config wc_search_config(const StudySpec& spec,
     setup = [make, n, sessions](Sim& sim) -> std::shared_ptr<void> {
       return setup_mutex(sim, make, n, sessions);
     };
-    // Objective: maximize the clean-entry and exit window maxima over all
-    // processes. Monotone along a run (window maxima never decrease); its
-    // pruning digest is the window digest — whole-run totals are
-    // irrelevant to it.
-    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-      ComplexityReport entry;
-      ComplexityReport exit;
-      for (Pid pid = 0; pid < n; ++pid) {
-        entry = entry.max_with(acc.clean_entry_max(pid));
-        exit = exit.max_with(acc.exit_max(pid));
-      }
-      return std::vector<ComplexityReport>{entry, exit};
-    };
-    cfg.objective.digest = [](const MeasureAccumulator& acc) {
-      return acc.window_digest();
-    };
+    // Objective: the clean-entry and exit window maxima over all processes.
+    cfg.objective.fields = {MeasureField::CleanEntry, MeasureField::Exit};
   } else {
     const DetectorFactory make = subject.detector;
     setup = [make, n](Sim& sim) -> std::shared_ptr<void> {
       return setup_detection(sim, make, n);
     };
-    // Whole-run totals objective: the default accumulator digest (which
-    // covers the totals) is the sound pruning key, so leave it unset.
-    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-      ComplexityReport best;
-      for (Pid pid = 0; pid < n; ++pid) {
-        best = best.max_with(acc.total(pid));
-      }
-      return std::vector<ComplexityReport>{best};
-    };
+    // Objective: the whole-run totals' max over all processes.
+    cfg.objective.fields = {MeasureField::Total};
   }
   cfg.setup = [setup = std::move(setup),
                crash = o.crash_after](Sim& sim) -> std::shared_ptr<void> {

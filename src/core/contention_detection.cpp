@@ -1,6 +1,8 @@
 #include "core/contention_detection.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/algorithm_registry.h"
 #include "core/bounds.h"
@@ -21,7 +23,9 @@ std::unique_ptr<Detector> setup_detection(Sim& sim, const DetectorFactory& make,
   std::unique_ptr<Detector> det = make(sim.memory(), n);
   for (int slot = 0; slot < n; ++slot) {
     Detector* d = det.get();
-    sim.spawn("d" + std::to_string(slot),
+    std::string name = "d";
+    name += std::to_string(slot);
+    sim.spawn(std::move(name),
               [d, slot](ProcessContext& ctx) {
                 return detector_driver(ctx, *d, slot);
               });

@@ -6,19 +6,6 @@
 
 namespace cfc {
 
-ComplexityReport ComplexityReport::max_with(const ComplexityReport& o) const {
-  ComplexityReport r;
-  r.steps = std::max(steps, o.steps);
-  r.registers = std::max(registers, o.registers);
-  r.read_steps = std::max(read_steps, o.read_steps);
-  r.write_steps = std::max(write_steps, o.write_steps);
-  r.read_registers = std::max(read_registers, o.read_registers);
-  r.write_registers = std::max(write_registers, o.write_registers);
-  r.atomicity = std::max(atomicity, o.atomicity);
-  r.truncated = truncated || o.truncated;
-  return r;
-}
-
 ComplexityReport ComplexityReport::plus(const ComplexityReport& o) const {
   ComplexityReport r;
   r.steps = steps + o.steps;

@@ -1,6 +1,7 @@
 #ifndef CFC_CORE_MEASURES_H
 #define CFC_CORE_MEASURES_H
 
+#include <algorithm>
 #include <iosfwd>
 #include <vector>
 
@@ -42,7 +43,19 @@ struct ComplexityReport {
   bool truncated = false;
 
   /// Component-wise maximum (for "max over processes / fragments").
-  [[nodiscard]] ComplexityReport max_with(const ComplexityReport& o) const;
+  /// Inline: the explorer folds every leaf's fields through it.
+  [[nodiscard]] ComplexityReport max_with(const ComplexityReport& o) const {
+    ComplexityReport r;
+    r.steps = std::max(steps, o.steps);
+    r.registers = std::max(registers, o.registers);
+    r.read_steps = std::max(read_steps, o.read_steps);
+    r.write_steps = std::max(write_steps, o.write_steps);
+    r.read_registers = std::max(read_registers, o.read_registers);
+    r.write_registers = std::max(write_registers, o.write_registers);
+    r.atomicity = std::max(atomicity, o.atomicity);
+    r.truncated = truncated || o.truncated;
+    return r;
+  }
 
   /// Component-wise sum (entry + exit complexity).
   [[nodiscard]] ComplexityReport plus(const ComplexityReport& o) const;

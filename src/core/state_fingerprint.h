@@ -9,7 +9,7 @@ namespace cfc {
 
 /// Combines two 64-bit fingerprints order-dependently (fingerprint.h
 /// fp_push). Use to fold auxiliary digests — e.g. a MeasureAccumulator
-/// window_digest — into a state fingerprint.
+/// digest — into a state fingerprint.
 [[nodiscard]] std::uint64_t fingerprint_combine(std::uint64_t h,
                                                 std::uint64_t v);
 
@@ -28,8 +28,9 @@ namespace cfc {
 /// fidelity of the hash, like any hashed-state model checker).
 ///
 /// The fingerprint deliberately does NOT cover event-sink state: combine it
-/// with the relevant accumulator digest when the exploration objective
-/// depends on measurement history (see ExploreObjective::digest).
+/// with the accumulator digest when the exploration objective depends on
+/// measurement history (the explorer's accumulator tracks and hashes
+/// exactly the objective's fields; see ExploreObjective).
 [[nodiscard]] std::uint64_t state_fingerprint(const Sim& sim);
 
 }  // namespace cfc

@@ -59,27 +59,35 @@ MemorySnapshot RegisterFile::snapshot() const {
   return snap;
 }
 
-void RegisterFile::restore(const MemorySnapshot& snap) {
+void RegisterFile::restore(const MemorySnapshot& snap,
+                           std::span<const RegId> written) {
   if (snap.size() != slots_.size()) {
     throw std::invalid_argument(
         "snapshot does not match register file layout");
   }
+  for (const RegId r : written) {
+    if (r < 0 || r >= size()) {
+      throw std::out_of_range("bad register id");
+    }
+    const auto i = static_cast<std::size_t>(r);
+    restore_slot(i, snap[i]);
+  }
+}
+
+void RegisterFile::restore_slot(std::size_t i, Value v) {
   // Delta restore: a slot already holding its snapshot value needs no
   // write, so neither the width check (the value fits — it is stored) nor
-  // a fingerprint update (its contribution is unchanged). The explorer
-  // restores to a nearby ancestor, where few registers differ.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    if (s.value == snap[i]) {
-      continue;
-    }
-    if (s.width < kMaxWidth && snap[i] > ((Value{1} << s.width) - 1)) {
-      throw std::invalid_argument("snapshot value does not fit register " +
-                                  s.name);
-    }
-    fp_ ^= fp_slot(i, s.value) ^ fp_slot(i, snap[i]);
-    s.value = snap[i];
+  // a fingerprint update (its contribution is unchanged).
+  Slot& s = slots_[i];
+  if (s.value == v) {
+    return;
   }
+  if (s.width < kMaxWidth && v > ((Value{1} << s.width) - 1)) {
+    throw std::invalid_argument("snapshot value does not fit register " +
+                                s.name);
+  }
+  fp_ ^= fp_slot(i, s.value) ^ fp_slot(i, v);
+  s.value = v;
 }
 
 Value RegisterFile::max_value(RegId r) const {

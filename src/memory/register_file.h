@@ -2,6 +2,7 @@
 #define CFC_MEMORY_REGISTER_FILE_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,11 +61,16 @@ class RegisterFile {
   /// the returned vector).
   [[nodiscard]] MemorySnapshot snapshot() const;
 
-  /// Restores the values captured by `snapshot()`. The register layout
-  /// (count, widths) must be unchanged; throws std::invalid_argument on a
-  /// size mismatch or a value that no longer fits its register. Only slots
-  /// whose value differs are written (and width-checked and rehashed).
-  void restore(const MemorySnapshot& snap);
+  /// Restores the registers listed in `written` (repeats allowed) to the
+  /// values captured by `snapshot()`: O(|written|), for a caller that knows
+  /// every register written since the snapshot (Sim's rewind keeps that
+  /// list). A register changed but not listed keeps its value, which the
+  /// caller's fingerprint check catches. The register layout (count,
+  /// widths) must be unchanged; throws std::invalid_argument on a size
+  /// mismatch or a value that no longer fits its register, and
+  /// std::out_of_range on a bad id. Only slots whose value differs are
+  /// written (and width-checked and rehashed).
+  void restore(const MemorySnapshot& snap, std::span<const RegId> written);
 
   /// 64-bit incremental hash of the current (register, value) set,
   /// maintained O(1) per mutation. Two register files with the same layout
@@ -87,6 +93,9 @@ class RegisterFile {
   };
 
   [[nodiscard]] const Slot& slot(RegId r) const;
+  /// Writes `v` into slot i unless it already holds it (width-checked,
+  /// rehashed).
+  void restore_slot(std::size_t i, Value v);
   [[nodiscard]] Slot& slot(RegId r);
 
   std::vector<Slot> slots_;

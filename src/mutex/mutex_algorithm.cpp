@@ -1,6 +1,8 @@
 #include "mutex/mutex_algorithm.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace cfc {
 
@@ -33,7 +35,9 @@ std::unique_ptr<MutexAlgorithm> setup_mutex(Sim& sim, const MutexFactory& make,
   sim.check_mutual_exclusion(true);
   for (int slot = 0; slot < n; ++slot) {
     MutexAlgorithm* a = alg.get();
-    sim.spawn("m" + std::to_string(slot),
+    std::string name = "m";
+    name += std::to_string(slot);
+    sim.spawn(std::move(name),
               [a, slot, sessions](ProcessContext& ctx) {
                 return mutex_driver(ctx, *a, slot, sessions);
               });

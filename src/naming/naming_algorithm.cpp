@@ -1,6 +1,8 @@
 #include "naming/naming_algorithm.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace cfc {
 
@@ -25,7 +27,9 @@ std::unique_ptr<NamingAlgorithm> setup_naming(Sim& sim,
   for (int i = 0; i < n; ++i) {
     NamingAlgorithm* a = alg.get();
     // Identical bodies: no slot/index reaches the algorithm.
-    sim.spawn("n" + std::to_string(i), [a](ProcessContext& ctx) {
+    std::string name = "n";
+    name += std::to_string(i);
+    sim.spawn(std::move(name), [a](ProcessContext& ctx) {
       return naming_driver(ctx, *a);
     });
   }

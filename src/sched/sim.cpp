@@ -1,6 +1,7 @@
 #include "sched/sim.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "memory/fingerprint.h"
@@ -119,6 +120,7 @@ void Sim::ensure_started(Pid pid) {
   sched_log_.push_back({pid, /*start_only=*/true});
   pr.digest = fp_push(pr.digest, kDigestStart);
   pr.status = ProcStatus::Runnable;
+  ++tape_units_;
   pr.root = pr.factory(pr.ctx);
   if (!pr.root.valid()) {
     throw std::logic_error("process body factory returned an invalid task");
@@ -166,6 +168,7 @@ Sim::StepResult Sim::step(Pid pid) {
     // ever occupy suffixes a rewind discards (a crashed process never acts
     // again; a violating unit is backtracked past).
     tape_[static_cast<std::size_t>(pid)].push_back(0);
+    ++tape_units_;
   }
 
   // Crash injection fires when the process attempts one access too many.
@@ -294,6 +297,9 @@ Value Sim::execute(Proc& pr, Pid pid, const PendingAccess& req) {
     const auto ur = static_cast<std::uint64_t>(req.reg);
     mem_.fp_ ^= fp_slot(ur, sl.value) ^ fp_slot(ur, a.after);
     sl.value = a.after;
+    if (rewind_base_set_) {
+      written_.push_back(req.reg);  // what a rewind past here writes back
+    }
   }
   last_step_.accessed = true;
   last_step_.reg = req.reg;
@@ -414,7 +420,9 @@ void Sim::capture_mark(RewindMark& mark) const {
   mark.fingerprint = mem_.fingerprint();
   mark.seq = next_seq_;
   mark.prefix_len = sched_log_.size();
+  mark.writes = written_.size();
   mark.procs.resize(procs_.size());
+  std::size_t units = 0;
   for (std::size_t p = 0; p < procs_.size(); ++p) {
     const Proc& pr = *procs_[p];
     RewindMark::ProcMark& m = mark.procs[p];
@@ -423,10 +431,17 @@ void Sim::capture_mark(RewindMark& mark) const {
     // Tape length + the start unit (in the log iff the process started).
     m.units = static_cast<std::uint32_t>(
         tape_[p].size() + (pr.status != ProcStatus::NotStarted ? 1u : 0u));
+    units += m.units;
     m.status = pr.status;
     m.section = pr.section;
     m.output = pr.output;
     m.pending = pr.pending;
+  }
+  // The full tape/log consistency check, at the O(processes) point: a
+  // restore to this mark then checks only the processes acting past it.
+  if (units != mark.prefix_len) {
+    throw std::logic_error(
+        "Sim::capture_mark: value tapes out of sync with the schedule log");
   }
 }
 
@@ -446,12 +461,11 @@ void Sim::rewind_to_mark(const RewindMark& mark) {
     throw std::logic_error(
         "Sim::rewind_to_mark: process set changed since the mark/base");
   }
-  std::size_t tape_units = 0;
-  for (std::size_t p = 0; p < procs_.size(); ++p) {
-    tape_units += tape_[p].size() +
-                  (procs_[p]->status != ProcStatus::NotStarted ? 1u : 0u);
+  if (mark.writes > written_.size()) {
+    throw std::logic_error(
+        "Sim::rewind_to_mark: mark is not on the current run");
   }
-  if (tape_units != sched_log_.size()) {
+  if (tape_units_ != sched_log_.size()) {
     throw std::logic_error(
         "Sim::rewind_to_mark: value tapes out of sync with the schedule "
         "log");
@@ -464,8 +478,30 @@ void Sim::rewind_to_mark(const RewindMark& mark) {
     touched_pids_.push_back(sched_log_[i].pid);
   }
   std::sort(touched_pids_.begin(), touched_pids_.end());
+  // Tape/log consistency, in proportion to the touched processes: the
+  // running unit count matched the log above, and each touched process
+  // grew by exactly its units in the log suffix since the mark, whose
+  // capture checked every tape against the prefix. Only step() and
+  // ensure_started() grow a tape or a start, each right after logging the
+  // same pid's unit, so a process with no suffix units is at its mark.
+  for (auto it = touched_pids_.begin(); it != touched_pids_.end();) {
+    const Pid pid = *it;
+    const auto run = std::find_if(it, touched_pids_.end(),
+                                  [pid](Pid q) { return q != pid; });
+    const auto up = static_cast<std::size_t>(pid);
+    if (up >= procs_.size() ||
+        tape_[up].size() +
+                (procs_[up]->status != ProcStatus::NotStarted ? 1u : 0u) !=
+            mark.procs[up].units + static_cast<std::size_t>(run - it)) {
+      throw std::logic_error(
+          "Sim::rewind_to_mark: value tapes out of sync with the schedule "
+          "log");
+    }
+    it = run;
+  }
   touched_pids_.erase(std::unique(touched_pids_.begin(), touched_pids_.end()),
                       touched_pids_.end());
+  tape_units_ = mark.prefix_len;  // the touched tapes are cut back below
 
   // Every touched process takes its mark state by assignment; the frame
   // is left for resync() at its next step (a process not started at the
@@ -497,7 +533,9 @@ void Sim::rewind_to_mark(const RewindMark& mark) {
       runnable_.insert(it, pid);
     }
   }
-  mem_.restore(mark.memory);
+  mem_.restore(mark.memory,
+               std::span<const RegId>(written_).subspan(mark.writes));
+  written_.resize(mark.writes);
   next_seq_ = mark.seq;
   sched_log_.resize(mark.prefix_len);
   recorder_.clear();  // the restored run's trace starts empty

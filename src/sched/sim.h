@@ -348,13 +348,16 @@ class Sim {
     std::uint64_t fingerprint = 0;  ///< RegisterFile::fingerprint() at capture
     Seq seq = 0;                    ///< event counter at capture
     std::size_t prefix_len = 0;     ///< schedule-log length at capture
+    std::size_t writes = 0;         ///< register-write log length at capture
     std::vector<ProcMark> procs;    ///< per pid
   };
 
   /// Captures a RewindMark at the current point of the run, reusing the
   /// mark's buffers (steady-state allocation-free when the caller recycles
   /// marks, as the explorer's per-depth mark pool does). Requires
-  /// mark_rewind_base(); O(registers + processes).
+  /// mark_rewind_base(); O(registers + processes). Checks every value tape
+  /// against the schedule log (their unit counts must sum to the log
+  /// length) and throws std::logic_error when they are out of sync.
   void capture_mark(RewindMark& mark) const;
 
   /// Repositions THIS simulation at `mark` (which must have been captured
@@ -389,9 +392,12 @@ class Sim {
   /// reset their state alongside (the explorer restores its accumulator by
   /// assignment).
   ///
-  /// Cost: O(suffix units + touched processes) for the process work —
-  /// untouched processes are never visited — plus O(registers) for the
-  /// memory restore and O(processes) for the tape/log consistency check.
+  /// Cost: O(suffix units + touched processes) — untouched processes are
+  /// never visited. That covers the tape/log consistency check (each
+  /// touched process's tape grew by exactly its suffix units; the mark's
+  /// capture checked every tape) and the memory restore, which writes back
+  /// only the registers written past the mark (the register-write log)
+  /// and then checks the memory fingerprint against the mark's.
   /// The replay, O(the process's own prefix units), is paid at the next
   /// step of each touched process, and never by a process that does not
   /// step again before the next restore; value_replayed_units() counts
@@ -504,6 +510,9 @@ class Sim {
 
  private:
   friend class ProcessContext;
+  /// Test access to the tapes and logs, to check that corrupting them is
+  /// caught (rewind_test).
+  friend struct SimTestPeer;
 
   struct Proc {
     std::string name;
@@ -586,9 +595,16 @@ class Sim {
   /// re-executing accesses — and, because the tape is already per-pid, it
   /// never scans the global schedule prefix for the process's units.
   std::vector<std::vector<Value>> tape_;
+  /// Running sum over processes of tape length + started, kept where they
+  /// change: rewind_to_mark's O(1) check against the schedule log length.
+  std::size_t tape_units_ = 0;
   /// Scratch for rewind_to_mark: the ascending pids with units past the
   /// mark (recycled).
   std::vector<Pid> touched_pids_;
+  /// Register-write log (rewindable simulations only): the register of
+  /// every committed value change, in order. A mark records its length; a
+  /// rewind writes back exactly the registers past it and truncates it.
+  std::vector<RegId> written_;
   /// XOR accumulator behind proc_state_fp().
   std::uint64_t procs_fp_ = 0;
   /// mark_rewind_base() baseline: the mark rewind_to() restores before

@@ -133,11 +133,15 @@ TEST(Lockstep, TasScanForcesLinearRounds) {
   Sim sim;
   std::vector<RegId> bits;
   for (int j = 0; j < n - 1; ++j) {
-    bits.push_back(sim.memory().add_bit("b" + std::to_string(j)));
+    std::string label = "b";
+    label += std::to_string(j);
+    bits.push_back(sim.memory().add_bit(label));
   }
   std::vector<Pid> group;
   for (int i = 0; i < n; ++i) {
-    group.push_back(sim.spawn("p" + std::to_string(i),
+    std::string label = "p";
+    label += std::to_string(i);
+    group.push_back(sim.spawn(label,
                               [&bits](ProcessContext& ctx) {
                                 return tas_scan_body(ctx, bits);
                               }));
@@ -174,11 +178,15 @@ TEST(Lockstep, TestAndFlipHalvesTheIdenticalSet) {
   Sim sim;
   std::vector<RegId> bits;
   for (int j = 0; j < n - 1; ++j) {
-    bits.push_back(sim.memory().add_bit("t" + std::to_string(j)));
+    std::string label = "t";
+    label += std::to_string(j);
+    bits.push_back(sim.memory().add_bit(label));
   }
   std::vector<Pid> group;
   for (int i = 0; i < n; ++i) {
-    group.push_back(sim.spawn("p" + std::to_string(i),
+    std::string label = "p";
+    label += std::to_string(i);
+    group.push_back(sim.spawn(label,
                               [&bits](ProcessContext& ctx) {
                                 return taf_probe_body(ctx, bits);
                               }));
@@ -208,7 +216,9 @@ TEST(Lockstep, CatchesIdenticalGroupTerminatingTogether) {
   const RegId r = sim.memory().add_bit("r");
   std::vector<Pid> group;
   for (int i = 0; i < 4; ++i) {
-    group.push_back(sim.spawn("p" + std::to_string(i),
+    std::string label = "p";
+    label += std::to_string(i);
+    group.push_back(sim.spawn(label,
                               [r](ProcessContext& ctx) {
                                 return oblivious_body(ctx, r);
                               }));
@@ -221,10 +231,14 @@ TEST(RunSequentially, CompletesAllProcesses) {
   Sim sim;
   std::vector<RegId> bits;
   for (int j = 0; j < 3; ++j) {
-    bits.push_back(sim.memory().add_bit("b" + std::to_string(j)));
+    std::string label = "b";
+    label += std::to_string(j);
+    bits.push_back(sim.memory().add_bit(label));
   }
   for (int i = 0; i < 4; ++i) {
-    sim.spawn("p" + std::to_string(i), [&bits](ProcessContext& ctx) {
+    std::string label = "p";
+    label += std::to_string(i);
+    sim.spawn(label, [&bits](ProcessContext& ctx) {
       return tas_scan_body(ctx, bits);
     });
   }

@@ -48,13 +48,7 @@ Explorer::Config config(const Case& c) {
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, make, 3, 1);
   };
-  cfg.objective.eval = [](const Sim&, const MeasureAccumulator& acc) {
-    ComplexityReport entry;
-    for (Pid pid = 0; pid < 3; ++pid) {
-      entry = entry.max_with(acc.clean_entry_max(pid));
-    }
-    return std::vector<ComplexityReport>{entry};
-  };
+  cfg.objective.fields = {MeasureField::CleanEntry};
   return cfg;
 }
 

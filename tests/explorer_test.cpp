@@ -283,16 +283,8 @@ TEST(Explorer, BoundedCacheKeepsTheBudgetDimension) {
     sim.crash_after(0, 2);
     return alg;
   };
-  cfg.objective.eval = [](const Sim&, const MeasureAccumulator& acc) {
-    std::vector<ComplexityReport> best(4);
-    for (Pid pid = 0; pid < 2; ++pid) {
-      best[0] = best[0].max_with(acc.clean_entry_max(pid));
-      best[1] = best[1].max_with(acc.exit_max(pid));
-      best[2] = best[2].max_with(acc.contention_free_session_max(pid));
-      best[3] = best[3].max_with(acc.total(pid));
-    }
-    return best;
-  };
+  cfg.objective.fields = {MeasureField::CleanEntry, MeasureField::Exit,
+                          MeasureField::CfSession, MeasureField::Total};
   Explorer::Config unpruned = cfg;
   unpruned.limits.prune_visited = false;
   const Explorer::Result a = Explorer(cfg).run();
@@ -393,7 +385,10 @@ TEST(Explorer, RandomMatchesAFreshSimPerSeed) {
     int n;
     std::uint64_t budget;
   };
-  const auto eval = [](const Sim& sim, const MeasureAccumulator& acc) {
+  // The reference leaf: the objective's fields read per process from an
+  // accumulator that tracks every field.
+  const auto reference_leaf = [](const Sim& sim,
+                                 const MeasureAccumulator& acc) {
     ComplexityReport entry;
     ComplexityReport exit;
     for (Pid pid = 0; pid < sim.process_count(); ++pid) {
@@ -430,7 +425,7 @@ TEST(Explorer, RandomMatchesAFreshSimPerSeed) {
     cfg.setup = [make, n = c.n](Sim& sim) -> std::shared_ptr<void> {
       return setup_mutex(sim, make, n, 1);
     };
-    cfg.objective.eval = eval;
+    cfg.objective.fields = {MeasureField::CleanEntry, MeasureField::Exit};
 
     // The reference: one fresh Sim per seed.
     ExploreStats ref;
@@ -451,7 +446,7 @@ TEST(Explorer, RandomMatchesAFreshSimPerSeed) {
       } else {
         ++ref.runs_completed;
       }
-      const std::vector<ComplexityReport> leaf = eval(sim, acc);
+      const std::vector<ComplexityReport> leaf = reference_leaf(sim, acc);
       if (ref_best.empty()) {
         ref_best = leaf;
       } else {

@@ -32,7 +32,9 @@ TEST(Measures, CountsStepsAndDistinctRegisters) {
   Sim sim;
   ToyMutex toy;
   for (int i = 0; i < 4; ++i) {
-    toy.regs.push_back(sim.memory().add_register("r" + std::to_string(i), 8));
+    std::string label = "r";
+    label += std::to_string(i);
+    toy.regs.push_back(sim.memory().add_register(label, 8));
   }
   const Pid p = sim.spawn("p", [&toy](ProcessContext& ctx) {
     return toy.session(ctx, 6, 2, 3);
@@ -226,7 +228,9 @@ TEST(Measures, NotStartedProcessesCountAsRemainder) {
   });
   // Three spawned-but-never-run processes.
   for (int i = 0; i < 3; ++i) {
-    sim.spawn("idle" + std::to_string(i), [&toy](ProcessContext& ctx) {
+    std::string label = "idle";
+    label += std::to_string(i);
+    sim.spawn(label, [&toy](ProcessContext& ctx) {
       return toy.session(ctx, 2, 1, 1);
     });
   }

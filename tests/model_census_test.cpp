@@ -47,8 +47,10 @@ TEST(Solvability, LockstepNeverSplitsGroupsWithoutRmwOps) {
   const RegId b = sim.memory().add_bit("b");
   std::vector<Pid> group;
   for (int i = 0; i < 6; ++i) {
+    std::string label = "p";
+    label += std::to_string(i);
     group.push_back(sim.spawn(
-        "p" + std::to_string(i), [a, b](ProcessContext& ctx) -> Task<void> {
+        label, [a, b](ProcessContext& ctx) -> Task<void> {
           ctx.set_section(Section::Working);
           co_await ctx.op(BitOp::Write1, a);
           const Value v1 = co_await ctx.op(BitOp::Read, a);

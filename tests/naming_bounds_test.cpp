@@ -155,7 +155,9 @@ TEST_P(Table2, MeasuredCellsMatchPaper) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Table2, ::testing::Values(4, 8, 16, 32),
                          [](const ::testing::TestParamInfo<int>& pinfo) {
-                           return "n" + std::to_string(pinfo.param);
+                           std::string label = "n";
+                           label += std::to_string(pinfo.param);
+                           return label;
                          });
 
 // The read/write-only bit model cannot solve naming deterministically
@@ -170,8 +172,10 @@ TEST(ReadWriteModel, SymmetryCannotBeBroken) {
   const RegId r = sim.memory().add_bit("rw.r");
   std::vector<Pid> group;
   for (int i = 0; i < n; ++i) {
+    std::string label = "p";
+    label += std::to_string(i);
     group.push_back(
-        sim.spawn("p" + std::to_string(i), [r](ProcessContext& ctx) -> Task<void> {
+        sim.spawn(label, [r](ProcessContext& ctx) -> Task<void> {
           ctx.set_section(Section::Working);
           // Identical deterministic protocol: write 1, read, decide.
           co_await ctx.op(BitOp::Write1, r);

@@ -204,7 +204,9 @@ TEST(NamingModels, DualOfTasScanWorks) {
   }
   sim.set_model(Model{BitOp::TestAndReset});
   for (int i = 0; i < n; ++i) {
-    sim.spawn("p" + std::to_string(i), [&bits, n](ProcessContext& ctx) -> Task<void> {
+    std::string label = "p";
+    label += std::to_string(i);
+    sim.spawn(label, [&bits, n](ProcessContext& ctx) -> Task<void> {
       ctx.set_section(Section::Working);
       int name = n;
       for (std::size_t j = 0; j < bits.size(); ++j) {

@@ -53,24 +53,9 @@ void expect_reports_equal(const ComplexityReport& a,
 /// window maxima plus whole-run totals, each the max over processes. Every
 /// field the paper's measures define, so the differential below proves the
 /// reduction value-preserving for all of them at once.
-ExploreObjective all_measures_objective(int n) {
-  ExploreObjective obj;
-  obj.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-    ComplexityReport entry;
-    ComplexityReport exit;
-    ComplexityReport session;
-    ComplexityReport total;
-    for (Pid pid = 0; pid < n; ++pid) {
-      entry = entry.max_with(acc.clean_entry_max(pid));
-      exit = exit.max_with(acc.exit_max(pid));
-      session = session.max_with(acc.contention_free_session_max(pid));
-      total = total.max_with(acc.total(pid));
-    }
-    return std::vector<ComplexityReport>{entry, exit, session, total};
-  };
-  // Totals are part of the objective, so the (weakest, always sound)
-  // default accumulator digest is the pruning key: leave obj.digest unset.
-  return obj;
+ExploreObjective all_measures_objective() {
+  return ExploreObjective{{MeasureField::CleanEntry, MeasureField::Exit,
+                           MeasureField::CfSession, MeasureField::Total}};
 }
 
 Explorer::Config explorer_config(const Explorer::SetupFn& setup, int n,
@@ -81,7 +66,7 @@ Explorer::Config explorer_config(const Explorer::SetupFn& setup, int n,
   cfg.limits.max_depth = depth;
   cfg.limits.reduction = policy;
   cfg.setup = setup;
-  cfg.objective = all_measures_objective(n);
+  cfg.objective = all_measures_objective();
   return cfg;
 }
 

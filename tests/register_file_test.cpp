@@ -92,9 +92,16 @@ TEST(RegisterFile, SnapshotRestoreRoundTrip) {
   mem.poke(c, ~Value{0});
   EXPECT_NE(mem.fingerprint(), fp);
 
-  mem.restore(snap);
+  // Only the listed registers are written back (repeats are harmless).
+  const RegId some[] = {a, b, a};
+  mem.restore(snap, some);
   EXPECT_EQ(mem.peek(a), 42u);
   EXPECT_EQ(mem.peek(b), 0u);
+  EXPECT_EQ(mem.peek(c), ~Value{0});
+  EXPECT_NE(mem.fingerprint(), fp);
+
+  const RegId all[] = {a, b, c};
+  mem.restore(snap, all);
   EXPECT_EQ(mem.peek(c), 0u);
   EXPECT_EQ(mem.fingerprint(), fp);
   EXPECT_EQ(mem.snapshot(), snap);
@@ -106,8 +113,10 @@ TEST(RegisterFile, IncrementalFingerprintMatchesRebuiltFile) {
   RegisterFile a;
   RegisterFile b;
   for (int i = 0; i < 6; ++i) {
-    a.add_register("r" + std::to_string(i), 16);
-    b.add_register("r" + std::to_string(i), 16);
+    std::string label = "r";
+    label += std::to_string(i);
+    a.add_register(label, 16);
+    b.add_register(label, 16);
   }
   a.poke(0, 11);
   a.poke(3, 500);
@@ -137,10 +146,13 @@ TEST(RegisterFile, ResetRestoresInitialFingerprint) {
 TEST(RegisterFile, RestoreRejectsBadSnapshots) {
   RegisterFile mem;
   mem.add_register("a", 3);
-  EXPECT_THROW(mem.restore(MemorySnapshot{}), std::invalid_argument);
-  EXPECT_THROW(mem.restore(MemorySnapshot{1, 2}), std::invalid_argument);
-  EXPECT_THROW(mem.restore(MemorySnapshot{8}), std::invalid_argument);
-  mem.restore(MemorySnapshot{7});
+  const RegId a[] = {0};
+  EXPECT_THROW(mem.restore(MemorySnapshot{}, a), std::invalid_argument);
+  EXPECT_THROW(mem.restore(MemorySnapshot{1, 2}, a), std::invalid_argument);
+  EXPECT_THROW(mem.restore(MemorySnapshot{8}, a), std::invalid_argument);
+  const RegId bad[] = {1};
+  EXPECT_THROW(mem.restore(MemorySnapshot{7}, bad), std::out_of_range);
+  mem.restore(MemorySnapshot{7}, a);
   EXPECT_EQ(mem.peek(0), 7u);
 }
 

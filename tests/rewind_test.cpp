@@ -21,6 +21,15 @@
 #include "sched/sched.h"
 
 namespace cfc {
+
+/// Reaches into a Sim's value tapes and schedule log to corrupt them.
+struct SimTestPeer {
+  static std::vector<Value>& tape(Sim& sim, Pid pid) {
+    return sim.tape_[static_cast<std::size_t>(pid)];
+  }
+  static std::vector<ScheduleUnit>& log(Sim& sim) { return sim.sched_log_; }
+};
+
 namespace {
 
 struct CrashPlan {
@@ -189,6 +198,91 @@ TEST(Rewind, VerifiesFingerprintAndSeq) {
   Sim::RewindMark mark;
   live.capture_mark(mark);
   mark.fingerprint ^= 1;
+  EXPECT_THROW(live.rewind_to_mark(mark), std::logic_error);
+}
+
+TEST(Rewind, TapeOrLogOutOfSyncIsCaught) {
+  // The restore checks the tapes against the schedule log only for the
+  // processes acting past the mark, plus a running unit count; the mark's
+  // capture checks every tape. Every corruption the old whole-tape sum
+  // caught throws std::logic_error from one of the two.
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Build build = mutex_builder(factory, 2, 1, {});
+  // A run with units of both processes past the mark (pid 1 unstarted at
+  // it), rewound to `mark` after `corrupt`.
+  const auto run = [&](const std::function<void(Sim&)>& corrupt,
+                       bool expect_throw) {
+    Sim live;
+    build(live);
+    live.mark_rewind_base();
+    live.step(0);
+    live.step(0);
+    Sim::RewindMark mark;
+    live.capture_mark(mark);
+    live.step(0);
+    live.step(1);
+    live.step(1);
+    corrupt(live);
+    if (expect_throw) {
+      EXPECT_THROW(live.rewind_to_mark(mark), std::logic_error);
+    } else {
+      live.rewind_to_mark(mark);
+    }
+  };
+  run([](Sim&) {}, false);
+  // A touched process's tape gains or loses a value.
+  run([](Sim& sim) { SimTestPeer::tape(sim, 1).push_back(7); }, true);
+  run([](Sim& sim) { SimTestPeer::tape(sim, 0).pop_back(); }, true);
+  // The log gains a unit, loses one, or attributes one to another pid.
+  run([](Sim& sim) { SimTestPeer::log(sim).push_back({0, false}); }, true);
+  run([](Sim& sim) { SimTestPeer::log(sim).pop_back(); }, true);
+  run([](Sim& sim) { SimTestPeer::log(sim).back().pid = 0; }, true);
+  // The log loses the only unit past the mark: no process looks touched,
+  // and the running unit count catches it.
+  {
+    Sim live;
+    build(live);
+    live.mark_rewind_base();
+    live.step(0);
+    Sim::RewindMark mark;
+    live.capture_mark(mark);
+    live.step(0);
+    SimTestPeer::log(live).pop_back();
+    EXPECT_THROW(live.rewind_to_mark(mark), std::logic_error);
+  }
+  // The tape of a process with no units past the mark grows: the next
+  // capture's whole check refuses the desynced run.
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  live.step(0);
+  SimTestPeer::tape(live, 1).push_back(7);
+  Sim::RewindMark mark;
+  EXPECT_THROW(live.capture_mark(mark), std::logic_error);
+}
+
+TEST(Rewind, WritesBackOnlyTheRegistersWrittenPastTheMark) {
+  // A restore rewrites the registers the run wrote past the mark; a
+  // register changed outside the simulator is not among them, and the
+  // fingerprint check refuses the restore.
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Build build = mutex_builder(factory, 2, 1, {});
+  Sim live;
+  build(live);
+  live.mark_rewind_base();
+  RandomScheduler rnd(5);
+  drive(live, rnd, RunLimits{6});
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  drive(live, rnd, RunLimits{6});
+  live.rewind_to_mark(mark);
+  EXPECT_EQ(live.memory().snapshot(), mark.memory);
+  EXPECT_EQ(live.memory().fingerprint(), mark.fingerprint);
+
+  const RegId r = 0;
+  live.memory().poke(r, live.memory().peek(r) ^ 1);
   EXPECT_THROW(live.rewind_to_mark(mark), std::logic_error);
 }
 

@@ -77,7 +77,9 @@ TEST_P(RtStudy, TasLockMutualExclusionHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, RtStudy, ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int>& pinfo) {
-                           return "t" + std::to_string(pinfo.param);
+                           std::string label = "t";
+                           label += std::to_string(pinfo.param);
+                           return label;
                          });
 
 TEST(RtStudy, SoloMeanAccessesIsSeven) {

@@ -206,7 +206,9 @@ void expect_runnable_list_is_status_scan(const Sim& sim) {
 void spawn_uneven(Sim& sim, int n) {
   const RegId r = sim.memory().add_register("r", 16);
   for (Pid p = 0; p < n; ++p) {
-    sim.spawn("p" + std::to_string(p), make_incrementer(r, 1 + p % 4));
+    std::string label = "p";
+    label += std::to_string(p);
+    sim.spawn(label, make_incrementer(r, 1 + p % 4));
     if (p % 5 == 2) {
       sim.crash_after(p, static_cast<std::uint64_t>(p % 3));
     }

@@ -254,7 +254,6 @@ TEST(StreamingMeasures, RejectsOutOfRangePids) {
   }
   // A rejected event leaves no trace in the measurement state.
   EXPECT_EQ(acc.digest(), fresh.digest());
-  EXPECT_EQ(acc.window_digest(), fresh.window_digest());
 }
 
 TEST(StreamingMeasures, ExitWithTheEntryWindowOpenSpoilsThatWindow) {
@@ -422,7 +421,7 @@ class WindowChecker final : public EventSink {
 TEST(StreamingMeasures, MatchesTraceAcrossSnapshotAndRestore) {
   // The explorer's snapshot (copy) and restore (assignment) at random
   // points of a run: the restored accumulator continues on a different
-  // schedule and must end equal — maxima and both digests — to a fresh
+  // schedule and must end equal — maxima and the digest — to a fresh
   // accumulator fed only the events that survived the restores.
   const auto& registry = AlgorithmRegistry::instance();
   for (const int n : {3, 40, 130}) {
@@ -479,11 +478,285 @@ TEST(StreamingMeasures, MatchesTraceAcrossSnapshotAndRestore) {
           expect_reports_equal(acc.exit_max(pid), fresh.exit_max(pid),
                                who + " exit");
         }
-        EXPECT_EQ(acc.window_digest(), fresh.window_digest());
         EXPECT_EQ(acc.digest(), fresh.digest());
       }
     }
   }
+}
+
+/// The fifteen non-empty subsets of the four fields.
+std::vector<std::vector<MeasureField>> field_subsets() {
+  std::vector<std::vector<MeasureField>> out;
+  for (unsigned bits = 1; bits < 16; ++bits) {
+    std::vector<MeasureField> subset;
+    for (const MeasureField f : kAllMeasureFields) {
+      if ((bits >> static_cast<unsigned>(f) & 1u) != 0) {
+        subset.push_back(f);
+      }
+    }
+    out.push_back(subset);
+  }
+  return out;
+}
+
+/// One process's value of field `f`.
+ComplexityReport field_report(const MeasureAccumulator& acc, MeasureField f,
+                              Pid pid) {
+  switch (f) {
+    case MeasureField::CleanEntry:
+      return acc.clean_entry_max(pid);
+    case MeasureField::Exit:
+      return acc.exit_max(pid);
+    case MeasureField::CfSession:
+      return acc.contention_free_session_max(pid);
+    case MeasureField::Total:
+      return acc.total(pid);
+  }
+  return {};
+}
+
+bool same_report(const ComplexityReport& a, const ComplexityReport& b) {
+  return same_counts(a, b) && a.truncated == b.truncated;
+}
+
+/// Follows a run behind an all-fields accumulator and one accumulator per
+/// field subset (subscribed after all of them): after every event, each
+/// subset accumulator's tracked per-pid reports, session counts and maxima
+/// over processes must equal the all-fields accumulator's. An access by a
+/// process in its critical section touches none of its clean-entry or
+/// exit windows, so it must leave the digest of a subset of those two
+/// fields unchanged. Keeps the surviving events, as WindowChecker does.
+class SubsetChecker final : public EventSink {
+ public:
+  SubsetChecker(const Sim& sim, const MeasureAccumulator& all,
+                const std::vector<MeasureAccumulator>& subsets)
+      : sim_(sim), all_(all), subsets_(subsets) {
+    resync();
+  }
+
+  void on_event(const TraceEvent& ev) override {
+    events_.push_back(ev);
+    const bool quiet_access = ev.kind == TraceEvent::Kind::Access &&
+                              sim_.section(ev.pid) == Section::Critical;
+    for (std::size_t i = 0; i < subsets_.size(); ++i) {
+      const MeasureAccumulator& acc = subsets_[i];
+      const std::uint64_t d = acc.digest();
+      if (quiet_access && !acc.tracks(MeasureField::CfSession) &&
+          !acc.tracks(MeasureField::Total) && d != digests_[i]) {
+        note("digest moved on a critical-section access", i, ev);
+      }
+      digests_[i] = d;
+      compare(i, ev);
+    }
+  }
+
+  /// Truncates the surviving sequence to `events` events and re-reads the
+  /// digests (after a restore).
+  void truncate(std::size_t events) {
+    events_.resize(events);
+    resync();
+  }
+
+  [[nodiscard]] const std::vector<TraceEvent>& events() const {
+    return events_;
+  }
+  [[nodiscard]] const std::string& first_mismatch() const {
+    return mismatch_;
+  }
+
+ private:
+  void resync() {
+    digests_.clear();
+    for (const MeasureAccumulator& acc : subsets_) {
+      digests_.push_back(acc.digest());
+    }
+  }
+
+  void compare(std::size_t i, const TraceEvent& ev) {
+    const MeasureAccumulator& acc = subsets_[i];
+    for (const MeasureField f : kAllMeasureFields) {
+      if (!acc.tracks(f)) {
+        continue;
+      }
+      ComplexityReport best;
+      for (Pid pid = 0; pid < all_.process_count(); ++pid) {
+        const ComplexityReport want = field_report(all_, f, pid);
+        best = best.max_with(want);
+        if (!same_report(field_report(acc, f, pid), want)) {
+          note(std::string(name(f)) + " of pid " + std::to_string(pid), i,
+               ev);
+        }
+      }
+      if (!same_report(acc.max_over_pids(f), best)) {
+        note(std::string(name(f)) + " max over pids", i, ev);
+      }
+      if (f == MeasureField::CfSession) {
+        for (Pid pid = 0; pid < all_.process_count(); ++pid) {
+          if (acc.contention_free_session_count(pid) !=
+              all_.contention_free_session_count(pid)) {
+            note("cf-session count", i, ev);
+          }
+        }
+      }
+    }
+  }
+
+  void note(const std::string& what, std::size_t subset,
+            const TraceEvent& ev) {
+    if (mismatch_.empty()) {
+      mismatch_ = what + " (subset " + std::to_string(subset) +
+                  ") after seq " + std::to_string(ev.seq);
+    }
+  }
+
+  const Sim& sim_;
+  const MeasureAccumulator& all_;
+  const std::vector<MeasureAccumulator>& subsets_;
+  std::vector<std::uint64_t> digests_;
+  std::vector<TraceEvent> events_;
+  std::string mismatch_;
+};
+
+TEST(StreamingMeasures, FieldSubsetsMatchTheAllFieldsAccumulator) {
+  // Every registry mutex at n=2..6 under a burst scheduler with crash
+  // plans and snapshot/restore points: an accumulator of any field subset
+  // reports exactly what the all-fields accumulator reports for its
+  // fields at every step, throws on the others, and — restored by
+  // assignment — ends with the digest of a fresh one fed the surviving
+  // events.
+  const auto& registry = AlgorithmRegistry::instance();
+  const std::vector<std::vector<MeasureField>> subsets = field_subsets();
+  for (int n = 2; n <= 6; ++n) {
+    for (const MutexAlgorithmEntry* entry : registry.mutex_for_n(n)) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(n);
+      const std::string what = entry->info.name + " n=" + std::to_string(n);
+      SCOPED_TRACE(what);
+      Sim sim;
+      sim.set_trace_recording(false);
+      MeasureAccumulator all(n);
+      std::vector<MeasureAccumulator> accs;
+      for (const std::vector<MeasureField>& subset : subsets) {
+        accs.emplace_back(n, subset);
+      }
+      sim.add_sink(all);
+      for (MeasureAccumulator& acc : accs) {
+        sim.add_sink(acc);
+      }
+      SubsetChecker check(sim, all, accs);
+      sim.add_sink(check);
+      auto alg = setup_mutex(sim, entry->factory, n, /*sessions=*/2);
+      sim.crash_after(static_cast<Pid>(seed % n), 3 + seed);
+      sim.crash_after(n - 1, 6);
+      sim.mark_rewind_base();
+
+      std::mt19937_64 rng(seed * 7'919);
+      const auto units = static_cast<std::uint64_t>(12 * n);
+      for (int restore = 0; restore < 3; ++restore) {
+        BurstScheduler lead(rng());
+        drive(sim, lead, RunLimits{1 + rng() % units});
+        Sim::RewindMark mark;
+        sim.capture_mark(mark);
+        const MeasureAccumulator saved_all = all;
+        const std::vector<MeasureAccumulator> saved = accs;
+        const std::size_t saved_events = check.events().size();
+        BurstScheduler abandoned(rng());
+        drive(sim, abandoned, RunLimits{1 + rng() % units});
+        sim.rewind_to_mark(mark);
+        all = saved_all;
+        for (std::size_t i = 0; i < accs.size(); ++i) {
+          accs[i] = saved[i];
+        }
+        check.truncate(saved_events);
+      }
+      BurstScheduler last(rng());
+      drive(sim, last, RunLimits{units});
+      ASSERT_EQ(check.first_mismatch(), "");
+
+      for (std::size_t i = 0; i < subsets.size(); ++i) {
+        MeasureAccumulator fresh(n, subsets[i]);
+        for (const TraceEvent& ev : check.events()) {
+          fresh.on_event(ev);
+        }
+        EXPECT_EQ(accs[i].digest(), fresh.digest()) << "subset " << i;
+        for (const MeasureField f : kAllMeasureFields) {
+          if (!accs[i].tracks(f)) {
+            EXPECT_THROW((void)field_report(accs[i], f, 0), std::logic_error)
+                << "subset " << i << " " << name(f);
+            EXPECT_THROW((void)accs[i].max_over_pids(f), std::logic_error)
+                << "subset " << i << " " << name(f);
+          }
+        }
+        if (!accs[i].tracks(MeasureField::CfSession)) {
+          EXPECT_THROW((void)accs[i].contention_free_session_count(0),
+                       std::logic_error)
+              << "subset " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamingMeasures, DigestCoversOnlyTheTrackedFields) {
+  // Two histories that differ only in what a field set does not track
+  // leave equal digests; the all-fields accumulator tells them apart.
+  const auto feed = [](MeasureAccumulator& acc, bool cs_accesses,
+                       bool sections) {
+    TraceEvent change;
+    change.kind = TraceEvent::Kind::SectionChange;
+    change.pid = 0;
+    TraceEvent access;
+    access.kind = TraceEvent::Kind::Access;
+    access.pid = 0;
+    access.access.kind = AccessKind::Write;
+    access.access.width = 1;
+    const auto move = [&](Section from, Section to) {
+      if (sections) {
+        change.from = from;
+        change.to = to;
+        acc.on_event(change);
+      }
+    };
+    move(Section::Remainder, Section::Entry);
+    access.access.reg = 0;
+    acc.on_event(access);
+    move(Section::Entry, Section::Critical);
+    if (cs_accesses) {
+      for (RegId r = 1; r <= 3; ++r) {
+        access.access.reg = r;
+        acc.on_event(access);
+      }
+    }
+    move(Section::Critical, Section::Exit);
+    access.access.reg = 0;
+    acc.on_event(access);
+    move(Section::Exit, Section::Remainder);
+  };
+  const MeasureField entry_exit[] = {MeasureField::CleanEntry,
+                                     MeasureField::Exit};
+  MeasureAccumulator a(2, entry_exit);
+  MeasureAccumulator b(2, entry_exit);
+  feed(a, /*cs_accesses=*/true, /*sections=*/true);
+  feed(b, /*cs_accesses=*/false, /*sections=*/true);
+  EXPECT_EQ(a.digest(), b.digest());
+  MeasureAccumulator all_a(2);
+  MeasureAccumulator all_b(2);
+  feed(all_a, true, true);
+  feed(all_b, false, true);
+  EXPECT_NE(all_a.digest(), all_b.digest());
+
+  // Totals ignore the section changes.
+  const MeasureField totals[] = {MeasureField::Total};
+  MeasureAccumulator t(2, totals);
+  MeasureAccumulator u(2, totals);
+  feed(t, true, /*sections=*/true);
+  feed(u, true, /*sections=*/false);
+  EXPECT_EQ(t.digest(), u.digest());
+
+  // No field tracked: nothing is measured or hashed.
+  MeasureAccumulator none(2, {});
+  const std::uint64_t empty = none.digest();
+  feed(none, true, true);
+  EXPECT_EQ(none.digest(), empty);
 }
 
 TEST(StreamingMeasures, SinkCanBeRemoved) {
