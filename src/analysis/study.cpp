@@ -392,8 +392,8 @@ class WcTask final : public MeasureTask {
 /// seeded random schedules. The wc report is the max over all cells
 /// (naming worst cases are found by this fixed adversary battery; the DFS
 /// strategies do not apply). Every cell is measured by a streaming
-/// MeasureAccumulator; only the lockstep cell records a trace, because the
-/// adversary reads each step's observation from it.
+/// MeasureAccumulator, with trace recording off (the lockstep adversary
+/// reads its observations off the event stream).
 class NamingTask final : public MeasureTask {
  public:
   NamingTask(NamingFactory make, int n, std::vector<std::uint64_t> seeds,
@@ -412,7 +412,7 @@ class NamingTask final : public MeasureTask {
 
   void measure_cell(std::size_t i, ExperimentRunner&) override {
     Sim sim;
-    sim.set_trace_recording(i == 2);
+    sim.set_trace_recording(false);
     MeasureAccumulator acc(n_);
     sim.add_sink(acc);
     auto alg = setup_naming(sim, make_, n_);

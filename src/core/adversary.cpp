@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "core/streaming_measures.h"
+#include "sched/event_sink.h"
 #include "sched/sched.h"
 
 namespace cfc {
@@ -24,18 +26,37 @@ bool pending_is_read(const Sim& sim, Pid p) {
   return false;
 }
 
-/// Returned value of the single access `pid` performed at-or-after trace
-/// index `from`, if any.
-std::optional<Value> observation_since(const Sim& sim, Pid pid, Seq from) {
-  const std::vector<TraceEvent>& evs = sim.trace().events();
-  for (std::size_t i = static_cast<std::size_t>(from); i < evs.size(); ++i) {
-    const TraceEvent& ev = evs[i];
-    if (ev.kind == TraceEvent::Kind::Access && ev.pid == pid) {
-      return ev.access.returned;
+/// Returned value of the first access the watched pid performs after
+/// watch(), read off the event stream, so the lockstep adversary runs with
+/// trace recording off. Subscribed to the Sim for its own lifetime.
+class ObservationSink final : public EventSink {
+ public:
+  explicit ObservationSink(Sim& sim) : sim_(sim) { sim_.add_sink(*this); }
+  ~ObservationSink() override { sim_.remove_sink(*this); }
+  ObservationSink(const ObservationSink&) = delete;
+  ObservationSink& operator=(const ObservationSink&) = delete;
+
+  void watch(Pid pid) {
+    pid_ = pid;
+    seen_ = false;
+    observed_.reset();
+  }
+  void on_event(const TraceEvent& ev) override {
+    if (!seen_ && ev.kind == TraceEvent::Kind::Access && ev.pid == pid_) {
+      seen_ = true;
+      observed_ = ev.access.returned;
     }
   }
-  return std::nullopt;
-}
+  [[nodiscard]] const std::optional<Value>& observed() const {
+    return observed_;
+  }
+
+ private:
+  Sim& sim_;
+  Pid pid_ = -1;
+  bool seen_ = false;
+  std::optional<Value> observed_;
+};
 
 }  // namespace
 
@@ -128,6 +149,7 @@ MergeResult lemma2_merge(const SimSetup& setup, Pid p1, Pid p2,
 LockstepResult lockstep_symmetry_adversary(Sim& sim, std::vector<Pid> group,
                                            std::uint64_t max_rounds) {
   LockstepResult res;
+  ObservationSink observation(sim);
   while (res.rounds < max_rounds && group.size() > 1) {
     // Key: (terminated this round, observed return value). Processes with
     // identical histories apply identical operations; the partition after
@@ -138,11 +160,10 @@ LockstepResult lockstep_symmetry_adversary(Sim& sim, std::vector<Pid> group,
         classes[{true, std::nullopt}].push_back(p);
         continue;
       }
-      const Seq before = sim.trace().next_seq();
+      observation.watch(p);
       sim.step(p);
-      const std::optional<Value> obs = observation_since(sim, p, before);
       const bool finished = sim.status(p) == ProcStatus::Done;
-      classes[{finished, obs}].push_back(p);
+      classes[{finished, observation.observed()}].push_back(p);
     }
     res.rounds += 1;
 

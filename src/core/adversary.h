@@ -106,6 +106,8 @@ struct LockstepResult {
 /// The adversary keeps the largest same-observation class and repeats.
 /// For non-TAF models the set shrinks by at most one per round, forcing
 /// n - 1 rounds; with test-and-flip it halves, collapsing in ~log n rounds.
+/// Observations are read off the event stream by a sink subscribed for the
+/// call, so the run may have trace recording off.
 [[nodiscard]] LockstepResult lockstep_symmetry_adversary(
     Sim& sim, std::vector<Pid> group, std::uint64_t max_rounds = 1'000'000);
 

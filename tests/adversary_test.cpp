@@ -202,6 +202,34 @@ TEST(Lockstep, TestAndFlipHalvesTheIdenticalSet) {
   EXPECT_EQ(res.group_sizes[2], 2u);
 }
 
+/// The adversary reads its observations off the event stream: with trace
+/// recording off it partitions exactly as with it on, and records nothing.
+TEST(Lockstep, NeedsNoTraceRecording) {
+  const int n = 16;
+  Sim sim;
+  sim.set_trace_recording(false);
+  std::vector<RegId> bits;
+  for (int j = 0; j < n - 1; ++j) {
+    std::string label = "t";
+    label += std::to_string(j);
+    bits.push_back(sim.memory().add_bit(label));
+  }
+  std::vector<Pid> group;
+  for (int i = 0; i < n; ++i) {
+    std::string label = "p";
+    label += std::to_string(i);
+    group.push_back(sim.spawn(label,
+                              [&bits](ProcessContext& ctx) {
+                                return taf_probe_body(ctx, bits);
+                              }));
+  }
+  const LockstepResult res = lockstep_symmetry_adversary(sim, group);
+  EXPECT_EQ(res.rounds, 4u);
+  EXPECT_FALSE(res.identical_group_terminated);
+  EXPECT_EQ(res.group_sizes, (std::vector<std::size_t>{8, 4, 2}));
+  EXPECT_TRUE(sim.trace().empty());
+}
+
 /// A broken "naming" algorithm that ignores shared memory: the adversary
 /// catches the identical group terminating together (duplicate outputs).
 Task<void> oblivious_body(ProcessContext& ctx, RegId r) {
