@@ -3,7 +3,8 @@
 // vs streaming-measured), full detection runs, trace measurement, and the
 // per-node primitives of the certified search (accumulator snapshot copy,
 // leaf objective evaluation, section changes, source-DPOR race detection
-// and cut-point insertions, mark-based rewind).
+// and cut-point insertions, mark-based rewind, a step served from the
+// transition table).
 // These put a number on the harness itself so sweep costs in the table
 // benches are predictable. Algorithms are resolved from the
 // AlgorithmRegistry; results additionally land in
@@ -411,6 +412,45 @@ BENCHMARK(BM_SimRewindToMark)
     ->Args({1, 8})
     ->Args({1, 1024})
     ->UseManualTime();
+
+void BM_SimStepMemoHit(benchmark::State& state) {
+  // One step of a peterson-tree n=6 process at the same position, 13
+  // units into a run: /1 served from the Sim's transition table (the
+  // process restored from a mark, its frame left behind), /0 resuming its
+  // live body (the position re-stepped by rewind_to, which forgets the
+  // table). Only the step is timed.
+  const bool served = state.range(0) != 0;
+  const int n = 6;
+  Sim sim;
+  sim.set_trace_recording(false);
+  auto alg = setup_mutex(sim, peterson_tree(), n, /*sessions=*/1);
+  sim.mark_rewind_base();
+  RandomScheduler rnd(5);
+  step_random(sim, rnd, 13);
+  const Pid pid = sim.schedule_log().back().pid;
+  const std::size_t prefix_len = sim.schedule_log().size();
+  Sim::RewindMark mark;
+  sim.capture_mark(mark);
+  // Record the transition: the first restore makes the process join the
+  // table, and its next step replays and records.
+  sim.step(pid);
+  sim.rewind_to_mark(mark);
+  sim.step(pid);
+  for (auto _ : state) {
+    if (served) {
+      sim.rewind_to_mark(mark);
+    } else {
+      sim.rewind_to(prefix_len);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.step(pid);
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  const Sim::TransitionStats t = sim.transition_stats();
+  state.counters["served"] = static_cast<double>(t.served);
+}
+BENCHMARK(BM_SimStepMemoHit)->Arg(0)->Arg(1)->UseManualTime();
 
 }  // namespace
 

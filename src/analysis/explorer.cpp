@@ -549,8 +549,10 @@ class CellExplorer {
                           : avail;
     // Node checkpoint for sibling restores. A single full-branching branch
     // needs none (the parent restores for us); a source-DPOR worker does
-    // not know its branch count up front (insertions arrive later).
-    if (dpor_ || std::popcount(avail) > 1) {
+    // not know its branch count up front (insertions arrive later). More
+    // than one bit set, tested without a popcount (a libgcc call in
+    // builds without -mpopcnt).
+    if (dpor_ || (avail & (avail - 1)) != 0) {
       capture_node(depth);
     }
     if (sleep_sets_) {
@@ -638,7 +640,7 @@ class CellExplorer {
   Explorer::Result* out_ = nullptr;
   Plan* plan_ = nullptr;  ///< set while plan() walks; null in workers
   std::unique_ptr<Sim> sim_;
-  std::shared_ptr<void> owner_;
+  std::shared_ptr<void> owner_;  ///< after sim_: released before it dies
   MeasureAccumulator acc_;
   /// The visited cache. Planner: one cache across the whole walk. Worker:
   /// cleared per item.

@@ -205,6 +205,7 @@ class Explorer {
   /// Rebuilds the simulation under exploration and returns an owner handle
   /// for objects that must outlive it (the algorithm instance holding the
   /// register layout). Must be deterministic — it runs once per engine.
+  /// The engine releases the handle before it destroys the Sim.
   using SetupFn = std::function<std::shared_ptr<void>(Sim&)>;
 
   struct Config {

@@ -27,8 +27,9 @@ namespace cfc::obs {
 ///  * sleep_blocked: enabled branches skipped asleep.
 ///  * restores: sibling backtracks performed.
 ///  * value_replayed_steps: units re-fed from the recorded value tapes to
-///    processes restored by Sim::rewind_to_mark, at their next step
-///    (Sim::value_replayed_units) — no register traffic, no events.
+///    processes restored by Sim::rewind_to_mark, at a step the Sim's
+///    transition table could not serve (Sim::value_replayed_units) — no
+///    register traffic, no events.
 ///  * restore_marks: RewindMarks captured at branching nodes.
 ///  * work_items: horizon subtrees the planner emitted.
 #define CFC_SEARCH_COUNTERS(X) \

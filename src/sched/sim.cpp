@@ -95,11 +95,20 @@ int Sim::count_in_section(Section s) const {
   return k;
 }
 
+inline void Sim::resume(Proc& pr, Pid pid) {
+  ++table_stats_.resumed;
+  const std::coroutine_handle<> h = pr.resume_point;
+  h.resume();
+  if (pr.root.done()) {
+    pr.root.rethrow_if_exception();
+    retire(pr, pid, ProcStatus::Done);
+  } else if (!pr.pending.has_value()) {
+    throw std::logic_error("live process is not suspended at an access");
+  }
+}
+
 void Sim::ensure_started(Pid pid) {
   Proc& pr = proc(pid);
-  if (pr.stale) {
-    resync(pr);
-  }
   if (pr.status != ProcStatus::NotStarted) {
     return;
   }
@@ -121,28 +130,34 @@ void Sim::ensure_started(Pid pid) {
   pr.digest = fp_push(pr.digest, kDigestStart);
   pr.status = ProcStatus::Runnable;
   ++tape_units_;
+  if (pr.in_table) {  // at its root: the start is the child keyed 0
+    const std::uint32_t start = find_child(pr.node, 0);
+    if (start != kNoNode) {
+      serve(pr, pid, start);
+      refresh_proc_fp(pid);
+      return;
+    }
+  }
   pr.root = pr.factory(pr.ctx);
   if (!pr.root.valid()) {
     throw std::logic_error("process body factory returned an invalid task");
   }
   pr.resume_point = pr.root.handle();
-  pr.resume_point.resume();  // run to first access request or completion
-  if (pr.root.done()) {
-    pr.root.rethrow_if_exception();
-    retire(pr, pid, ProcStatus::Done);
-    refresh_proc_fp(pid);  // batched: digest + status in one update
-    return;
-  }
-  if (!pr.pending.has_value()) {
-    throw std::logic_error("live process is not suspended at an access");
+  // Run to the first access request or completion.
+  if (pr.in_table) {
+    resume_recording(pr, pid, 0);
+  } else {
+    resume(pr, pid);
   }
   refresh_proc_fp(pid);  // batched: start mark + prologue section changes
 }
 
 Sim::StepResult Sim::step(Pid pid) {
   Proc& pr = proc(pid);
-  if (pr.stale) {
-    resync(pr);
+  if (pr.in_table && pr.node == kNoNode) {
+    // A restore's walk fell off the table: rebuild the frame along the
+    // whole tape, which also finds (or records) the process's node.
+    resync(pr, tape_[static_cast<std::size_t>(pid)].size(), pr.pending);
   }
   // Reset the unit summary even on the no-op path below: a NotRunnable
   // pick must not leave last_step_summary() reporting the previous unit
@@ -184,32 +199,117 @@ Sim::StepResult Sim::step(Pid pid) {
   }
 
   // The linearization point: perform the access atomically, then let the
-  // process run (for free) up to its next access request or to completion.
+  // process run (for free) up to its next access request or to completion
+  // — served from the transition table when it holds what the body does
+  // after this value.
   const PendingAccess req = *pr.pending;
   pr.pending.reset();
   if (req.local_yield) {
     pr.digest = fp_push(pr.digest, kDigestYield);
   }
   pr.last_result = req.local_yield ? 0 : execute(pr, pid, req);
+  const StepResult result =
+      req.local_yield ? StepResult::LocalStep : StepResult::Access;
   if (rewind_base_set_) {
     // Before the resume: a unit that throws during its local run (e.g. a
     // mutual-exclusion violation at a section change) still records the
     // value it delivered.
-    tape_[static_cast<std::size_t>(pid)].back() = pr.last_result;
+    std::vector<Value>& tape = tape_[static_cast<std::size_t>(pid)];
+    tape.back() = pr.last_result;
+    if (pr.in_table) {
+      const std::uint32_t next = find_child(pr.node, pr.last_result);
+      if (next != kNoNode) {
+        serve(pr, pid, next);
+      } else {
+        if (pr.stale()) {  // a miss: the live frame must sit at the node
+          resync(pr, tape.size() - 1, req);
+        }
+        resume_recording(pr, pid, pr.last_result);
+      }
+      refresh_proc_fp(pid);
+      return result;
+    }
   }
-  const std::coroutine_handle<> h = pr.resume_point;
-  h.resume();
-  if (pr.root.done()) {
-    pr.root.rethrow_if_exception();
-    retire(pr, pid, ProcStatus::Done);
-  } else if (!pr.pending.has_value()) {
-    throw std::logic_error("live process is not suspended at an access");
-  }
+  resume(pr, pid);
   // ONE fingerprint update for the whole unit's write set: the access's
   // digest fold, every section change the resume made, and any terminal
   // status — instead of a procs_-wide rehash per explored node.
   refresh_proc_fp(pid);
-  return req.local_yield ? StepResult::LocalStep : StepResult::Access;
+  return result;
+}
+
+void Sim::resume_recording(Proc& pr, Pid pid, Value key) {
+  rec_pid_ = pid;
+  rec_effects_.clear();
+  pr.frame_node = kNoFrame;  // until the transition completes
+  try {
+    resume(pr, pid);
+  } catch (...) {
+    rec_pid_ = -1;
+    throw;
+  }
+  rec_pid_ = -1;
+  pr.node = pr.frame_node = record(pr, pr.node, key);
+}
+
+std::uint32_t Sim::record(const Proc& pr, std::uint32_t parent, Value key) {
+  // pr.pending is empty exactly when the body finished: every transition
+  // starts with it cleared.
+  const std::uint32_t known = find_child(parent, key);
+  if (known != kNoNode) {
+    const Node& n = nodes_[known];
+    const auto effects = std::span<const Effect>(effects_).subspan(
+        n.effects_begin, n.effects_end - n.effects_begin);
+    if (n.pending != pr.pending ||
+        !std::equal(effects.begin(), effects.end(), rec_effects_.begin(),
+                    rec_effects_.end())) {
+      throw std::logic_error(
+          "Sim: a process body repeated a recorded transition differently "
+          "(process state kept outside its frame and registers?)");
+    }
+    return known;
+  }
+  Node n;
+  n.next_sibling = nodes_[parent].first_child;
+  n.effects_begin = static_cast<std::uint32_t>(effects_.size());
+  effects_.insert(effects_.end(), rec_effects_.begin(), rec_effects_.end());
+  n.effects_end = static_cast<std::uint32_t>(effects_.size());
+  n.key = key;
+  n.pending = pr.pending;
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back(n);
+  nodes_[parent].first_child = id;
+  ++table_stats_.recorded;
+  return id;
+}
+
+void Sim::serve(Proc& pr, Pid pid, std::uint32_t node) {
+  ++table_stats_.served;
+  pr.node = node;
+  const Node& n = nodes_[node];
+  for (std::uint32_t i = n.effects_begin; i < n.effects_end; ++i) {
+    const Effect e = effects_[i];
+    if (e.output) {
+      on_output(pid, e.value);
+    } else {
+      on_section_change(pid, static_cast<Section>(e.value));
+    }
+  }
+  if (n.pending.has_value()) {
+    pr.pending = n.pending;
+  } else {
+    retire(pr, pid, ProcStatus::Done);
+  }
+}
+
+std::uint32_t Sim::walk(const Proc& pr, std::size_t values) const {
+  const std::vector<Value>& tape =
+      tape_[static_cast<std::size_t>(pr.ctx.pid())];
+  std::uint32_t at = find_child(pr.root_node, 0);
+  for (std::size_t k = 0; k < values && at != kNoNode; ++k) {
+    at = find_child(at, tape[k]);
+  }
+  return at;
 }
 
 Value Sim::execute(Proc& pr, Pid pid, const PendingAccess& req) {
@@ -337,6 +437,9 @@ void Sim::on_section_change(Pid pid, Section s) {
   // Recorded before the mutual-exclusion check: a unit that throws AT a
   // section change is still section-change-adjacent for the summary.
   last_step_.section_changed = true;
+  if (pid == rec_pid_) {
+    rec_effects_.push_back({false, static_cast<int>(s)});
+  }
   if (check_mutex_ && !quiet_replay_ && s == Section::Critical) {
     for (Pid q = 0; q < process_count(); ++q) {
       if (q != pid && proc(q).section == Section::Critical) {
@@ -356,7 +459,12 @@ void Sim::on_section_change(Pid pid, Section s) {
   emit(ev);
 }
 
-void Sim::on_output(Pid pid, int value) { proc(pid).output = value; }
+void Sim::on_output(Pid pid, int value) {
+  proc(pid).output = value;
+  if (pid == rec_pid_) {
+    rec_effects_.push_back({true, value});
+  }
+}
 
 void Sim::mark_rewind_base() {
   if (!sched_log_.empty()) {
@@ -382,6 +490,21 @@ void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
                      sched_log_.begin() +
                          static_cast<std::ptrdiff_t>(prefix_len));
   rewind_to_mark(base_mark_);
+  if (!joined_.empty()) {
+    // Forget the table, so that what this run replays does not depend on
+    // earlier runs; an unused one costs nothing here.
+    for (const Pid pid : joined_) {
+      Proc& pr = *procs_[static_cast<std::size_t>(pid)];
+      pr.in_table = false;
+      pr.root_node = pr.node = pr.frame_node = kNoNode;
+      pr.root = Task<void>{};
+      pr.resume_point = {};
+    }
+    joined_.clear();
+    nodes_.clear();
+    effects_.clear();
+    ++table_epoch_;
+  }
 
   // Re-step through the ordinary unit path, which rebuilds the log and the
   // value tapes as it goes.
@@ -421,11 +544,13 @@ void Sim::capture_mark(RewindMark& mark) const {
   mark.seq = next_seq_;
   mark.prefix_len = sched_log_.size();
   mark.writes = written_.size();
+  mark.table_epoch = table_epoch_;
   mark.procs.resize(procs_.size());
   std::size_t units = 0;
   for (std::size_t p = 0; p < procs_.size(); ++p) {
     const Proc& pr = *procs_[p];
     RewindMark::ProcMark& m = mark.procs[p];
+    m.node = pr.node;
     m.digest = pr.digest;
     m.naccesses = pr.naccesses;
     // Tape length + the start unit (in the log iff the process started).
@@ -503,10 +628,13 @@ void Sim::rewind_to_mark(const RewindMark& mark) {
                       touched_pids_.end());
   tape_units_ = mark.prefix_len;  // the touched tapes are cut back below
 
-  // Every touched process takes its mark state by assignment; the frame
-  // is left for resync() at its next step (a process not started at the
-  // mark just drops it). Digests and access counts come from the mark
-  // too: they fold memory values a value replay never sees.
+  // Every touched process takes its mark state by assignment, and its
+  // node: a process started at the mark joins the table (if it has not)
+  // and steps on from the mark's node, or the one its tape walks to; its
+  // frame is left for resync() at the first step the table misses. A
+  // process not started at the mark goes back to its root, or outside
+  // the table drops its frame. Digests and access counts come from the
+  // mark too: they fold memory values a value replay never sees.
   for (const Pid pid : touched_pids_) {
     const auto up = static_cast<std::size_t>(pid);
     Proc& pr = *procs_[up];
@@ -517,8 +645,20 @@ void Sim::rewind_to_mark(const RewindMark& mark) {
     pr.section = m.section;
     pr.output = m.output;
     pr.pending = m.pending;
-    pr.stale = m.units != 0;
-    if (!pr.stale) {
+    if (m.units != 0) {
+      if (!pr.in_table) {
+        pr.in_table = true;
+        pr.root_node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+        pr.frame_node = kNoFrame;  // its frame sits past the mark
+        joined_.push_back(pid);
+      }
+      pr.node = m.node != kNoNode && mark.table_epoch == table_epoch_
+                    ? m.node
+                    : walk(pr, m.units - 1);
+    } else if (pr.in_table) {
+      pr.node = pr.root_node;
+    } else {
       pr.root = Task<void>{};
       pr.resume_point = {};
     }
@@ -547,8 +687,9 @@ void Sim::rewind_to_mark(const RewindMark& mark) {
   }
 }
 
-void Sim::resync(Proc& pr) {
-  // The state the restore assigned from the mark, put back after the
+void Sim::resync(Proc& pr, std::size_t values,
+                 std::optional<PendingAccess> expect) {
+  // The state the process was restored or served to, put back after the
   // replay (whose resumes post pending accesses, change sections, set
   // outputs and advance the event counter and the unit summary).
   const Seq seq = next_seq_;
@@ -558,8 +699,10 @@ void Sim::resync(Proc& pr) {
   const Section section = pr.section;
   const std::optional<int> output = pr.output;
   const std::optional<PendingAccess> pending = pr.pending;
+  const Value last_result = pr.last_result;
   const bool quiet = quiet_replay_;
   const auto put_back = [&] {
+    rec_pid_ = -1;
     quiet_replay_ = quiet;
     next_seq_ = seq;
     last_step_ = summary;
@@ -568,44 +711,56 @@ void Sim::resync(Proc& pr) {
     pr.section = section;
     pr.output = output;
     pr.pending = pending;
+    pr.last_result = last_result;
   };
-  const std::vector<Value>& tape =
-      tape_[static_cast<std::size_t>(pr.ctx.pid())];
+  const Pid pid = pr.ctx.pid();
+  const std::vector<Value>& tape = tape_[static_cast<std::size_t>(pid)];
+  std::uint32_t at = pr.root_node;
   bool diverged = false;
   quiet_replay_ = true;
   try {
     const FrameArena::Scope frame_scope(&arena_);
     pr.root = Task<void>{};  // free first: the restart reuses the frame
+    pr.frame_node = kNoFrame;
     pr.section = Section::Remainder;
     pr.output.reset();
     pr.pending.reset();
     pr.root = pr.factory(pr.ctx);
     pr.resume_point = pr.root.handle();
-    pr.resume_point.resume();  // the start unit
-    // A stale process was runnable at its mark, so its prefix units
-    // contain no crash/finish: every value feeds a live suspension.
-    for (std::size_t k = 0; k < tape.size() && !diverged; ++k) {
+    // The start unit, then one transition per fed value. A stale process
+    // was runnable at its node, so its prefix units contain no
+    // crash/finish: every value feeds a live suspension. Each transition
+    // is recorded, or checked against the record the table holds.
+    for (std::size_t k = 0; k <= values && !diverged; ++k) {
+      const Value key = k == 0 ? 0 : tape[k - 1];
+      if (k != 0) {
+        pr.pending.reset();
+        pr.last_result = key;
+      }
+      rec_pid_ = pid;
+      rec_effects_.clear();
+      pr.resume_point.resume();
+      rec_pid_ = -1;
       diverged = pr.root.done() || !pr.pending.has_value();
       if (!diverged) {
-        pr.pending.reset();
-        pr.last_result = tape[k];
-        pr.resume_point.resume();
+        at = record(pr, at, key);
       }
     }
   } catch (...) {
     put_back();
     throw;
   }
-  replayed_units_ += 1 + tape.size();
-  diverged = diverged || pr.root.done() || pr.pending != pending ||
-             pr.section != section || pr.status != ProcStatus::Runnable;
+  replayed_units_ += 1 + values;
+  diverged = diverged || pr.pending != expect || pr.section != section ||
+             pr.output != output || pr.status != ProcStatus::Runnable ||
+             (pr.node != kNoNode && at != pr.node);
   put_back();
   if (diverged) {
     throw std::logic_error(
         "Sim: value replay of a restored process diverged from its mark "
         "(process state kept outside its frame and registers?)");
   }
-  pr.stale = false;
+  pr.node = pr.frame_node = at;
 }
 
 void Sim::retire(Proc& pr, Pid pid, ProcStatus status) {

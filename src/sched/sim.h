@@ -233,8 +233,12 @@ class Sim {
   /// step, so spawning alone leaves the process "not started" (idle), which
   /// the contention-free windows treat as being in the remainder region.
   /// A rewindable simulation may restart the body and replay its delivered
-  /// values (rewind_to_mark), so a body must keep its run-time state only
-  /// in its coroutine frame and shared registers.
+  /// values (rewind_to_mark), and may serve its steps from the transitions
+  /// it recorded instead of resuming it (the transition table, see
+  /// transition_stats), so a body must keep its run-time state only in its
+  /// coroutine frame and shared registers: its next pending access or
+  /// finish, and the section changes and outputs on the way, must be a
+  /// function of the values it was delivered.
   Pid spawn(std::string proc_name, BodyFactory factory);
 
   [[nodiscard]] int process_count() const {
@@ -323,16 +327,22 @@ class Sim {
   /// A restore point along the current run: shared memory, the event
   /// counter, and each process's observable state (ProcMark) at a
   /// schedule-log prefix. A mark does NOT capture coroutine frames (they
-  /// cannot be copied); a process restored from a mark is instead
-  /// *value-replayed* on its next step: its body restarts and is fed, unit
-  /// by unit, the Value the original execution delivered (its per-pid
-  /// value tape), so the coroutine re-reaches its suspension point without
-  /// touching memory.
+  /// cannot be copied). It records instead each process's transition-table
+  /// node when the process is in the table: a restored process steps on
+  /// from that node, served by the table, and its body is *value-replayed*
+  /// only when a step needs a transition the table does not hold: the body
+  /// restarts and is fed, unit by unit, the Value the original execution
+  /// delivered (its per-pid value tape), so the coroutine re-reaches its
+  /// suspension point without touching memory.
   struct RewindMark {
     /// One process's state at the mark: everything the simulator reports
     /// about it between units, so a restore can assign it without
     /// touching the frame.
     struct ProcMark {
+      /// The process's transition-table node (kNoNode when it was not in
+      /// the table at capture); valid while the table's epoch is the
+      /// mark's.
+      std::uint32_t node = kNoNode;
       std::uint64_t digest = 0;     ///< process_digest()
       std::uint64_t naccesses = 0;  ///< access_count()
       /// Schedule units within the prefix (start unit included): the
@@ -349,6 +359,7 @@ class Sim {
     Seq seq = 0;                    ///< event counter at capture
     std::size_t prefix_len = 0;     ///< schedule-log length at capture
     std::size_t writes = 0;         ///< register-write log length at capture
+    std::uint64_t table_epoch = 0;  ///< transition-table epoch at capture
     std::vector<ProcMark> procs;    ///< per pid
   };
 
@@ -365,26 +376,38 @@ class Sim {
   /// rewind past the mark happened in between; the explorer's DFS restores
   /// only to ancestors of the current path, which guarantees it). Touched
   /// processes — those with schedule units in [mark.prefix_len, log size)
-  /// — get their ProcMark state by assignment and are marked *stale*: the
-  /// restore does no frame work. The next step()/ensure_started() of a
-  /// stale process first resyncs it: restarts its body (frames recycle
-  /// through the per-Sim arena) and feeds it its value tape quietly, with
-  /// the event counter, last_step_summary(), digest and access count saved
-  /// around the replay; the replayed frame must re-post exactly the
-  /// pending access, section and status the mark recorded, or the step
-  /// throws std::logic_error. A process not started at the mark goes back
-  /// to NotStarted with its frame dropped. Untouched processes keep their
-  /// live coroutines as-is. Restoring a shallower mark before a stale
-  /// process steps again just re-assigns its state; it then replays only
-  /// what that shallowest mark owes.
+  /// — get their ProcMark state by assignment: the restore does no frame
+  /// work. A touched process started at the mark joins the transition
+  /// table (the first restore that leaves it behind its frame is what
+  /// makes it join) and takes its node: the mark's, or — for a mark
+  /// captured before it joined or before the table was last forgotten —
+  /// the node reached by walking the table along its value tape. It is
+  /// *stale* while its frame sits at another node. A stale process's steps
+  /// are served by the table as long as the table holds them; the first
+  /// one that misses (or any step, when the walk fell off the table)
+  /// first resyncs it: restarts its body (frames recycle through the
+  /// per-Sim arena) and feeds it its value tape quietly, with the event
+  /// counter, last_step_summary(), digest and access count saved around
+  /// the replay. Every transition the replay passes that the table holds
+  /// must match the record (next pending access or finish, and the
+  /// section changes and outputs in order), and the replayed frame must
+  /// re-post exactly the pending access, section and output the process
+  /// was restored to, or the step throws std::logic_error. A process not
+  /// started at the mark goes back to NotStarted: to its root node in the
+  /// table, or outside it with its frame dropped. Untouched processes keep
+  /// their live coroutines and nodes as-is. Restoring a shallower mark
+  /// before a stale process steps again just re-assigns its state and
+  /// node.
   ///
   /// Sound because a process with units past the mark was runnable at the
   /// mark, so its prefix units contain no crash/finish and every recorded
   /// value feeds a live suspension, and because process bodies keep their
   /// run-time state only in their coroutine frames and shared registers
   /// (every registry algorithm does): a restarted body fed the same values
-  /// reaches the same local state. The traversal-observable state is that
-  /// of a fresh simulation stepped along the same prefix.
+  /// reaches the same local state, and a body at a node does next what the
+  /// node's recorded transition for the delivered value says. The
+  /// traversal-observable state is that of a fresh simulation stepped
+  /// along the same prefix.
   ///
   /// The replay runs with sinks, trace materialization, and invariant
   /// checks suppressed; any materialized trace is cleared by the restore.
@@ -395,19 +418,45 @@ class Sim {
   /// Cost: O(suffix units + touched processes) — untouched processes are
   /// never visited. That covers the tape/log consistency check (each
   /// touched process's tape grew by exactly its suffix units; the mark's
-  /// capture checked every tape) and the memory restore, which writes back
-  /// only the registers written past the mark (the register-write log)
-  /// and then checks the memory fingerprint against the mark's.
-  /// The replay, O(the process's own prefix units), is paid at the next
-  /// step of each touched process, and never by a process that does not
-  /// step again before the next restore; value_replayed_units() counts
-  /// it.
+  /// capture checked every tape), the node assignment (O(1) from a mark
+  /// captured in the process's table epoch, else a walk of the table
+  /// along the process's prefix units), and the memory restore, which
+  /// writes back only the registers written past the mark (the
+  /// register-write log) and then checks the memory fingerprint against
+  /// the mark's. A replay, O(the process's own prefix units), is paid only
+  /// by a step the table cannot serve; value_replayed_units() counts it.
   void rewind_to_mark(const RewindMark& mark);
 
   /// Units value-replayed by stale-process resyncs over this simulation's
   /// lifetime (each resync counts the start unit plus every fed value).
+  /// A resync runs only at a table miss, or at the first step after a
+  /// restore whose walk fell off the table.
   [[nodiscard]] std::uint64_t value_replayed_units() const {
     return replayed_units_;
+  }
+
+  /// "No transition-table node" (a process outside the table).
+  static constexpr std::uint32_t kNoNode = 0xffffffffu;
+
+  /// Lifetime counters of the transition table: per process, a trie over
+  /// its value tape whose nodes record what the body did after each
+  /// delivered value (section changes and outputs in order, then its next
+  /// pending access or its finish), keyed exactly by (node, value). A
+  /// process joins it the first time a restore leaves it behind its frame;
+  /// from then on its steps and starts are served from the record when
+  /// the table holds the transition, and resume the live body (recording
+  /// the transition) when it does not. rewind_to() forgets the table when
+  /// anything joined it since it was last forgotten.
+  struct TransitionStats {
+    std::uint64_t served = 0;    ///< units served from the table
+    std::uint64_t resumed = 0;   ///< units that resumed a live body
+    std::uint64_t recorded = 0;  ///< transitions recorded (replays included)
+    std::uint64_t nodes = 0;     ///< nodes in the table now (roots included)
+  };
+  [[nodiscard]] TransitionStats transition_stats() const {
+    TransitionStats s = table_stats_;
+    s.nodes = nodes_.size();
+    return s;
   }
 
   /// Repositions THIS simulation at `prefix_len` units of its own schedule
@@ -415,6 +464,10 @@ class Sim {
   /// baseline, then a quiet re-step of the first `prefix_len` units of the
   /// previous run through step()/ensure_started() — zero Sim construction,
   /// zero setup re-execution, and (steady-state) zero heap allocation.
+  /// When a process joined the transition table since the last rewind_to,
+  /// the table is forgotten (its processes' frames dropped) before the
+  /// re-step, so what a run replays does not depend on earlier runs; an
+  /// unused table costs nothing here.
   /// Sinks/trace semantics are rewind_to_mark()'s. Verification:
   /// `expect_fingerprint == 0` skips it; otherwise the memory fingerprint
   /// and event counter must match or the rewind throws std::logic_error.
@@ -532,9 +585,17 @@ class Sim {
     /// per-unit state-fingerprint update swaps it out by XOR).
     std::uint64_t fp_contrib = 0;
 
-    /// Restored from a mark without its frame: the next step() or
-    /// ensure_started() value-replays the body first (resync).
-    bool stale = false;
+    /// Transition table (see TransitionStats): whether the process joined
+    /// it, its root node (the not-started state), the node of its current
+    /// state (kNoNode when unknown: a restore's walk fell off the table),
+    /// and the node its live frame sits at (kNoFrame when no frame is
+    /// known to sit at a node). Outside the table node == frame_node ==
+    /// kNoNode. stale(): the frame is not at the process's state.
+    bool in_table = false;
+    std::uint32_t root_node = kNoNode;
+    std::uint32_t node = kNoNode;
+    std::uint32_t frame_node = kNoNode;
+    [[nodiscard]] bool stale() const { return frame_node != node; }
 
     Proc(Sim& sim, Pid pid, std::string n, BodyFactory f)
         : name(std::move(n)), factory(std::move(f)), ctx(sim, pid) {}
@@ -553,9 +614,63 @@ class Sim {
     return *procs_[static_cast<std::size_t>(pid)];
   }
 
-  /// Rebuilds a stale process's frame from its value tape (see
-  /// rewind_to_mark) and checks it against the restored state.
-  void resync(Proc& pr);
+  /// One recorded transition: what the body did after the value keying
+  /// the node under its parent — section changes and outputs (effects_
+  /// [effects_begin, effects_end)) then its next pending access, or its
+  /// finish (no pending access). Children form a list through
+  /// first_child/next_sibling. A root node (one per joined pid) is the
+  /// not-started state; its one child, keyed 0, is the start.
+  struct Node {
+    std::uint32_t first_child = kNoNode;
+    std::uint32_t next_sibling = kNoNode;
+    std::uint32_t effects_begin = 0;
+    std::uint32_t effects_end = 0;
+    Value key = 0;
+    std::optional<PendingAccess> pending;
+  };
+  /// One local event of a recorded transition: an output, or a section
+  /// change (`value` holds the Section).
+  struct Effect {
+    bool output = false;
+    int value = 0;
+    friend bool operator==(const Effect&, const Effect&) = default;
+  };
+  /// Proc::frame_node of a process whose frame sits at no known node.
+  static constexpr std::uint32_t kNoFrame = kNoNode - 1;
+
+  [[nodiscard]] std::uint32_t find_child(std::uint32_t node, Value key) const {
+    for (std::uint32_t c = nodes_[node].first_child; c != kNoNode;
+         c = nodes_[c].next_sibling) {
+      if (nodes_[c].key == key) {
+        return c;
+      }
+    }
+    return kNoNode;
+  }
+  /// The child of `parent` keyed `key` for the transition just run live
+  /// with recording on (rec_effects_, the frame's finish or pending):
+  /// records it when new, else checks it against the record and throws
+  /// std::logic_error on a mismatch.
+  std::uint32_t record(const Proc& pr, std::uint32_t parent, Value key);
+  /// Serves a unit from the table: applies node's recorded effects through
+  /// on_section_change/on_output, then its pending access or finish.
+  void serve(Proc& pr, Pid pid, std::uint32_t node);
+  /// Resumes the live frame up to its next access request, or to its
+  /// finish, which retires the process.
+  void resume(Proc& pr, Pid pid);
+  /// resume() for a process in the table: records the transition as the
+  /// child keyed `key` of its node, or checks it against the record.
+  void resume_recording(Proc& pr, Pid pid, Value key);
+  /// The node reached from pid's root along its start and the first
+  /// `values` tape entries, or kNoNode where the table ends.
+  [[nodiscard]] std::uint32_t walk(const Proc& pr, std::size_t values) const;
+
+  /// Rebuilds a stale process's frame at its node from its value tape,
+  /// feeding the first `values` entries (see rewind_to_mark), recording
+  /// or checking every transition it passes, and checks the result
+  /// against the process's state, whose pending access is `expect`.
+  void resync(Proc& pr, std::size_t values,
+              std::optional<PendingAccess> expect);
 
   /// Performs the access atomically against the register file, enforcing the
   /// access policy, and appends the event to the trace.
@@ -617,6 +732,17 @@ class Sim {
   /// materialization and the mutual-exclusion check are suppressed.
   bool quiet_replay_ = false;
   std::uint64_t replayed_units_ = 0;  ///< value_replayed_units()
+  /// The transition table: every joined process's trie, node ids
+  /// indexing nodes_; the pids that joined since it was last forgotten;
+  /// the forget count (RewindMark::table_epoch); the process whose live
+  /// resume is being recorded (-1: none) and its effects so far.
+  std::vector<Node> nodes_;
+  std::vector<Effect> effects_;
+  std::vector<Pid> joined_;
+  std::uint64_t table_epoch_ = 0;
+  Pid rec_pid_ = -1;
+  std::vector<Effect> rec_effects_;
+  TransitionStats table_stats_;
   bool record_trace_ = true;
   Seq next_seq_ = 0;
   AccessPolicy policy_ = AccessPolicy::Unrestricted;

@@ -4,20 +4,28 @@
 // same units — across every registry algorithm, including crash injection,
 // multi-grain field writes and branches diverging from one restore point —
 // with frame recreation served entirely from the arena pool after warm-up,
-// and the Explorer's mark restores must build zero Sims per restore.
+// and the Explorer's mark restores must build zero Sims per restore. Steps
+// served from the transition table must be indistinguishable from live
+// ones, and a body that breaks the table's contract must be caught.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "core/algorithm_registry.h"
+#include "core/contention_detection.h"
 #include "core/state_fingerprint.h"
 #include "mutex/mutex_algorithm.h"
+#include "naming/naming_algorithm.h"
 #include "sched/sched.h"
 
 namespace cfc {
@@ -729,6 +737,284 @@ TEST(Rewind, SinksSeeOnlyEventsAfterTheRestore) {
   EXPECT_EQ(post.trace().events().front().seq, at_mark);
   EXPECT_EQ(post.trace().events().size(), live.trace().events().size());
   live.remove_sink(post);
+}
+
+/// Everything a unit published, in a comparable form.
+using EventKey = std::tuple<Seq, Pid, int, Value, Value, Value, bool, int,
+                            int, int, int, int>;
+
+EventKey event_key(const TraceEvent& ev) {
+  const Access& a = ev.access;
+  return {ev.seq,
+          ev.pid,
+          static_cast<int>(ev.kind),
+          a.before,
+          a.after,
+          a.returned.value_or(~Value{0}),
+          a.returned.has_value(),
+          static_cast<int>(a.reg),
+          static_cast<int>(a.bit_op),
+          static_cast<int>(a.kind),
+          static_cast<int>(ev.from),
+          static_cast<int>(ev.to)};
+}
+
+/// Collects the events of the current unit.
+struct UnitEvents : EventSink {
+  std::vector<EventKey> events;
+  void on_event(const TraceEvent& ev) override {
+    events.push_back(event_key(ev));
+  }
+};
+
+void expect_same_unit(const Sim& a, const Sim& b) {
+  const StepSummary& x = a.last_step_summary();
+  const StepSummary& y = b.last_step_summary();
+  EXPECT_EQ(x.pid, y.pid);
+  EXPECT_EQ(x.accessed, y.accessed);
+  EXPECT_EQ(x.reg, y.reg);
+  EXPECT_EQ(x.wrote, y.wrote);
+  EXPECT_EQ(x.section_changed, y.section_changed);
+  EXPECT_EQ(x.crashed, y.crashed);
+  EXPECT_EQ(x.started, y.started);
+  for (Pid p = 0; p < a.process_count(); ++p) {
+    EXPECT_EQ(a.pending(p), b.pending(p)) << "pid " << p;
+  }
+  expect_same_state(a, b);
+}
+
+/// Random schedules with random capture_mark / rewind_to_mark points (and
+/// an occasional rewind_to) on one rewindable Sim, against a
+/// non-rewindable Sim re-stepped from scratch after every restore and
+/// stepped alongside: after every unit, the unit's events, its summary,
+/// and every status, section, output, pending access and digest must
+/// agree, as must the memory and state fingerprints. Returns the steps
+/// the table served.
+std::uint64_t memo_differential(const Build& build, std::uint64_t seed,
+                                int actions) {
+  std::mt19937_64 rng(seed);
+  Sim live;
+  build(live);
+  live.set_trace_recording(false);
+  UnitEvents live_events;
+  live.add_sink(live_events);
+  live.mark_rewind_base();
+  UnitEvents oracle_events;
+  std::unique_ptr<Sim> oracle;
+  const auto rebuild_oracle = [&] {
+    if (oracle) {
+      oracle->remove_sink(oracle_events);
+    }
+    oracle = scratch_replay(build, live.schedule_log());
+    oracle->add_sink(oracle_events);
+  };
+  rebuild_oracle();
+  std::vector<Sim::RewindMark> marks;
+  for (int i = 0; i < actions && !testing::Test::HasFailure(); ++i) {
+    const std::uint64_t roll = rng() % 100;
+    if (roll < 10) {
+      marks.emplace_back();
+      live.capture_mark(marks.back());
+      continue;
+    }
+    if ((roll < 25 || !live.any_runnable()) && !marks.empty()) {
+      const std::size_t k = rng() % marks.size();
+      live.rewind_to_mark(marks[k]);
+      marks.resize(k + 1);  // deeper marks are off the current run
+      rebuild_oracle();
+      expect_same_state(live, *oracle);
+      continue;
+    }
+    if (roll < 28 || !live.any_runnable()) {
+      const std::size_t len = rng() % (live.schedule_log().size() + 1);
+      live.rewind_to(len);
+      while (!marks.empty() && marks.back().prefix_len > len) {
+        marks.pop_back();
+      }
+      rebuild_oracle();
+      expect_same_state(live, *oracle);
+      continue;
+    }
+    const std::vector<Pid>& ready = live.runnable_pids();
+    const Pid pid = ready[rng() % ready.size()];
+    live_events.events.clear();
+    oracle_events.events.clear();
+    if (roll < 33 && live.status(pid) == ProcStatus::NotStarted) {
+      live.ensure_started(pid);
+      oracle->ensure_started(pid);
+    } else {
+      live.step(pid);
+      oracle->step(pid);
+    }
+    EXPECT_EQ(live_events.events, oracle_events.events) << "unit " << i;
+    expect_same_unit(live, *oracle);
+  }
+  live.remove_sink(live_events);
+  return live.transition_stats().served;
+}
+
+TEST(Rewind, MemoizedStepsMatchAFreshSim) {
+  const AlgorithmRegistry& reg = AlgorithmRegistry::instance();
+  std::uint64_t served = 0;
+  for (int n = 2; n <= 6; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Crash plans: a process that stops early, and one that stops late.
+    const std::vector<CrashPlan> crashes = {{0, 2}, {n - 1, 7}};
+    const auto seed = static_cast<std::uint64_t>(n);
+    for (const MutexAlgorithmEntry* e : reg.mutex_for_n(n)) {
+      SCOPED_TRACE(e->info.name);
+      served += memo_differential(mutex_builder(e->factory, n, 2, {}), seed,
+                                  300);
+      served += memo_differential(mutex_builder(e->factory, n, 2, crashes),
+                                  seed + 1, 300);
+    }
+    const bool pow2 = (n & (n - 1)) == 0;
+    for (const DetectorAlgorithmEntry* e : reg.detector_algorithms()) {
+      if ((e->info.max_n != 0 && n > e->info.max_n) ||
+          (e->info.pow2_n_only && !pow2)) {
+        continue;
+      }
+      SCOPED_TRACE(e->info.name);
+      auto keep = std::make_shared<std::vector<std::unique_ptr<Detector>>>();
+      const DetectorFactory& make = e->factory;
+      served += memo_differential(
+          [keep, make, n, crashes](Sim& sim) {
+            keep->push_back(setup_detection(sim, make, n));
+            sim.crash_after(crashes[0].pid, crashes[0].after_accesses);
+          },
+          seed, 200);
+    }
+    for (const NamingAlgorithmEntry* e : reg.naming_algorithms()) {
+      if ((e->info.max_n != 0 && n > e->info.max_n) ||
+          (e->info.pow2_n_only && !pow2)) {
+        continue;
+      }
+      SCOPED_TRACE(e->info.name);
+      auto keep =
+          std::make_shared<std::vector<std::unique_ptr<NamingAlgorithm>>>();
+      const NamingFactory& make = e->factory;
+      served += memo_differential(
+          [keep, make, n, crashes](Sim& sim) {
+            keep->push_back(setup_naming(sim, make, n));
+            sim.crash_after(crashes[1].pid, crashes[1].after_accesses);
+          },
+          seed, 200);
+    }
+  }
+  // The table served most of these steps, so the comparison covered it.
+  EXPECT_GT(served, 10'000u);
+}
+
+TEST(Rewind, BodyStateOutsideTheFrameIsCaughtAtARecordedTransition) {
+  // The body picks its first register by how often it was started. Its
+  // first replay follows the live run and records it; its second replay
+  // takes another first access than the recorded start. The end state
+  // alone would not show it — the second replay still ends at the node's
+  // pending access — so only the per-transition check catches it.
+  auto starts = std::make_shared<int>(0);
+  Sim sim;
+  const RegId a = sim.memory().add_register("a", 8);
+  const RegId b = sim.memory().add_register("b", 8);
+  const Pid p = sim.spawn("outside-state", [starts, a, b](ProcessContext& ctx)
+                                               -> Task<void> {
+    ++*starts;
+    co_await ctx.read(*starts <= 2 ? a : b);
+    co_await ctx.read(a);
+    co_await ctx.read(a);
+  });
+  const Pid q = sim.spawn("writer", [a](ProcessContext& ctx) -> Task<void> {
+    co_await ctx.write(a, 1);
+  });
+  sim.mark_rewind_base();
+  sim.step(p);  // start, read a = 0
+  Sim::RewindMark mark;
+  sim.capture_mark(mark);
+  sim.step(p);  // read a = 0
+  sim.rewind_to_mark(mark);
+  sim.step(p);  // replays (start 2) along the live run, then reads a = 0
+  EXPECT_EQ(sim.value_replayed_units(), 2u);
+  sim.rewind_to_mark(mark);
+  sim.step(q);  // a = 1: p's next read misses the table
+  EXPECT_THROW(sim.step(p), std::logic_error);
+}
+
+TEST(Rewind, CfSoloProtocolRecordsNothing) {
+  // The contention-free blocks' protocol (analysis/study.cpp solo_block):
+  // one Sim, each pid run solo from rewind_to(0). No restore ever leaves a
+  // started process behind its frame, so nothing joins the table: every
+  // unit resumes the live body, nothing is recorded or replayed.
+  const int n = 64;
+  Sim sim;
+  sim.set_trace_recording(false);
+  const auto alg = setup_mutex(
+      sim, AlgorithmRegistry::instance().mutex("lamport-fast").factory, n, 1);
+  sim.mark_rewind_base();
+  for (Pid pid = 0; pid < n; ++pid) {
+    if (pid != 0) {
+      sim.rewind_to(0);
+    }
+    SoloScheduler solo(pid);
+    ASSERT_NE(drive(sim, solo), RunOutcome::BudgetExhausted);
+  }
+  const Sim::TransitionStats t = sim.transition_stats();
+  EXPECT_EQ(t.served, 0u);
+  EXPECT_EQ(t.recorded, 0u);
+  EXPECT_EQ(t.nodes, 0u);
+  EXPECT_GT(t.resumed, 0u);
+  EXPECT_EQ(sim.value_replayed_units(), 0u);
+}
+
+TEST(Rewind, ExplorerServesNearlyEveryStepFromTheTable) {
+  // A mutex search on peterson-tree n=4 to depth 12, unreduced and under
+  // source-DPOR: the table serves over 95% of the engines' steps (96-97%
+  // here). What it does not serve is each work item relearning its table:
+  // the item's prefix and first descent run before any process joins,
+  // and each transition new to the item misses once. Every engine Sim's
+  // table counters are read as the engine releases the setup's owner
+  // handle, which it does before it destroys the Sim.
+  struct Totals {
+    std::atomic<std::uint64_t> served{0};
+    std::atomic<std::uint64_t> resumed{0};
+    std::atomic<int> sims{0};
+  };
+  struct Probe {
+    std::shared_ptr<MutexAlgorithm> alg;
+    const Sim* sim;
+    Totals* totals;
+    ~Probe() {
+      const Sim::TransitionStats t = sim->transition_stats();
+      totals->served += t.served;
+      totals->resumed += t.resumed;
+      ++totals->sims;
+    }
+  };
+  Totals totals;
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-tree").factory;
+  Explorer::Config cfg;
+  cfg.nprocs = 4;
+  cfg.strategy = SearchStrategy::Exhaustive;
+  cfg.limits.max_depth = 12;
+  cfg.objective.fields = {MeasureField::CleanEntry, MeasureField::Exit};
+  cfg.setup = [&factory, &totals](Sim& sim) -> std::shared_ptr<void> {
+    return std::make_shared<Probe>(
+        Probe{setup_mutex(sim, factory, 4, 1), &sim, &totals});
+  };
+  for (const ReductionPolicy reduction :
+       {ReductionPolicy::Off, ReductionPolicy::SourceDpor}) {
+    totals.served = 0;
+    totals.resumed = 0;
+    totals.sims = 0;
+    cfg.limits.reduction = reduction;
+    ExperimentRunner pool(2);
+    const Explorer::Result r = Explorer(cfg).run(&pool);
+    ASSERT_GT(totals.sims.load(), 1);
+    const double steps =
+        static_cast<double>(totals.served + totals.resumed);
+    ASSERT_GT(steps, static_cast<double>(r.stats.restores));
+    EXPECT_GE(static_cast<double>(totals.served) / steps, 0.95)
+        << "served " << totals.served << " of " << steps;
+  }
 }
 
 }  // namespace
